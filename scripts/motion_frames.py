@@ -20,10 +20,10 @@ from rampforge.exporters import trace_summary, write_frames_jsonl
 
 def normal_flip_time(trace) -> float | None:
     """First frame time where the contact normal changes side."""
-    normals = np.array([f.normal_force for f in trace.frames])
+    normals = trace.frames["normal_force"]
     # ignore frames with vanishing normal force (the start has lambda = 0)
     loaded = np.linalg.norm(normals, axis=-1) > 1e-9
-    times = np.array([f.t for f in trace.frames])[loaded]
+    times = trace.frames["t"][loaded]
     up = normals[loaded, 1] > 0.0
     flips = np.nonzero(up[1:] != up[:-1])[0]
     if flips.size == 0:
@@ -57,7 +57,7 @@ def main() -> None:
         path = args.out / f"{branch.value}.jsonl"
         write_frames_jsonl(path, trace)
         summary = trace_summary(trace)
-        residual = max(float(np.linalg.norm(f.residual)) for f in trace.frames)
+        residual = float(np.linalg.norm(trace.frames["residual"], axis=-1).max())
         line = (f"{branch.value:5s}  frames={summary['frames']:4d}  "
                 f"max|residual|={residual:.3e} N")
         flip = normal_flip_time(trace)

@@ -9,11 +9,10 @@ decompositions.  All geometry is parameterized by a :class:`FrictionSpec`.
 
 from .errors import (ContractViolationError, IntegrationError, ParameterError,
                      RampError, SingularFieldError)
-from .ode import (DEFAULT_STEP_FACTOR, IntegratorConfig, ThetaSolution,
-                  ThetaTrace, default_config, integrate_adaptive,
-                  integrate_fixed, integrate_theta, lambda_from_theta,
-                  theta_closed_form, theta_closed_form_derivative,
-                  theta_ode_rhs)
+from .ode import (DEFAULT_STEP_FACTOR, IntegratorConfig, ThetaTrace,
+                  default_config, integrate_adaptive, integrate_fixed,
+                  integrate_theta, lambda_from_theta, theta_closed_form,
+                  theta_closed_form_derivative, theta_ode_rhs)
 from .params import (DELTA_MAX, FrictionSpec, dump_spec, load_spec, make_spec,
                      spec_from_dict, spec_from_mu, spec_to_dict)
 from .planar import (Branch, PlanarCurve, Ramp2D, alpha, alpha_rotated,
@@ -25,7 +24,7 @@ from .planar import (Branch, PlanarCurve, Ramp2D, alpha, alpha_rotated,
 from .ramp3d import (RampSurface3D, SpaceCurve3D, TangentField, build_surface,
                      builtin_field, cumulative_simpson, e3_tangential, field_x,
                      hemisphere_point, integrate_ramp3d, lambda_3d, scale_ramp)
-from .sim import Frame, MotionTrace, simulate
+from .sim import MotionTrace, simulate
 from .verify import (Feasibility, FeasibilityReport, ForceBalanceReport,
                      Motion, ScalingVerification, Verdict,
                      normal_sign_diagnostic, planar_reduction_check, verify_2d,
@@ -41,7 +40,6 @@ __all__ = [
     "Feasibility",
     "FeasibilityReport",
     "ForceBalanceReport",
-    "Frame",
     "FrictionSpec",
     "IntegrationError",
     "IntegratorConfig",
@@ -56,7 +54,6 @@ __all__ = [
     "SingularFieldError",
     "SpaceCurve3D",
     "TangentField",
-    "ThetaSolution",
     "ThetaTrace",
     "Verdict",
     "alpha",

@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exporters
-from .errors import (ContractViolationError, IntegrationError, ParameterError,
-                     SingularFieldError)
+from .errors import ParameterError, RampError
 from .ode import DEFAULT_STEP_FACTOR, IntegratorConfig
 from .params import FrictionSpec, make_spec, spec_from_mu, spec_to_dict
 from .planar import (Branch, apex_param, asymptote_gap, default_span, make_ramp,
@@ -268,26 +267,23 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         prog="rampforge",
         description="Constant-speed ramp curves, surfaces and force checks.")
     commands = parser.add_subparsers(dest="command", metavar="command")
-    registry: dict = {}
 
-    def register(name: str, sub: argparse.ArgumentParser, func) -> None:
+    def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=help_text)
         sub.set_defaults(func=func)
-        registry[name] = (sub, {a.dest for a in sub._actions}
-                          - {"help", "func", "command"})
+        _add_common(sub)
+        return sub
 
-    sub = commands.add_parser("generate2d", help="sample a planar ramp branch")
-    _add_common(sub)
+    sub = command("generate2d", cmd_generate2d, "sample a planar ramp branch")
     sub.add_argument("--branch", choices=[b.value for b in Branch], default="lower")
     sub.add_argument("--span", type=float, default=None,
                      help="arc length to sample (default 8/a)")
     sub.add_argument("--samples", type=int, default=400)
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
-    register("generate2d", sub, cmd_generate2d)
 
-    sub = commands.add_parser("generate3d",
-                              help="integrate a hemisphere flow and mesh the strip")
-    _add_common(sub)
+    sub = command("generate3d", cmd_generate3d,
+                  "integrate a hemisphere flow and mesh the strip")
     _add_geometry3d(sub)
     sub.add_argument("--r-extent", dest="r_extent", type=float, nargs=2,
                      default=[-0.5, 0.5], metavar=("RMIN", "RMAX"))
@@ -295,20 +291,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                      help="surface resolution as NxM quads (default 200x16)")
     sub.add_argument("--out", type=str, default=None,
                      help="base path; writes .obj, .curve.csv and .report.json")
-    register("generate3d", sub, cmd_generate3d)
 
-    sub = commands.add_parser("verify", help="force-balance check of a geometry")
-    _add_common(sub)
+    sub = command("verify", cmd_verify, "force-balance check of a geometry")
     _add_geometry3d(sub)
     sub.add_argument("--branch", choices=[b.value for b in Branch], default=None)
     sub.add_argument("--t-span", dest="t_span", type=float, nargs=2, default=None,
                      metavar=("T0", "T1"))
     sub.add_argument("--samples", type=int, default=400)
     sub.add_argument("--out", type=str, default=None, help="report JSON path")
-    register("verify", sub, cmd_verify)
 
-    sub = commands.add_parser("simulate", help="frame-by-frame force decomposition")
-    _add_common(sub)
+    sub = command("simulate", cmd_simulate, "frame-by-frame force decomposition")
     _add_geometry3d(sub)
     sub.add_argument("--branch", choices=[b.value for b in Branch], default=None)
     sub.add_argument("--t-span", dest="t_span", type=float, nargs=2,
@@ -316,18 +308,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub.add_argument("--fps", type=float, default=30.0)
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    register("simulate", sub, cmd_simulate)
 
-    sub = commands.add_parser("scale",
-                              help="dilate a geometry and verify both readings")
-    _add_common(sub)
+    sub = command("scale", cmd_scale, "dilate a geometry and verify both readings")
     _add_geometry3d(sub)
     sub.add_argument("--branch", choices=[b.value for b in Branch], default=None)
     sub.add_argument("--kappa", type=float, default=None, help="dilation factor")
     sub.add_argument("--samples", type=int, default=400)
     sub.add_argument("--out", type=str, default=None, help="full report JSON path")
-    register("scale", sub, cmd_scale)
 
+    # config files may set any option of their subcommand
+    registry = {name: (sub, {a.dest for a in sub._actions} - {"help", "func", "command"})
+                for name, sub in commands.choices.items()}
     return parser, registry
 
 
@@ -380,10 +371,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_VALIDATION
         return args.func(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ContractViolationError, IntegrationError, SingularFieldError) as exc:
+    except RampError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .ode import ThetaTrace, theta_closed_form
 from .params import FrictionSpec, spec_to_dict
 from .ramp3d import RampSurface3D, SpaceCurve3D, lambda_3d
 from .sim import MotionTrace
@@ -21,7 +20,6 @@ from .verify import FeasibilityReport, ForceBalanceReport, ScalingVerification
 
 CURVE2D_HEADER = "s,x,y,tx,ty,nx,ny,lambda"
 CURVE3D_HEADER = "s,x,y,z,tx,ty,tz,lambda"
-THETA_HEADER = "s,theta,theta_closed,abs_err"
 PROFILE_HEADER = "t,residual,lambda"
 
 
@@ -38,6 +36,13 @@ def _write_lines(path: str | Path, lines: list[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
+def _write_csv(path: str | Path, header: str, columns: list) -> None:
+    # one row per sample; vector columns of shape (n, k) spread over k cells,
+    # and tolist() gives Python floats, whose repr is what fmt() writes
+    rows = np.column_stack(columns).tolist()
+    _write_lines(path, [header] + [",".join(map(repr, row)) for row in rows])
+
+
 def write_json(path: str | Path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                           newline="\n")
@@ -47,13 +52,15 @@ def dumps_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _obj_points(tag: str, points: np.ndarray) -> list[str]:
+    # one "tag x y z" line per point (last axis), formatted like fmt()
+    rows = points.reshape(-1, points.shape[-1]).tolist()
+    return [f"{tag} " + " ".join(map(repr, p)) for p in rows]
+
+
 def write_curve2d_csv(path: str | Path, samples: dict) -> None:
     """Columns ``s,x,y,tx,ty,nx,ny,lambda`` from :func:`planar.sample_ramp`."""
-    keys = CURVE2D_HEADER.split(",")
-    rows = [CURVE2D_HEADER]
-    for i in range(len(samples["s"])):
-        rows.append(",".join(fmt(samples[k][i]) for k in keys))
-    _write_lines(path, rows)
+    _write_csv(path, CURVE2D_HEADER, [samples[k] for k in CURVE2D_HEADER.split(",")])
 
 
 def write_curve2d_json(path: str | Path, spec: FrictionSpec, samples: dict,
@@ -62,8 +69,7 @@ def write_curve2d_json(path: str | Path, spec: FrictionSpec, samples: dict,
     payload = {
         "spec": spec_to_dict(spec),
         "columns": keys,
-        "samples": [[float(samples[k][i]) for k in keys]
-                    for i in range(len(samples["s"]))],
+        "samples": np.column_stack([samples[k] for k in keys]).tolist(),
     }
     if extra:
         payload.update(extra)
@@ -95,22 +101,8 @@ def write_curve2d_svg(path: str | Path, x: np.ndarray, y: np.ndarray,
 
 def write_curve3d_csv(path: str | Path, curve: SpaceCurve3D, spec: FrictionSpec) -> None:
     """Columns ``s,x,y,z,tx,ty,tz,lambda`` on the stored integration grid."""
-    lam = lambda_3d(spec, curve.gamma)
-    rows = [CURVE3D_HEADER]
-    for i in range(curve.s.shape[0]):
-        cells = [curve.s[i], *curve.alpha[i], *curve.gamma[i], lam[i]]
-        rows.append(",".join(fmt(c) for c in cells))
-    _write_lines(path, rows)
-
-
-def write_theta_csv(path: str | Path, trace: ThetaTrace, spec: FrictionSpec) -> None:
-    """Columns ``s,theta,theta_closed,abs_err`` comparing against the closed form."""
-    closed = np.asarray(theta_closed_form(spec, trace.s), dtype=float)
-    rows = [THETA_HEADER]
-    for i in range(trace.s.shape[0]):
-        err = abs(float(trace.theta[i]) - float(closed[i]))
-        rows.append(",".join(fmt(c) for c in (trace.s[i], trace.theta[i], closed[i], err)))
-    _write_lines(path, rows)
+    _write_csv(path, CURVE3D_HEADER,
+               [curve.s, curve.alpha, curve.gamma, lambda_3d(spec, curve.gamma)])
 
 
 def write_obj(path: str | Path, surface: RampSurface3D) -> None:
@@ -123,13 +115,8 @@ def write_obj(path: str | Path, surface: RampSurface3D) -> None:
     n_s, n_r = surface.resolution
     lines = ["# ruled constant-speed ramp strip",
              f"# rows (s): {n_s + 1}  columns (r): {n_r + 1}"]
-    for i in range(n_s + 1):
-        for j in range(n_r + 1):
-            vx, vy, vz = surface.vertices[i, j]
-            lines.append(f"v {fmt(vx)} {fmt(vy)} {fmt(vz)}")
-    for i in range(n_s + 1):
-        nx, ny, nz = surface.vertex_normals[i]
-        lines.append(f"vn {fmt(nx)} {fmt(ny)} {fmt(nz)}")
+    lines += _obj_points("v", surface.vertices)
+    lines += _obj_points("vn", surface.vertex_normals)
 
     def vid(i: int, j: int) -> int:
         return i * (n_r + 1) + j + 1
@@ -146,9 +133,7 @@ def write_obj(path: str | Path, surface: RampSurface3D) -> None:
 def write_obj_polyline(path: str | Path, points: np.ndarray) -> None:
     """OBJ polyline (``l`` element) through the given points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    lines = ["# trajectory polyline"]
-    for p in points:
-        lines.append(f"v {fmt(p[0])} {fmt(p[1])} {fmt(p[2])}")
+    lines = ["# trajectory polyline", *_obj_points("v", points)]
     lines.append("l " + " ".join(str(i + 1) for i in range(points.shape[0])))
     _write_lines(path, lines)
 
@@ -200,44 +185,25 @@ def scaling_to_dict(result: ScalingVerification, include_profiles: bool = False)
 
 def write_profile_csv(path: str | Path, report: ForceBalanceReport) -> None:
     """Columns ``t,residual,lambda`` for plotting a verification profile."""
-    rows = [PROFILE_HEADER]
-    for i in range(report.t.shape[0]):
-        rows.append(",".join(fmt(c) for c in
-                             (report.t[i], report.residual_norm[i],
-                              report.lambda_profile[i])))
-    _write_lines(path, rows)
-
-
-def _frame_dict(frame) -> dict:
-    return {
-        "t": frame.t,
-        "position": list(frame.position),
-        "velocity": list(frame.velocity),
-        "gravity_force": list(frame.gravity_force),
-        "normal_force": list(frame.normal_force),
-        "friction_force": list(frame.friction_force),
-        "residual": list(frame.residual),
-    }
+    _write_csv(path, PROFILE_HEADER,
+               [report.t, report.residual_norm, report.lambda_profile])
 
 
 def write_frames_jsonl(path: str | Path, trace: MotionTrace) -> None:
     """One JSON object per line, one line per frame."""
-    lines = [json.dumps(_frame_dict(f), sort_keys=True) for f in trace.frames]
+    names = trace.frames.dtype.names
+    columns = [trace.frames[name].tolist() for name in names]
+    lines = [json.dumps(dict(zip(names, row)), sort_keys=True) for row in zip(*columns)]
     _write_lines(path, lines if lines else [""])
 
 
 def write_frames_csv(path: str | Path, trace: MotionTrace) -> None:
+    """Columns ``t`` and ``px,py[,pz]`` through ``rx,ry[,rz]``: each vector
+    column's initial plus the axis."""
+    names = trace.frames.dtype.names
     axes = "xyz"[:trace.dimension]
-    groups = [("p", "position"), ("v", "velocity"), ("g", "gravity_force"),
-              ("n", "normal_force"), ("f", "friction_force"), ("r", "residual")]
-    header = "t," + ",".join(f"{prefix}{ax}" for prefix, _ in groups for ax in axes)
-    rows = [header]
-    for frame in trace.frames:
-        cells = [frame.t]
-        for _, name in groups:
-            cells.extend(getattr(frame, name))
-        rows.append(",".join(fmt(c) for c in cells))
-    _write_lines(path, rows)
+    header = "t," + ",".join(f"{name[0]}{ax}" for name in names[1:] for ax in axes)
+    _write_csv(path, header, [trace.frames[name] for name in names])
 
 
 def trace_summary(trace: MotionTrace) -> dict:

@@ -88,19 +88,6 @@ def lambda_from_theta(spec: FrictionSpec, theta) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ThetaSolution:
-    """Closed-form solution bundle for one parameter set."""
-
-    spec: FrictionSpec
-
-    def theta(self, s) -> np.ndarray:
-        return theta_closed_form(self.spec, s)
-
-    def derivative(self, s) -> np.ndarray:
-        return theta_closed_form_derivative(self.spec, s)
-
-
-@dataclass(frozen=True)
 class ThetaTrace:
     """Dense integrator output: ``theta[i]`` at parameter ``s[i]``."""
 
@@ -116,6 +103,18 @@ def rk4_step(rhs: Callable, t: float, y, h: float):
     k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = rhs(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def cubic_hermite(u, h: float, p0, m0, p1, m1):
+    """Cubic Hermite interpolant on a node interval of width ``h``.
+
+    ``u`` is the position inside the interval as a fraction of ``h``;
+    ``p0``/``p1`` are the node values and ``m0``/``m1`` their derivatives.
+    """
+    u2 = u * u
+    u3 = u2 * u
+    return ((2.0 * u3 - 3.0 * u2 + 1.0) * p0 + (u3 - 2.0 * u2 + u) * h * m0
+            + (-2.0 * u3 + 3.0 * u2) * p1 + (u3 - u2) * h * m1)
 
 
 # Fehlberg 4(5) tableau

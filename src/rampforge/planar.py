@@ -145,68 +145,57 @@ def _rot90(vectors: np.ndarray) -> np.ndarray:
     return np.stack((-vectors[..., 1], vectors[..., 0]), axis=-1)
 
 
-def lower_ramp(spec: FrictionSpec) -> Ramp2D:
-    """Branch running backward from the apex, ``gamma(s) = alpha_rot(s0 - s)``.
-
-    Near the apex the contact normal points downward: the block hangs on the
-    underside, held against the ramp by its own speed.  Past the point where
-    the tangent turns vertical the normal swings upward and the block rides
-    on top of the trailing straight section.
-    """
-    s0 = apex_param(spec)
-
-    def position(s):
-        return alpha_rotated(spec, s0 - np.asarray(s, dtype=float))
-
-    def tangent(s):
-        return -alpha_rotated_tangent(spec, s0 - np.asarray(s, dtype=float))
-
-    def second_derivative(s):
-        return alpha_rotated_second_derivative(spec, s0 - np.asarray(s, dtype=float))
-
-    def normal(s):
-        # (y', -x') of the rotated curve at s0 - s, i.e. the quarter turn of
-        # the motion tangent
-        d = alpha_rotated_tangent(spec, s0 - np.asarray(s, dtype=float))
-        return np.stack((d[..., 1], -d[..., 0]), axis=-1)
-
-    curve = PlanarCurve(position=position, tangent=tangent,
-                        second_derivative=second_derivative,
-                        domain=(0.0, math.inf))
-    return Ramp2D(curve=curve, normal=normal, branch=Branch.LOWER)
-
-
-def upper_ramp(spec: FrictionSpec) -> Ramp2D:
-    """Branch running forward from the apex, ``gamma(s) = alpha_rot(s0 + s)``.
-
-    The contact normal always has a nonnegative vertical component: the block
-    rides on top, and the shape flattens into an ordinary inclined plane at
-    the friction angle.
-    """
-    s0 = apex_param(spec)
-
-    def position(s):
-        return alpha_rotated(spec, s0 + np.asarray(s, dtype=float))
-
-    def tangent(s):
-        return alpha_rotated_tangent(spec, s0 + np.asarray(s, dtype=float))
-
-    def second_derivative(s):
-        return alpha_rotated_second_derivative(spec, s0 + np.asarray(s, dtype=float))
-
-    def normal(s):
-        d = alpha_rotated_tangent(spec, s0 + np.asarray(s, dtype=float))
-        return np.stack((-d[..., 1], d[..., 0]), axis=-1)
-
-    curve = PlanarCurve(position=position, tangent=tangent,
-                        second_derivative=second_derivative,
-                        domain=(0.0, math.inf))
-    return Ramp2D(curve=curve, normal=normal, branch=Branch.UPPER)
+# sigma: a branch leaves the apex along alpha_rot(s0 + sigma * s)
+_SIGN = {Branch.LOWER: -1.0, Branch.UPPER: 1.0}
 
 
 def make_ramp(spec: FrictionSpec, branch: Branch | str) -> Ramp2D:
+    """Branch ``gamma(s) = alpha_rot(s0 + sigma s)`` cut at the apex ``s0``.
+
+    The lower branch (``sigma = -1``) runs backward from the apex.  Near the
+    apex its contact normal points downward: the block hangs on the
+    underside, held against the ramp by its own speed.  Past the point where
+    the tangent turns vertical the normal swings upward and the block rides
+    on top of the trailing straight section.
+
+    The upper branch (``sigma = +1``) runs forward.  Its contact normal always
+    has a nonnegative vertical component: the block rides on top, and the
+    shape flattens into an ordinary inclined plane at the friction angle.
+
+    On both, ``gamma' = sigma alpha_rot'``, ``gamma'' = alpha_rot''`` and the
+    contact normal is the quarter turn of ``gamma'``.
+    """
     branch = Branch(branch)
-    return lower_ramp(spec) if branch is Branch.LOWER else upper_ramp(spec)
+    sigma = _SIGN[branch]
+    s0 = apex_param(spec)
+
+    def position(s):
+        return alpha_rotated(spec, s0 + sigma * np.asarray(s, dtype=float))
+
+    def tangent(s):
+        return sigma * alpha_rotated_tangent(spec, s0 + sigma * np.asarray(s, dtype=float))
+
+    def second_derivative(s):
+        return alpha_rotated_second_derivative(
+            spec, s0 + sigma * np.asarray(s, dtype=float))
+
+    def normal(s):
+        return _rot90(tangent(s))
+
+    curve = PlanarCurve(position=position, tangent=tangent,
+                        second_derivative=second_derivative,
+                        domain=(0.0, math.inf))
+    return Ramp2D(curve=curve, normal=normal, branch=branch)
+
+
+def lower_ramp(spec: FrictionSpec) -> Ramp2D:
+    """The branch ``gamma(s) = alpha_rot(s0 - s)``; see :func:`make_ramp`."""
+    return make_ramp(spec, Branch.LOWER)
+
+
+def upper_ramp(spec: FrictionSpec) -> Ramp2D:
+    """The branch ``gamma(s) = alpha_rot(s0 + s)``; see :func:`make_ramp`."""
+    return make_ramp(spec, Branch.UPPER)
 
 
 def normal_force_2d(spec: FrictionSpec, branch: Branch | str, t) -> np.ndarray:
@@ -215,13 +204,10 @@ def normal_force_2d(spec: FrictionSpec, branch: Branch | str, t) -> np.ndarray:
     Zero at the apex, strictly positive afterwards on both branches, tending
     to the inclined-plane value ``m g cos(delta)``.
     """
-    branch = Branch(branch)
-    s0 = apex_param(spec)
+    sigma = _SIGN[Branch(branch)]
     t = np.asarray(t, dtype=float)
-    scale = spec.m * spec.g / spec.mu  # m g cot(delta)
-    if branch is Branch.LOWER:
-        return scale * alpha_rotated_tangent(spec, s0 - spec.v * t)[..., 1]
-    return -scale * alpha_rotated_tangent(spec, s0 + spec.v * t)[..., 1]
+    scale = -sigma * spec.m * spec.g / spec.mu  # -sigma m g cot(delta)
+    return scale * alpha_rotated_tangent(spec, apex_param(spec) + sigma * spec.v * t)[..., 1]
 
 
 def tangent_angle_orbit_position(spec: FrictionSpec, theta0: float, s) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, SingularFieldError
-from .ode import DEFAULT_STEP_FACTOR, IntegratorConfig
+from .ode import DEFAULT_STEP_FACTOR, IntegratorConfig, cubic_hermite
 from .params import FrictionSpec
 from .planar import PlanarCurve, Ramp2D
 
@@ -103,15 +103,11 @@ def builtin_field(kind: str, weight: float | None = None) -> TangentField:
     singular exactly at the south pole.
     """
     kind = kind.lower()
-    if kind == "upslope":
+    plain = {"upslope": _upslope_eval, "horizontal": _horizontal_eval}
+    if kind in plain:
         if weight is not None:
-            raise ParameterError("upslope takes no weight", code="config")
-        return TangentField(name="upslope", eval=_upslope_eval,
-                            singular_set="south pole (0, 0, -1)")
-    if kind == "horizontal":
-        if weight is not None:
-            raise ParameterError("horizontal takes no weight", code="config")
-        return TangentField(name="horizontal", eval=_horizontal_eval,
+            raise ParameterError(f"{kind} takes no weight", code="config")
+        return TangentField(name=kind, eval=plain[kind],
                             singular_set="south pole (0, 0, -1)")
     if kind == "blend":
         if weight is None or not (math.isfinite(weight) and 0.0 <= weight <= 1.0):
@@ -207,14 +203,8 @@ class SpaceCurve3D:
 
     def _hermite(self, nodes: np.ndarray, derivs: np.ndarray, s) -> np.ndarray:
         idx, u = self._locate(s)
-        h = self.step
-        u = u[..., None]
-        u2 = u * u
-        u3 = u2 * u
-        p0, p1 = nodes[idx], nodes[idx + 1]
-        m0, m1 = derivs[idx], derivs[idx + 1]
-        return ((2.0 * u3 - 3.0 * u2 + 1.0) * p0 + (u3 - 2.0 * u2 + u) * h * m0
-                + (-2.0 * u3 + 3.0 * u2) * p1 + (u3 - u2) * h * m1)
+        return cubic_hermite(u[..., None], self.step, nodes[idx], derivs[idx],
+                             nodes[idx + 1], derivs[idx + 1])
 
     def position(self, s) -> np.ndarray:
         """Cubic Hermite interpolation of ``alpha`` (derivative ``gamma``)."""
@@ -408,15 +398,19 @@ def _scale_ramp2d(ramp: Ramp2D, kappa: float) -> Ramp2D:
     curve = PlanarCurve(position=position, tangent=tangent,
                         second_derivative=second_derivative,
                         domain=(kappa * lo, kappa * hi))
-    meta = dict(ramp.metadata)
-    meta["scaled_by"] = kappa * meta.get("scaled_by", 1.0)
-    meta["equivalent_specs"] = _scale_notes(meta["scaled_by"])
-    return Ramp2D(curve=curve, normal=normal, branch=ramp.branch, metadata=meta)
+    return Ramp2D(curve=curve, normal=normal, branch=ramp.branch,
+                  metadata=_scale_notes(ramp.metadata, kappa))
 
 
-def _scale_notes(kappa: float) -> dict:
-    # the two reinterpretations under which the dilated geometry stays valid
-    return {"speed_factor": math.sqrt(kappa), "gravity_factor": 1.0 / kappa}
+def _scale_notes(metadata: dict, kappa: float) -> dict:
+    # the accumulated dilation and the two reinterpretations under which the
+    # dilated geometry stays valid
+    meta = dict(metadata)
+    total = kappa * meta.get("scaled_by", 1.0)
+    meta["scaled_by"] = total
+    meta["equivalent_specs"] = {"speed_factor": math.sqrt(total),
+                                "gravity_factor": 1.0 / total}
+    return meta
 
 
 def scale_ramp(geometry, kappa: float):
@@ -434,20 +428,16 @@ def scale_ramp(geometry, kappa: float):
     if isinstance(geometry, Ramp2D):
         return _scale_ramp2d(geometry, kappa)
     if isinstance(geometry, SpaceCurve3D):
-        meta = dict(geometry.metadata)
-        meta["scaled_by"] = kappa * meta.get("scaled_by", 1.0)
-        meta["equivalent_specs"] = _scale_notes(meta["scaled_by"])
         return replace(geometry, s=kappa * geometry.s, alpha=kappa * geometry.alpha,
-                       dgamma=geometry.dgamma / kappa, metadata=meta)
+                       dgamma=geometry.dgamma / kappa,
+                       metadata=_scale_notes(geometry.metadata, kappa))
     if isinstance(geometry, RampSurface3D):
-        meta = dict(geometry.metadata)
-        meta["scaled_by"] = kappa * meta.get("scaled_by", 1.0)
-        meta["equivalent_specs"] = _scale_notes(meta["scaled_by"])
         return RampSurface3D(base=scale_ramp(geometry.base, kappa),
                              s_grid=kappa * geometry.s_grid,
                              r_grid=kappa * geometry.r_grid,
                              vertices=kappa * geometry.vertices,
                              vertex_normals=geometry.vertex_normals,
-                             ruling=geometry.ruling, metadata=meta)
+                             ruling=geometry.ruling,
+                             metadata=_scale_notes(geometry.metadata, kappa))
     raise ParameterError(f"cannot scale object of type {type(geometry).__name__}",
                          code="config")

@@ -10,36 +10,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError
 from .params import FrictionSpec
-from .planar import Ramp2D, normal_force_2d
+from .planar import Ramp2D
 from .ramp3d import SpaceCurve3D, lambda_3d
+from .verify import _force_balance, _planar_balance
 
 _COUNT_EPS = 1e-9  # guards floor() against span*fps landing just under an integer
 
-
-@dataclass(frozen=True)
-class Frame:
-    """One sampled instant; vectors are tuples so frames serialize directly."""
-
-    t: float
-    position: tuple[float, ...]
-    velocity: tuple[float, ...]
-    gravity_force: tuple[float, ...]
-    normal_force: tuple[float, ...]
-    friction_force: tuple[float, ...]
-    residual: tuple[float, ...]
+# vector columns of a frame table, after the scalar time column "t"
+FRAME_VECTORS = ("position", "velocity", "gravity_force", "normal_force",
+                 "friction_force", "residual")
 
 
 @dataclass(frozen=True)
 class MotionTrace:
-    """Uniform-rate frame sequence for one geometry."""
+    """Uniform-rate frame table for one geometry.
 
-    frames: Sequence[Frame]
+    ``frames`` is a numpy structured array with one row per frame: a ``t``
+    column and one ``(dimension,)`` vector column per name in
+    ``FRAME_VECTORS``, e.g. ``trace.frames["normal_force"]``.
+    """
+
+    frames: np.ndarray
     fps: float
     spec: FrictionSpec
     dimension: int
@@ -58,101 +54,55 @@ def _frame_times(t_span: tuple[float, float], fps: float) -> np.ndarray:
     return t0 + np.arange(count) / fps
 
 
-def _tuples(array: np.ndarray) -> list[tuple[float, ...]]:
-    return [tuple(float(c) for c in row) for row in np.atleast_2d(array)]
-
-
 def simulate(spec: FrictionSpec, geometry, t_span: tuple[float, float],
              fps: float = 30.0) -> MotionTrace:
     """Sample a block sliding on ``geometry`` at frame rate ``fps``.
 
     ``geometry`` is a :class:`Ramp2D` or :class:`SpaceCurve3D`.  Frames land
     at ``t0 + k / fps``; the count is ``floor(span * fps) + 1``.  Requests
-    running past the integrated span of a space curve are truncated and
-    flagged rather than extrapolated.
+    running past the end of the geometry (the integrated span of a space
+    curve) are truncated and flagged rather than extrapolated.
     """
     t = _frame_times(t_span, fps)
     if isinstance(geometry, Ramp2D):
-        return _simulate_2d(spec, geometry, t, fps)
-    if isinstance(geometry, SpaceCurve3D):
-        return _simulate_3d(spec, geometry, t, fps)
-    raise ParameterError(f"cannot simulate on {type(geometry).__name__}",
-                         code="config")
+        dimension, s_end = 2, geometry.curve.domain[1]
+        meta = {"branch": geometry.branch.value}
+    elif isinstance(geometry, SpaceCurve3D):
+        dimension, s_end = 3, geometry.s_end
+        meta = {"field": geometry.field.name}
+    else:
+        raise ParameterError(f"cannot simulate on {type(geometry).__name__}",
+                             code="config")
 
-
-def _simulate_2d(spec: FrictionSpec, ramp: Ramp2D, t: np.ndarray,
-                 fps: float) -> MotionTrace:
-    s = spec.v * t
-    lo, hi = ramp.curve.domain
-    truncated = False
+    keep = spec.v * t <= s_end + 1e-12
+    truncated = not np.all(keep)
     warning = None
-    keep = s <= hi + 1e-12
-    if not np.all(keep):
-        truncated = True
-        warning = (f"trajectory truncated at s={hi!r}; "
+    if truncated:
+        warning = (f"trajectory truncated at s={s_end!r}; "
                    f"{int((~keep).sum())} frame(s) dropped")
-        t, s = t[keep], s[keep]
-    if t.size == 0:
-        return MotionTrace(frames=[], fps=fps, spec=spec, dimension=2,
-                           truncated=truncated, warning=warning,
-                           meta={"branch": ramp.branch.value})
+        t = t[keep]
+    elif dimension == 3 and geometry.stopped_early:
+        warning = f"curve itself stopped early: {geometry.stop_reason}"
 
-    pos = ramp.curve.position(s)
-    tan = ramp.curve.tangent(s)
-    vel = spec.v * tan
-    lam = np.asarray(normal_force_2d(spec, ramp.branch, t), dtype=float)
-    nor = ramp.normal(s)
-    gravity = np.broadcast_to(np.array([0.0, -spec.m * spec.g]), pos.shape)
-    normal_force = lam[:, None] * nor
-    friction = -spec.mu * lam[:, None] * tan
-    accel = spec.v * spec.v * ramp.curve.second_derivative(s)
-    residual = gravity + normal_force + friction - spec.m * accel
-
-    frames = [Frame(t=float(ti), position=p, velocity=v, gravity_force=g,
-                    normal_force=nf, friction_force=ff, residual=r)
-              for ti, p, v, g, nf, ff, r in zip(
-                  t, _tuples(pos), _tuples(vel), _tuples(gravity),
-                  _tuples(normal_force), _tuples(friction), _tuples(residual))]
-    return MotionTrace(frames=frames, fps=fps, spec=spec, dimension=2,
-                       truncated=truncated, warning=warning,
-                       meta={"branch": ramp.branch.value})
-
-
-def _simulate_3d(spec: FrictionSpec, curve: SpaceCurve3D, t: np.ndarray,
-                 fps: float) -> MotionTrace:
-    s = spec.v * t
-    truncated = False
-    warning = None
-    keep = s <= curve.s_end + 1e-12
-    if not np.all(keep):
-        truncated = True
-        warning = (f"trajectory truncated at s={curve.s_end!r}; "
-                   f"{int((~keep).sum())} frame(s) dropped")
-        t, s = t[keep], s[keep]
-    if curve.stopped_early and warning is None:
-        warning = f"curve itself stopped early: {curve.stop_reason}"
-    if t.size == 0:
-        return MotionTrace(frames=[], fps=fps, spec=spec, dimension=3,
-                           truncated=truncated, warning=warning,
-                           meta={"field": curve.field.name})
-
-    pos = curve.position(s)
-    gamma = curve.tangent(s)
-    vel = spec.v * gamma
-    lam = lambda_3d(spec, gamma)
-    nor = np.stack([curve.field.eval(y) for y in np.atleast_2d(gamma)])
-    gravity = np.broadcast_to(np.array([0.0, 0.0, -spec.m * spec.g]), pos.shape)
-    normal_force = lam[:, None] * nor
-    speed = np.linalg.norm(vel, axis=-1, keepdims=True)
-    friction = -spec.mu * lam[:, None] * vel / speed
-    residual = (gravity + normal_force + friction
-                - spec.m * spec.v * spec.v * curve.derivative(s))
-
-    frames = [Frame(t=float(ti), position=p, velocity=v, gravity_force=g,
-                    normal_force=nf, friction_force=ff, residual=r)
-              for ti, p, v, g, nf, ff, r in zip(
-                  t, _tuples(pos), _tuples(vel), _tuples(gravity),
-                  _tuples(normal_force), _tuples(friction), _tuples(residual))]
-    return MotionTrace(frames=frames, fps=fps, spec=spec, dimension=3,
-                       truncated=truncated, warning=warning,
-                       meta={"field": curve.field.name})
+    frames = np.zeros(t.size, dtype=[("t", float)] + [(name, float, (dimension,))
+                                                      for name in FRAME_VECTORS])
+    if t.size:
+        s = spec.v * t
+        if dimension == 2:
+            tangents, _normals, _lam, forces = _planar_balance(spec, geometry, t)
+            position = geometry.curve.position(s)
+            velocity = spec.v * tangents
+        else:
+            position = geometry.position(s)
+            gamma = geometry.tangent(s)
+            velocity = spec.v * gamma
+            lam = lambda_3d(spec, gamma)
+            normals = np.stack([geometry.field.eval(y) for y in gamma])
+            forces = _force_balance(
+                spec, lam, normals, velocity,
+                spec.m * spec.v * spec.v * geometry.derivative(s),
+                speed=np.linalg.norm(velocity, axis=-1, keepdims=True))
+        for name, column in zip(frames.dtype.names, (t, position, velocity, *forces)):
+            frames[name] = column
+    return MotionTrace(frames=frames, fps=fps, spec=spec, dimension=dimension,
+                       truncated=truncated, warning=warning, meta=meta)

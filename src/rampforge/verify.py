@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
-from .ode import integrate_fixed
+from .ode import cubic_hermite, integrate_fixed
 from .params import FrictionSpec, make_spec
 from .planar import Ramp2D, default_span, normal_force_2d, tangent_angle_orbit_position
 from .ramp3d import E3, RampSurface3D, SpaceCurve3D, TangentField, lambda_3d, scale_ramp
@@ -65,13 +65,59 @@ class ForceBalanceReport:
     meta: dict = field(default_factory=dict)
 
 
-def _verdict(lambda_min: float, max_residual: float,
-             tol_lambda: float, tol_residual: float) -> Verdict:
+def _require_samples(n_samples: int) -> None:
+    if n_samples < 2:
+        raise ParameterError(f"need at least 2 samples, got {n_samples}")
+
+
+def _force_balance(spec: FrictionSpec, lam: np.ndarray, normals: np.ndarray,
+                   direction: np.ndarray, inertia: np.ndarray, speed=1.0):
+    """Gravity, normal-force, friction and residual columns of Newton's law.
+
+    ``lam`` holds the normal-force magnitudes and ``normals`` the unit contact
+    normals; friction opposes ``direction / speed``.  ``inertia`` is
+    ``m * beta''``, formed by the caller so each keeps its own rounding.  The
+    residual ``gravity + normal + friction - inertia`` is zero exactly when
+    the sampled state obeys Newton's law.
+    """
+    gravity = np.zeros_like(normals)
+    gravity[:, -1] = -spec.m * spec.g
+    normal = lam[:, None] * normals
+    friction = -spec.mu * lam[:, None] * direction / speed
+    return gravity, normal, friction, gravity + normal + friction - inertia
+
+
+def _planar_balance(spec: FrictionSpec, ramp: Ramp2D, t: np.ndarray):
+    """Tangents, normals, normal force and force columns at times ``t``."""
+    s = spec.v * t
+    tangents = ramp.curve.tangent(s)
+    normals = ramp.normal(s)
+    lam = np.asarray(normal_force_2d(spec, ramp.branch, t), dtype=float)
+    inertia = spec.m * (spec.v * spec.v * ramp.curve.second_derivative(s))
+    return tangents, normals, lam, _force_balance(spec, lam, normals, tangents, inertia)
+
+
+def _report(t: np.ndarray, lam: np.ndarray, residual: np.ndarray,
+            normals: np.ndarray, tangents: np.ndarray, tol_residual: float,
+            tol_lambda: float, meta: dict) -> ForceBalanceReport:
+    residual_norm = np.linalg.norm(residual, axis=-1)
+    lambda_min = float(lam.min())
+    max_residual = float(residual_norm.max())
     if lambda_min < -tol_lambda:
-        return Verdict.LAMBDA_NEGATIVE
-    if max_residual > tol_residual:
-        return Verdict.RESIDUAL_EXCEEDED
-    return Verdict.VALID
+        verdict = Verdict.LAMBDA_NEGATIVE
+    elif max_residual > tol_residual:
+        verdict = Verdict.RESIDUAL_EXCEEDED
+    else:
+        verdict = Verdict.VALID
+    return ForceBalanceReport(
+        verdict=verdict,
+        max_residual=max_residual,
+        max_normal_residual=float(np.abs(np.einsum("ij,ij->i", residual, normals)).max()),
+        max_tangential_residual=float(
+            np.abs(np.einsum("ij,ij->i", residual, tangents)).max()),
+        lambda_min=lambda_min,
+        tol_residual=tol_residual, tol_lambda=tol_lambda,
+        t=t, residual_norm=residual_norm, lambda_profile=lam, meta=meta)
 
 
 def verify_2d(spec: FrictionSpec, ramp: Ramp2D,
@@ -97,43 +143,20 @@ def verify_2d(spec: FrictionSpec, ramp: Ramp2D,
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (t1 > t0 >= 0.0):
         raise ParameterError(f"need 0 <= t0 < t1, got {t_span!r}")
-    if n_samples < 2:
-        raise ParameterError(f"need at least 2 samples, got {n_samples}")
+    _require_samples(n_samples)
 
     t = np.linspace(t0, t1, n_samples)
-    s = spec.v * t
-    tangents = ramp.curve.tangent(s)
-    tangent_norms = np.linalg.norm(tangents, axis=-1)
-    if np.max(np.abs(tangent_norms - 1.0)) > _UNIT_TANGENT_TOL:
+    tangents, normals, lam, forces = _planar_balance(spec, ramp, t)
+    if np.max(np.abs(np.linalg.norm(tangents, axis=-1) - 1.0)) > _UNIT_TANGENT_TOL:
         raise ContractViolationError(
             "curve tangent is not unit length; verify_2d needs an arc-length "
             "parametrization")
-    normals = ramp.normal(s)
     if (np.max(np.abs(np.linalg.norm(normals, axis=-1) - 1.0)) > _UNIT_TANGENT_TOL
             or np.max(np.abs(np.einsum("ij,ij->i", normals, tangents))) > _UNIT_TANGENT_TOL):
         raise ContractViolationError("ramp normal is not a unit vector orthogonal "
                                      "to the tangent")
-
-    lam = np.asarray(normal_force_2d(spec, ramp.branch, t), dtype=float)
-    accel = spec.v * spec.v * ramp.curve.second_derivative(s)
-    gravity = np.array([0.0, -spec.m * spec.g])
-    residual = (gravity[None, :] + lam[:, None] * normals
-                - spec.mu * lam[:, None] * tangents - spec.m * accel)
-
-    residual_norm = np.linalg.norm(residual, axis=-1)
-    normal_comp = np.abs(np.einsum("ij,ij->i", residual, normals))
-    tangential_comp = np.abs(np.einsum("ij,ij->i", residual, tangents))
-    lambda_min = float(lam.min())
-    max_residual = float(residual_norm.max())
-    return ForceBalanceReport(
-        verdict=_verdict(lambda_min, max_residual, tol_lambda, tol_residual),
-        max_residual=max_residual,
-        max_normal_residual=float(normal_comp.max()),
-        max_tangential_residual=float(tangential_comp.max()),
-        lambda_min=lambda_min,
-        tol_residual=tol_residual, tol_lambda=tol_lambda,
-        t=t, residual_norm=residual_norm, lambda_profile=lam,
-        meta={"dimension": "2d", "branch": ramp.branch.value})
+    return _report(t, lam, forces[-1], normals, tangents, tol_residual, tol_lambda,
+                   meta={"dimension": "2d", "branch": ramp.branch.value})
 
 
 def verify_3d(spec: FrictionSpec, curve: SpaceCurve3D,
@@ -149,37 +172,23 @@ def verify_3d(spec: FrictionSpec, curve: SpaceCurve3D,
     """
     if tangent_field is None:
         tangent_field = curve.field
+    _require_samples(n_samples)
     if curve.s.shape[0] < 2:
         raise ParameterError("curve holds fewer than 2 samples")
     count = min(n_samples, curve.s.shape[0])
     idx = np.unique(np.round(np.linspace(0, curve.s.shape[0] - 1, count)).astype(int))
 
     gamma = curve.gamma[idx]
-    dgamma = curve.dgamma[idx]
     normals = np.stack([tangent_field.eval(y) for y in gamma])
     lam = lambda_3d(spec, gamma)
-    gravity = np.array([0.0, 0.0, -spec.m * spec.g])
-    residual = (gravity[None, :] + lam[:, None] * normals
-                - spec.mu * lam[:, None] * gamma
-                - spec.m * spec.v * spec.v * dgamma)
-
-    residual_norm = np.linalg.norm(residual, axis=-1)
-    normal_comp = np.abs(np.einsum("ij,ij->i", residual, normals))
-    tangential_comp = np.abs(np.einsum("ij,ij->i", residual, gamma))
-    lambda_min = float(lam.min())
-    max_residual = float(residual_norm.max())
-    return ForceBalanceReport(
-        verdict=_verdict(lambda_min, max_residual, tol_lambda, tol_residual),
-        max_residual=max_residual,
-        max_normal_residual=float(normal_comp.max()),
-        max_tangential_residual=float(tangential_comp.max()),
-        lambda_min=lambda_min,
-        tol_residual=tol_residual, tol_lambda=tol_lambda,
-        t=curve.s[idx] / spec.v, residual_norm=residual_norm, lambda_profile=lam,
-        meta={"dimension": "3d", "field": tangent_field.name,
-              "max_gamma3": float(curve.gamma[:, 2].max()),
-              "norm_drift_total": curve.norm_drift_total,
-              "stopped_early": curve.stopped_early})
+    forces = _force_balance(spec, lam, normals, gamma,
+                            spec.m * spec.v * spec.v * curve.dgamma[idx])
+    return _report(curve.s[idx] / spec.v, lam, forces[-1], normals, gamma,
+                   tol_residual, tol_lambda,
+                   meta={"dimension": "3d", "field": tangent_field.name,
+                         "max_gamma3": float(curve.gamma[:, 2].max()),
+                         "norm_drift_total": curve.norm_drift_total,
+                         "stopped_early": curve.stopped_early})
 
 
 def planar_reduction_check(spec: FrictionSpec, curve: SpaceCurve3D) -> dict:
@@ -251,12 +260,8 @@ class Motion:
         def h(t):
             t = np.asarray(t, dtype=float)
             i = np.clip((t - t0) // step, 0, len(ts) - 2).astype(int)
-            u = (t - ts[i]) / step
-            d0 = speed / speed_of(hs[i])
-            d1 = speed / speed_of(hs[i + 1])
-            u2, u3 = u * u, u * u * u
-            return ((2 * u3 - 3 * u2 + 1) * hs[i] + (u3 - 2 * u2 + u) * step * d0
-                    + (-2 * u3 + 3 * u2) * hs[i + 1] + (u3 - u2) * step * d1)
+            return cubic_hermite((t - ts[i]) / step, step, hs[i], speed / speed_of(hs[i]),
+                                 hs[i + 1], speed / speed_of(hs[i + 1]))
 
         def h_dot(t):
             return speed / speed_of(h(t))
@@ -358,14 +363,13 @@ def verify_scaling(spec: FrictionSpec, geometry, kappa: float,
     speed_spec = make_spec(spec.delta, g=spec.g, v=math.sqrt(kappa) * spec.v, m=spec.m)
     gravity_spec = make_spec(spec.delta, g=spec.g / kappa, v=spec.v, m=spec.m)
     if isinstance(scaled, Ramp2D):
-        speed_report = verify_2d(speed_spec, scaled, n_samples=n_samples)
-        gravity_report = verify_2d(gravity_spec, scaled, n_samples=n_samples)
+        check = verify_2d
     elif isinstance(scaled, SpaceCurve3D):
-        speed_report = verify_3d(speed_spec, scaled, n_samples=n_samples)
-        gravity_report = verify_3d(gravity_spec, scaled, n_samples=n_samples)
+        check = verify_3d
     else:
         raise ParameterError(f"cannot verify scaling of {type(geometry).__name__}",
                              code="config")
-    return ScalingVerification(kappa=float(kappa), speed_spec=speed_spec,
-                               gravity_spec=gravity_spec,
-                               speed_report=speed_report, gravity_report=gravity_report)
+    return ScalingVerification(
+        kappa=float(kappa), speed_spec=speed_spec, gravity_spec=gravity_spec,
+        speed_report=check(speed_spec, scaled, n_samples=n_samples),
+        gravity_report=check(gravity_spec, scaled, n_samples=n_samples))

@@ -166,6 +166,17 @@ def test_verify_command_3d(capsys):
     assert summary["meta"]["field"].startswith("blend:")
 
 
+@pytest.mark.parametrize("command", ["verify", "scale"])
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_field_sample_count_below_two_exits_2(capsys, command, samples):
+    extra = ["--kappa", "6"] if command == "scale" else []
+    code, _, err = run(capsys, command, "--mu", "0.5", "--v", "5",
+                       "--field", "horizontal", "--y0", "0.8", "0", "-0.6",
+                       "--smax", "1", "--samples", samples, *extra)
+    assert code == 2
+    assert "need at least 2 samples" in err
+
+
 def test_verify_requires_exactly_one_geometry(capsys):
     assert run(capsys, "verify", "--mu", "0.5", "--v", "5")[0] == 2
     assert run(capsys, "verify", "--mu", "0.5", "--v", "5", "--branch",
