@@ -7,10 +7,9 @@ the force balance a posteriori and ``sim`` renders frame-by-frame force
 decompositions.  All geometry is parameterized by a :class:`FrictionSpec`.
 """
 
-from .errors import (ContractViolationError, IntegrationError, ParameterError,
-                     RampError, SingularFieldError)
-from .ode import (DEFAULT_STEP_FACTOR, IntegratorConfig, ThetaTrace,
-                  default_config, integrate_adaptive, integrate_fixed,
+from .errors import (ContractViolationError, ParameterError, RampError,
+                     SingularFieldError)
+from .ode import (DEFAULT_STEP_FACTOR, ThetaTrace, integrate_fixed,
                   integrate_theta, lambda_from_theta, theta_closed_form,
                   theta_closed_form_derivative, theta_ode_rhs)
 from .params import (DELTA_MAX, FrictionSpec, dump_spec, load_spec, make_spec,
@@ -41,8 +40,6 @@ __all__ = [
     "FeasibilityReport",
     "ForceBalanceReport",
     "FrictionSpec",
-    "IntegrationError",
-    "IntegratorConfig",
     "Motion",
     "MotionTrace",
     "ParameterError",
@@ -67,13 +64,11 @@ __all__ = [
     "build_surface",
     "builtin_field",
     "cumulative_simpson",
-    "default_config",
     "default_span",
     "dump_spec",
     "e3_tangential",
     "field_x",
     "hemisphere_point",
-    "integrate_adaptive",
     "integrate_fixed",
     "integrate_ramp3d",
     "integrate_theta",

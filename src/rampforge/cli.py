@@ -22,7 +22,6 @@ import numpy as np
 
 from . import exporters
 from .errors import ParameterError, RampError
-from .ode import DEFAULT_STEP_FACTOR, IntegratorConfig
 from .params import FrictionSpec, make_spec, spec_from_mu, spec_to_dict
 from .planar import (Branch, apex_param, asymptote_gap, default_span, make_ramp,
                      sample_ramp)
@@ -105,9 +104,7 @@ def _integrate_from_args(spec: FrictionSpec, args: argparse.Namespace) -> SpaceC
     tangent_field = _parse_field(args.field)
     y0 = _normalized_y0(args.y0)
     s_max = args.smax if args.smax is not None else 5.0 / spec.a
-    step = args.step if args.step is not None else DEFAULT_STEP_FACTOR / spec.a
-    return integrate_ramp3d(spec, tangent_field, y0, s_max,
-                            IntegratorConfig(step=step))
+    return integrate_ramp3d(spec, tangent_field, y0, s_max, step=args.step)
 
 
 def _pick_geometry(spec: FrictionSpec, args: argparse.Namespace):

@@ -29,9 +29,5 @@ class SingularFieldError(RampError):
         self.point = point
 
 
-class IntegrationError(RampError):
-    """Numerical integration could not complete (e.g. step-size underflow)."""
-
-
 class ContractViolationError(RampError):
     """An input broke a precondition that verification relies on."""

@@ -33,7 +33,8 @@ def fmt6(value: float) -> str:
 
 
 def _write_lines(path: str | Path, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    # no lines is an empty file, not a file holding one empty line
+    Path(path).write_text("\n".join(lines) + "\n" if lines else "", newline="\n")
 
 
 def _write_csv(path: str | Path, header: str, columns: list) -> None:
@@ -194,7 +195,7 @@ def write_frames_jsonl(path: str | Path, trace: MotionTrace) -> None:
     names = trace.frames.dtype.names
     columns = [trace.frames[name].tolist() for name in names]
     lines = [json.dumps(dict(zip(names, row)), sort_keys=True) for row in zip(*columns)]
-    _write_lines(path, lines if lines else [""])
+    _write_lines(path, lines)
 
 
 def write_frames_csv(path: str | Path, trace: MotionTrace) -> None:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, SingularFieldError
-from .ode import DEFAULT_STEP_FACTOR, IntegratorConfig, cubic_hermite
+from .ode import DEFAULT_STEP_FACTOR, cubic_hermite, integrate_fixed
 from .params import FrictionSpec
 from .planar import PlanarCurve, Ramp2D
 
@@ -230,7 +230,7 @@ class SpaceCurve3D:
 
 
 def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
-                     s_max: float, config: IntegratorConfig | None = None) -> SpaceCurve3D:
+                     s_max: float, step: float | None = None) -> SpaceCurve3D:
     """Integrate the hemisphere flow from ``y0`` over ``[0, s_max]``.
 
     Fixed-step RK4 with renormalization onto the sphere after every step;
@@ -243,17 +243,14 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
     y0 : array-like
         Unit direction with ``y0[2] <= 0`` (validated).
     s_max : float
-        Arc length to integrate; the grid is uniform with approximately the
-        configured step.
+        Arc length to integrate; the grid is uniform with approximately
+        ``step`` (default ``1e-3 / a``).
     """
     y0 = hemisphere_point(y0)
     if not (math.isfinite(s_max) and s_max > 0.0):
         raise ParameterError(f"s_max must be positive, got {s_max!r}")
-    if config is None:
-        config = IntegratorConfig(step=DEFAULT_STEP_FACTOR / spec.a)
-    if config.method != "rk4":
-        raise ParameterError("the hemisphere flow uses the fixed-step rk4 method",
-                             code="config")
+    if step is None:
+        step = DEFAULT_STEP_FACTOR / spec.a
 
     n0 = tangent_field.eval(y0)  # singular start raises here
     if (abs(float(np.linalg.norm(n0)) - 1.0) > FIELD_CHECK_TOL
@@ -261,56 +258,30 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
         raise ContractViolationError(
             f"field {tangent_field.name!r} does not return a unit tangent at {y0.tolist()}")
 
-    n_steps = max(1, math.ceil(s_max / config.step - 1e-12))
-    h = s_max / n_steps
-    gamma = np.empty((n_steps + 1, 3))
-    dgamma = np.empty((n_steps + 1, 3))
-    gamma[0] = y0
+    drift_total = drift_max = 0.0
 
-    drift_total = 0.0
-    drift_max = 0.0
-    stopped_early = False
-    stop_reason = None
-    last = n_steps
-    y = y0
-    for i in range(n_steps):
-        try:
-            k1 = field_x(spec, tangent_field, y)
-            dgamma[i] = k1
-            k2 = field_x(spec, tangent_field, y + 0.5 * h * k1)
-            k3 = field_x(spec, tangent_field, y + 0.5 * h * k2)
-            k4 = field_x(spec, tangent_field, y + h * k3)
-        except SingularFieldError as exc:
-            stopped_early = True
-            stop_reason = str(exc)
-            last = i
-            break
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def renormalize(y):
+        nonlocal drift_total, drift_max
         norm = float(np.linalg.norm(y))
         drift = abs(norm - 1.0)
         drift_total += drift
         drift_max = max(drift_max, drift)
-        y = y / norm
-        gamma[i + 1] = y
-    if not stopped_early:
-        try:
-            dgamma[n_steps] = field_x(spec, tangent_field, y)
-        except SingularFieldError as exc:
-            stopped_early = True
-            stop_reason = str(exc)
-            last = n_steps - 1
+        return y / norm
 
-    if stopped_early:
-        gamma = gamma[:last + 1]
-        dgamma = dgamma[:last + 1]
-        log.warning("flow stopped early at s=%s: %s", last * h, stop_reason)
-    s = h * np.arange(gamma.shape[0])
+    t, gamma, dgamma, stop_reason = integrate_fixed(
+        lambda _s, y: field_x(spec, tangent_field, y), y0, 0.0, s_max, step,
+        post_step=renormalize)
+    # t[-1] is pinned to s_max, which can differ from h * n in the last bit
+    h = float(t[1]) if t.shape[0] > 1 else 0.0
+    s = h * np.arange(t.shape[0])
+    if stop_reason is not None:
+        log.warning("flow stopped early at s=%s: %s", float(s[-1]), stop_reason)
     alpha = cumulative_simpson(gamma, h)
     log.debug("integrated %d steps, norm drift total=%.3e max=%.3e",
               gamma.shape[0] - 1, drift_total, drift_max)
     return SpaceCurve3D(s=s, gamma=gamma, dgamma=dgamma, alpha=alpha,
                         field=tangent_field, norm_drift_total=drift_total,
-                        norm_drift_max=drift_max, stopped_early=stopped_early,
+                        norm_drift_max=drift_max, stopped_early=stop_reason is not None,
                         stop_reason=stop_reason)
 
 

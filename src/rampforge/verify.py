@@ -254,14 +254,14 @@ class Motion:
             return speed / speed_of(u)
 
         t0, t1 = float(t_span[0]), float(t_span[1])
-        ts, hs = integrate_fixed(rhs, float(start), t0, t1, (t1 - t0) / grid)
+        ts, hs, dhs, _ = integrate_fixed(rhs, float(start), t0, t1, (t1 - t0) / grid)
         step = ts[1] - ts[0]
 
         def h(t):
             t = np.asarray(t, dtype=float)
             i = np.clip((t - t0) // step, 0, len(ts) - 2).astype(int)
-            return cubic_hermite((t - ts[i]) / step, step, hs[i], speed / speed_of(hs[i]),
-                                 hs[i + 1], speed / speed_of(hs[i + 1]))
+            return cubic_hermite((t - ts[i]) / step, step, hs[i], dhs[i],
+                                 hs[i + 1], dhs[i + 1])
 
         def h_dot(t):
             return speed / speed_of(h(t))
@@ -304,6 +304,7 @@ def normal_sign_diagnostic(ramp: Ramp2D, force, mass: float, motion: Motion,
     ``(n, 2)`` to forces of the same shape.  The ramp curve may carry any
     regular parametrization here, not just arc length.
     """
+    _require_samples(n_samples)
     t = np.linspace(float(t_span[0]), float(t_span[1]), n_samples)
     u = np.asarray(motion.h(t), dtype=float)
     du = np.asarray(motion.h_dot(t), dtype=float)

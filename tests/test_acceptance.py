@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from rampforge import (Branch, IntegratorConfig, Verdict, alpha,
+from rampforge import (Branch, Verdict, alpha,
                        alpha_rotated_second_derivative, alpha_rotated_tangent,
                        alpha_tangent, builtin_field, integrate_ramp3d,
                        integrate_theta, lower_ramp, make_ramp, make_spec,
@@ -80,7 +80,7 @@ def test_c03_tangent_angle_ode():
 
     errors = []
     for step in (0.2 / spec.a, 0.1 / spec.a):  # coarse so roundoff stays negligible
-        coarse = integrate_theta(spec, theta0, span, IntegratorConfig(step=step))
+        coarse = integrate_theta(spec, theta0, span, step=step)
         errors.append(abs(float(coarse.theta[-1])
                           - float(theta_closed_form(spec, span[1]))))
     order = math.log2(errors[0] / errors[1])

@@ -145,6 +145,16 @@ def test_singular_start_exits_2(capsys, tmp_path):
     assert "singular" in err
 
 
+@pytest.mark.parametrize("step", ["0", "nan"])
+@pytest.mark.parametrize("command", ["generate3d", "verify"])
+def test_bad_step_exits_2(capsys, tmp_path, command, step):
+    code, _, err = run(capsys, command, "--mu", "0.5", "--v", "5",
+                       "--field", "horizontal", "--y0", "0.8", "0", "-0.6",
+                       "--step", step, "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert "step must be positive" in err
+
+
 def test_verify_command_2d(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, stdout, _ = run(capsys, "verify", "--mu", "0.5", "--v", "5",
@@ -193,6 +203,17 @@ def test_simulate_command(tmp_path, capsys):
     rows = [json.loads(l) for l in out.read_text().splitlines()]
     assert len(rows) == 6
     assert rows[0]["t"] == 0.0
+
+
+def test_simulate_all_truncated_jsonl_is_empty(tmp_path, capsys):
+    out = tmp_path / "frames.jsonl"
+    code, stdout, _ = run(capsys, "simulate", "--mu", "0.5", "--v", "5",
+                          "--field", "upslope", "--y0", "0.8", "0", "-0.6",
+                          "--smax", "1", "--t-span", "1", "2",
+                          "--format", "jsonl", "--out", str(out))
+    assert code == 0
+    assert json.loads(stdout)["frames"] == 0
+    assert out.read_bytes() == b""
 
 
 def test_scale_command(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rampforge import (builtin_field, build_surface, integrate_ramp3d,
-                       IntegratorConfig, lower_ramp, sample_ramp, simulate,
+                       lower_ramp, sample_ramp, simulate,
                        verify_2d, verify_scaling, upper_ramp)
 from rampforge.exporters import (dumps_json, feasibility_to_dict, fmt,
                                  report_to_dict, scaling_to_dict,
@@ -19,7 +19,7 @@ from rampforge.exporters import (dumps_json, feasibility_to_dict, fmt,
 @pytest.fixture
 def small_curve(fig_spec):
     return integrate_ramp3d(fig_spec, builtin_field("upslope"),
-                            [1.0, 0.0, 0.0], 0.5, IntegratorConfig(step=0.05))
+                            [1.0, 0.0, 0.0], 0.5, step=0.05)
 
 
 def test_fmt_round_trips():

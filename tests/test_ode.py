@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rampforge import (IntegrationError, IntegratorConfig, ParameterError,
-                       default_config, integrate_adaptive, integrate_fixed,
+from rampforge import (ParameterError, SingularFieldError, integrate_fixed,
                        integrate_theta, lambda_from_theta, make_spec,
                        theta_closed_form, theta_closed_form_derivative,
                        theta_ode_rhs)
@@ -15,20 +14,17 @@ from conftest import LAMBDA_INF_REF
 angles = st.floats(min_value=0.02, max_value=math.pi / 4 - 0.02)
 
 
-def test_config_validation():
-    IntegratorConfig(step=0.1)
-    with pytest.raises(ParameterError):
-        IntegratorConfig(step=0.0)
-    with pytest.raises(ParameterError):
-        IntegratorConfig(step=0.1, method="euler")
-    with pytest.raises(ParameterError):
-        IntegratorConfig(step=0.1, tolerance=-1.0)
+def test_integrate_fixed_rejects_bad_step():
+    for step in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            integrate_fixed(lambda _t, u: u, 1.0, 0.0, 1.0, step)
 
 
-def test_default_config_tracks_length_scale(fig_spec):
-    cfg = default_config(fig_spec)
-    assert cfg.step == pytest.approx(1e-3 / fig_spec.a)
-    assert cfg.method == "rk4"
+def test_default_step_tracks_length_scale(fig_spec):
+    theta0 = float(theta_closed_form(fig_spec, 0.0))
+    trace = integrate_theta(fig_spec, theta0, (0.0, 2.0 / fig_spec.a))
+    assert trace.s.shape == (2001,)
+    assert np.allclose(np.diff(trace.s), 1e-3 / fig_spec.a, rtol=1e-9)
 
 
 def test_closed_form_endpoints(fig_spec):
@@ -68,38 +64,52 @@ def test_lambda_from_theta_signs(fig_spec):
 
 
 def test_integrate_fixed_exponential():
-    t, y = integrate_fixed(lambda _t, u: u, 1.0, 0.0, 1.0, 1e-3)
-    assert t.shape == y.shape
+    t, y, dy, stop = integrate_fixed(lambda _t, u: u, 1.0, 0.0, 1.0, 1e-3)
+    assert t.shape == y.shape == dy.shape
+    assert stop is None
     assert t[-1] == pytest.approx(1.0, abs=1e-15)
     assert y[-1] == pytest.approx(math.e, rel=1e-12)
+    assert np.array_equal(dy, y)  # the slope at every sample is rhs(t, y) = y
 
 
 def test_integrate_fixed_spacing_is_uniform():
-    t, _ = integrate_fixed(lambda _t, u: u, 1.0, 0.0, 1.0, 0.3)  # 0.3 -> 4 steps
+    t, *_ = integrate_fixed(lambda _t, u: u, 1.0, 0.0, 1.0, 0.3)  # 0.3 -> 4 steps
     assert len(t) == 5
     assert np.allclose(np.diff(t), 0.25)
 
 
-def test_integrate_adaptive_exponential():
-    t, y = integrate_adaptive(lambda _t, u: u, 1.0, 0.0, 1.0,
-                              tolerance=1e-12, first_step=0.1)
-    assert y[-1] == pytest.approx(math.e, rel=1e-9)
-    assert t[-1] == pytest.approx(1.0, abs=1e-12)
+@pytest.mark.parametrize("fail_at, kept", [
+    (6, 2),    # second stage of step 1: sample 1 keeps its slope
+    (9, 2),    # first stage of step 2: sample 2's slope is unknown, so it goes
+    (17, 4),   # the slope at the end point: sample 4 goes
+])
+def test_integrate_fixed_stops_where_slopes_are_known(fail_at, kept):
+    calls = [0]
+
+    def rhs(_t, u):
+        calls[0] += 1
+        if calls[0] == fail_at:
+            raise SingularFieldError("singular")
+        return u
+
+    t, y, dy, stop = integrate_fixed(rhs, 1.0, 0.0, 1.0, 0.25)
+    assert stop == "singular"
+    assert t.shape == y.shape == dy.shape == (kept,)
+    assert np.array_equal(dy, y)
 
 
-def test_integrate_adaptive_blowup_raises():
-    # y' = y^2 from y(0)=1.1 blows up inside [0, 1]; the controller must give up
-    with pytest.raises(IntegrationError):
-        integrate_adaptive(lambda _t, u: u * u, 1.1, 0.0, 1.0,
-                           tolerance=1e-10, first_step=0.1)
+def test_integrate_fixed_singular_start_raises():
+    def rhs(_t, _u):
+        raise SingularFieldError("singular")
+
+    with pytest.raises(SingularFieldError):
+        integrate_fixed(rhs, 1.0, 0.0, 1.0, 0.25)
 
 
-@pytest.mark.parametrize("method", ["rk4", "rkf45"])
-def test_integrate_theta_matches_closed_form(fig_spec, method):
+def test_integrate_theta_matches_closed_form(fig_spec):
     theta0 = float(theta_closed_form(fig_spec, 0.0))
-    cfg = IntegratorConfig(step=1e-3 / fig_spec.a, method=method, tolerance=1e-12)
-    trace = integrate_theta(fig_spec, theta0, (0.0, 10.0 / fig_spec.a), cfg)
-    assert trace.method == method
+    trace = integrate_theta(fig_spec, theta0, (0.0, 10.0 / fig_spec.a),
+                            step=1e-3 / fig_spec.a)
     expect = theta_closed_form(fig_spec, trace.s)
     assert np.max(np.abs(trace.theta - expect)) < 1e-9
 
@@ -116,8 +126,7 @@ def test_rk4_convergence_is_fourth_order(fig_spec):
     span = (0.0, 10.0 / fig_spec.a)
     errs = []
     for step in (0.2 / fig_spec.a, 0.1 / fig_spec.a):
-        trace = integrate_theta(fig_spec, theta0, span,
-                                IntegratorConfig(step=step))
+        trace = integrate_theta(fig_spec, theta0, span, step=step)
         errs.append(abs(trace.theta[-1] - float(theta_closed_form(fig_spec, span[1]))))
     order = math.log2(errs[0] / errs[1])
     assert 3.8 <= order <= 4.2

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rampforge import (ContractViolationError, IntegratorConfig,
-                       ParameterError, SingularFieldError, TangentField,
+from rampforge import (ContractViolationError, ParameterError,
+                       SingularFieldError, TangentField, Verdict,
                        build_surface, builtin_field, cumulative_simpson,
                        e3_tangential, field_x, hemisphere_point,
                        integrate_ramp3d, lambda_3d, lower_ramp, scale_ramp,
-                       spec_from_mu)
+                       spec_from_mu, verify_3d)
 
 # directions strictly inside the south hemisphere, away from the pole
 interior = st.tuples(
@@ -121,8 +121,7 @@ def test_integrate_validates_inputs(fig_spec):
     with pytest.raises(ParameterError):
         integrate_ramp3d(fig_spec, tf, [1.0, 0.0, 0.0], -2.0)
     with pytest.raises(ParameterError):
-        integrate_ramp3d(fig_spec, tf, [1.0, 0.0, 0.0], 1.0,
-                         IntegratorConfig(step=0.01, method="rkf45"))
+        integrate_ramp3d(fig_spec, tf, [1.0, 0.0, 0.0], 1.0, step=0.0)
     with pytest.raises(SingularFieldError):
         integrate_ramp3d(fig_spec, tf, [0.0, 0.0, -1.0], 1.0)
 
@@ -155,6 +154,28 @@ def test_integrate_stops_early_at_singularity(fig_spec):
     assert np.all(curve.gamma[:, 2] >= -0.3 - 1e-6)
 
 
+def test_integrate_drops_sample_whose_slope_is_unknown(fig_spec):
+    # the field fails on the first stage of step 10 (call 1 is the start
+    # check, then four calls per step), so the slope at sample 10 is never
+    # known and sample 10 must not be kept with an unset dgamma row
+    base = builtin_field("horizontal")
+    calls = [0]
+
+    def eval_failing_once(y):
+        calls[0] += 1
+        if calls[0] == 2 + 4 * 10:
+            raise SingularFieldError("singular here", point=y)
+        return base(y)
+
+    tf = TangentField(name="horizontal", eval=eval_failing_once)
+    curve = integrate_ramp3d(fig_spec, tf, [0.8, 0.0, -0.6], 1.0)
+    assert curve.stopped_early
+    assert curve.gamma.shape == curve.dgamma.shape == (10, 3)
+    expect = np.stack([field_x(fig_spec, base, y) for y in curve.gamma])
+    assert np.array_equal(curve.dgamma, expect)
+    assert verify_3d(fig_spec, curve).verdict is Verdict.VALID
+
+
 def test_interpolants_match_grid_and_midpoints(fig_spec):
     curve = integrate_ramp3d(fig_spec, builtin_field("horizontal"),
                              [0.8, 0.0, -0.6], 2.0 / fig_spec.a)
@@ -183,7 +204,7 @@ def test_position_derivative_consistency(fig_spec):
 
 def test_build_surface_layout(fig_spec):
     curve = integrate_ramp3d(fig_spec, builtin_field("upslope"),
-                             [1.0, 0.0, 0.0], 1.0, IntegratorConfig(step=0.01))
+                             [1.0, 0.0, 0.0], 1.0, step=0.01)
     surface = build_surface(curve, curve.field, r_extent=(-0.4, 0.2),
                             resolution=(30, 8))
     assert surface.resolution == (30, 8)
@@ -203,7 +224,7 @@ def test_build_surface_layout(fig_spec):
 
 def test_build_surface_validation(fig_spec):
     curve = integrate_ramp3d(fig_spec, builtin_field("upslope"),
-                             [1.0, 0.0, 0.0], 0.5, IntegratorConfig(step=0.01))
+                             [1.0, 0.0, 0.0], 0.5, step=0.01)
     with pytest.raises(ParameterError):
         build_surface(curve, curve.field, r_extent=(0.5, -0.5))
     with pytest.raises(ParameterError):
@@ -241,7 +262,7 @@ def test_scale_ramp_2d_matches_rebuilt_spec():
 
 def test_scale_ramp_3d(fig_spec):
     curve = integrate_ramp3d(fig_spec, builtin_field("upslope"),
-                             [1.0, 0.0, 0.0], 1.0, IntegratorConfig(step=0.01))
+                             [1.0, 0.0, 0.0], 1.0, step=0.01)
     big = scale_ramp(curve, 2.0)
     assert big.s_end == pytest.approx(2.0 * curve.s_end)
     assert np.allclose(big.alpha, 2.0 * curve.alpha)

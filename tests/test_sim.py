@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rampforge import (IntegratorConfig, ParameterError, builtin_field,
+from rampforge import (ParameterError, builtin_field,
                        integrate_ramp3d, lower_ramp, simulate, spec_from_mu,
                        upper_ramp, verify_2d)
 from rampforge.verify import TOL_RESIDUAL_2D
@@ -43,7 +43,7 @@ def test_frames_2d_normal_flips_on_lower_branch(fig_spec):
 
 def test_frame_grid_3d_and_truncation(fig_spec):
     curve = integrate_ramp3d(fig_spec, builtin_field("upslope"),
-                             [1.0, 0.0, 0.0], 1.0, IntegratorConfig(step=1e-3))
+                             [1.0, 0.0, 0.0], 1.0, step=1e-3)
     # the curve covers s in [0, 1]; at v = 5 that is 0.2 s of motion
     trace = simulate(fig_spec, curve, (0.0, 1.0), fps=30.0)
     assert trace.dimension == 3
@@ -71,7 +71,7 @@ def test_frames_carry_consistent_forces_3d(fig_spec):
 
 def test_all_frames_truncated_yields_empty_trace(fig_spec):
     curve = integrate_ramp3d(fig_spec, builtin_field("upslope"),
-                             [1.0, 0.0, 0.0], 0.5, IntegratorConfig(step=1e-3))
+                             [1.0, 0.0, 0.0], 0.5, step=1e-3)
     trace = simulate(fig_spec, curve, (1.0, 2.0), fps=30.0)
     assert trace.truncated
     assert len(trace.frames) == 0

@@ -163,6 +163,15 @@ def test_parabola_motion_is_infeasible(fig_spec):
     assert np.all(report.lambda_required < 0.0)
 
 
+def test_normal_sign_diagnostic_needs_two_samples(fig_spec):
+    ramp = lower_ramp(fig_spec)
+    for n_samples in (0, 1):
+        with pytest.raises(ParameterError, match="at least 2 samples"):
+            normal_sign_diagnostic(ramp, np.array([0.0, -9.81]), 1.0,
+                                   Motion.constant_rate(1.0), (0.0, 1.0),
+                                   n_samples=n_samples)
+
+
 def test_static_block_in_circular_bowl():
     inward = unit_circle_ramp(inward=True)
     parked = Motion.static(-math.pi / 2.0)  # lowest point of the circle
