@@ -16,7 +16,7 @@ import numpy as np
 from .params import FrictionSpec, spec_to_dict
 from .ramp3d import RampSurface3D, SpaceCurve3D, lambda_3d
 from .sim import MotionTrace
-from .verify import FeasibilityReport, ForceBalanceReport, ScalingVerification
+from .verify import ForceBalanceReport, ScalingVerification
 
 CURVE2D_HEADER = "s,x,y,tx,ty,nx,ny,lambda"
 CURVE3D_HEADER = "s,x,y,z,tx,ty,tz,lambda"
@@ -155,18 +155,6 @@ def report_to_dict(report: ForceBalanceReport, include_profiles: bool = True) ->
         payload["residual_norm"] = [float(v) for v in report.residual_norm]
         payload["lambda"] = [float(v) for v in report.lambda_profile]
     return payload
-
-
-def feasibility_to_dict(report: FeasibilityReport) -> dict:
-    return {
-        "verdict": report.verdict.value,
-        "lambda_min": float(report.lambda_min),
-        "friction_consistency_max": float(report.friction_consistency_max),
-        "tol": float(report.tol),
-        "t": [float(v) for v in report.t],
-        "lambda_required": [float(v) for v in report.lambda_required],
-        "meta": report.meta,
-    }
 
 
 def scaling_to_dict(result: ScalingVerification, include_profiles: bool = False) -> dict:

@@ -63,9 +63,11 @@ def e3_tangential(y: np.ndarray) -> np.ndarray:
 class TangentField:
     """Unit tangent field on the hemisphere: ``eval(y)`` with ``N.y = 0``.
 
-    ``eval`` must raise :class:`SingularFieldError` within ``SINGULAR_TOL``
-    of the field's singular set.  ``singular_set`` is a human-readable
-    description used in diagnostics.
+    ``eval`` takes a unit ``(3,)`` float array and returns a ``(3,)`` float
+    ndarray; the integrator calls it once per RK4 stage.  It must raise
+    :class:`SingularFieldError` within ``SINGULAR_TOL`` of the field's
+    singular set.  ``singular_set`` is a human-readable description used in
+    diagnostics.
     """
 
     name: str
@@ -77,20 +79,23 @@ class TangentField:
 
 
 def _normalized_or_singular(w: np.ndarray, y: np.ndarray, name: str) -> np.ndarray:
-    n = float(np.linalg.norm(w))
+    # sqrt(w.dot(w)) is what np.linalg.norm computes for a real vector, so
+    # the bits match it, without its per-call overhead
+    n = math.sqrt(w.dot(w))
     if n < SINGULAR_TOL:
-        raise SingularFieldError(
-            f"field {name!r} is singular at {np.asarray(y).tolist()}", point=y)
+        raise SingularFieldError(f"field {name!r} is singular at {y.tolist()}", point=y)
     return w / n
 
 
 def _upslope_eval(y: np.ndarray) -> np.ndarray:
-    return _normalized_or_singular(e3_tangential(y), y, "upslope")
+    y1, y2, y3 = y.tolist()  # e3_tangential(y), one operation at a time
+    w = np.array([0.0 - y3 * y1, 0.0 - y3 * y2, 1.0 - y3 * y3])
+    return _normalized_or_singular(w, y, "upslope")
 
 
 def _horizontal_eval(y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    w = np.array([y[1], -y[0], 0.0])  # y x e3
+    y1, y2, _ = y.tolist()
+    w = np.array([y2, -y1, 0.0])  # y x e3
     return _normalized_or_singular(w, y, "horizontal")
 
 
@@ -116,7 +121,11 @@ def builtin_field(kind: str, weight: float | None = None) -> TangentField:
         w = float(weight)
 
         def _blend_eval(y: np.ndarray) -> np.ndarray:
-            mix = w * _upslope_eval(y) + (1.0 - w) * _horizontal_eval(y)
+            # w * upslope + (1 - w) * horizontal, one operation at a time
+            u1, u2, u3 = _upslope_eval(y).tolist()
+            h1, h2, h3 = _horizontal_eval(y).tolist()
+            c = 1.0 - w
+            mix = np.array([w * u1 + c * h1, w * u2 + c * h2, w * u3 + c * h3])
             return _normalized_or_singular(mix, y, f"blend:{w}")
 
         return TangentField(name=f"blend:{w!r}", eval=_blend_eval,
@@ -125,10 +134,18 @@ def builtin_field(kind: str, weight: float | None = None) -> TangentField:
 
 
 def field_x(spec: FrictionSpec, tangent_field: TangentField, y: np.ndarray) -> np.ndarray:
-    """Flow direction of the motion-direction curve at ``y``."""
-    y = np.asarray(y, dtype=float)
-    return -(spec.g / (spec.v * spec.v)) * (
-        e3_tangential(y) + (y[2] / spec.mu) * tangent_field.eval(y))
+    """Flow direction of the motion-direction curve at ``y``.
+
+    Computed component by component in Python floats, with the IEEE
+    operations, and their order, of the array expression
+    ``-(g / v**2) * (e3_tangential(y) + (y3 / mu) * N(y))``.
+    """
+    y1, y2, y3 = y.tolist()
+    n1, n2, n3 = tangent_field.eval(y).tolist()
+    k = -(spec.g / (spec.v * spec.v))
+    c = y3 / spec.mu
+    return np.array([k * (0.0 - y3 * y1 + c * n1), k * (0.0 - y3 * y2 + c * n2),
+                     k * (1.0 - y3 * y3 + c * n3)])
 
 
 def lambda_3d(spec: FrictionSpec, y) -> np.ndarray:
@@ -191,6 +208,8 @@ class SpaceCurve3D:
         return float(self.s[1] - self.s[0]) if self.s.shape[0] > 1 else 0.0
 
     def _locate(self, s) -> tuple[np.ndarray, np.ndarray]:
+        if self.s.shape[0] < 2:
+            raise ParameterError("curve holds fewer than 2 samples")
         s = np.asarray(s, dtype=float)
         if np.any(s < self.s[0] - 1e-12) or np.any(s > self.s[-1] + 1e-12):
             raise ParameterError(
@@ -262,7 +281,7 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
 
     def renormalize(y):
         nonlocal drift_total, drift_max
-        norm = float(np.linalg.norm(y))
+        norm = math.sqrt(y.dot(y))
         drift = abs(norm - 1.0)
         drift_total += drift
         drift_max = max(drift_max, drift)

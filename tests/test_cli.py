@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,10 +230,15 @@ def test_scale_command(capsys):
 
 
 def test_cli_runs_as_module(tmp_path):
+    # the child finds the package in this checkout, as the suite itself does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "rampforge.cli", "generate2d", "--mu", "0.5",
          "--v", "5", "--samples", "4"],
-        capture_output=True, text=True)
+        env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["branch"] == "lower"
 

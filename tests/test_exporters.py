@@ -7,9 +7,8 @@ import pytest
 from rampforge import (builtin_field, build_surface, integrate_ramp3d,
                        lower_ramp, sample_ramp, simulate,
                        verify_2d, verify_scaling, upper_ramp)
-from rampforge.exporters import (dumps_json, feasibility_to_dict, fmt,
-                                 report_to_dict, scaling_to_dict,
-                                 trace_summary, write_curve2d_csv,
+from rampforge.exporters import (dumps_json, fmt, report_to_dict,
+                                 scaling_to_dict, trace_summary, write_curve2d_csv,
                                  write_curve2d_json, write_curve2d_svg,
                                  write_curve3d_csv, write_frames_csv,
                                  write_frames_jsonl, write_json, write_obj,

@@ -10,7 +10,7 @@ from rampforge import (ContractViolationError, ParameterError,
                        build_surface, builtin_field, cumulative_simpson,
                        e3_tangential, field_x, hemisphere_point,
                        integrate_ramp3d, lambda_3d, lower_ramp, scale_ramp,
-                       spec_from_mu, verify_3d)
+                       simulate, spec_from_mu, verify_3d)
 
 # directions strictly inside the south hemisphere, away from the pole
 interior = st.tuples(
@@ -69,13 +69,43 @@ def test_fields_singular_only_at_pole():
         builtin_field(kind)(near)  # close but regular
 
 
-def test_field_x_formula(fig_spec):
-    y = np.array([0.6, 0.0, -0.8])
-    tf = builtin_field("upslope")
-    x = field_x(fig_spec, tf, y)
-    expect = -(fig_spec.g / fig_spec.v**2) * (e3_tangential(y)
-                                              + (y[2] / fig_spec.mu) * tf(y))
-    assert np.allclose(x, expect, atol=1e-15)
+def _directions(rng):
+    # axis-aligned starts (signed zeros in the products) plus random ones
+    fixed = [[1.0, 0.0, 0.0], [0.6, 0.0, -0.8], [0.0, -0.6, -0.8],
+             [0.8, 0.0, -0.6], [-0.48, 0.64, -0.6]]
+    rand = rng.normal(size=(20, 3))
+    rand[:, 2] = -np.abs(rand[:, 2])
+    rand /= np.linalg.norm(rand, axis=-1, keepdims=True)
+    return [np.array(y) for y in fixed] + list(rand)
+
+
+def test_field_x_formula(fig_spec, rng):
+    # field_x works in Python floats; it must reproduce the array
+    # expression of the flow bit for bit
+    specs = (fig_spec, spec_from_mu(0.3, g=3.7, v=2.0, m=2.5))
+    fields = (builtin_field("upslope"), builtin_field("horizontal"),
+              builtin_field("blend", 0.37))
+    for spec in specs:
+        for tf in fields:
+            for y in _directions(rng):
+                expect = -(spec.g / (spec.v * spec.v)) * (
+                    e3_tangential(y) + (y[2] / spec.mu) * tf(y))
+                assert np.array_equal(field_x(spec, tf, y), expect)
+
+
+def test_builtin_fields_normalize_their_defining_vector(rng):
+    # each field is w / |w| of its defining vector, exactly as
+    # np.linalg.norm rounds it
+    def unit(w):
+        return w / np.linalg.norm(w)
+
+    blend = builtin_field("blend", 0.37)
+    for y in _directions(rng):
+        up = unit(e3_tangential(y))
+        level = unit(np.array([y[1], -y[0], 0.0]))  # y x e3
+        assert np.array_equal(builtin_field("upslope")(y), up)
+        assert np.array_equal(builtin_field("horizontal")(y), level)
+        assert np.array_equal(blend(y), unit(0.37 * up + (1.0 - 0.37) * level))
 
 
 def test_lambda_3d_sign(fig_spec):
@@ -174,6 +204,46 @@ def test_integrate_drops_sample_whose_slope_is_unknown(fig_spec):
     expect = np.stack([field_x(fig_spec, base, y) for y in curve.gamma])
     assert np.array_equal(curve.dgamma, expect)
     assert verify_3d(fig_spec, curve).verdict is Verdict.VALID
+
+
+def test_integrate_evaluates_field_once_per_stage(fig_spec):
+    # one start check, the slope at the start, then four RK4 stages per step
+    base = builtin_field("horizontal")
+    calls = [0]
+
+    def counted(y):
+        calls[0] += 1
+        return base(y)
+
+    tf = TangentField(name="horizontal", eval=counted)
+    for s_max, step in ((1.0, 0.01), (2.0 / fig_spec.a, None)):
+        calls[0] = 0
+        curve = integrate_ramp3d(fig_spec, tf, [0.8, 0.0, -0.6], s_max, step=step)
+        n = curve.s.shape[0] - 1
+        assert n > 0 and calls[0] == 4 * n + 2
+
+
+def test_single_sample_curve_raises_parameter_error(fig_spec):
+    # the field fails on the second stage of the first step, so only the
+    # start sample has a known slope and the curve holds one sample
+    base = builtin_field("horizontal")
+    calls = [0]
+
+    def eval_failing_third(y):
+        calls[0] += 1
+        if calls[0] == 3:
+            raise SingularFieldError("singular here", point=y)
+        return base(y)
+
+    tf = TangentField(name="horizontal", eval=eval_failing_third)
+    curve = integrate_ramp3d(fig_spec, tf, [0.8, 0.0, -0.6], 1.0)
+    assert curve.stopped_early and curve.s.shape == (1,)
+    for use in (lambda: build_surface(curve, base),
+                lambda: simulate(fig_spec, curve, (0.0, 1.0)),
+                lambda: curve.position(0.0), lambda: curve.tangent(0.0),
+                lambda: curve.derivative(0.0), lambda: verify_3d(fig_spec, curve)):
+        with pytest.raises(ParameterError, match="fewer than 2 samples"):
+            use()
 
 
 def test_interpolants_match_grid_and_midpoints(fig_spec):
