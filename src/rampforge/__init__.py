@@ -31,27 +31,23 @@ from .verify import (Feasibility, FeasibilityReport, ForceBalanceReport,
 
 __version__ = "0.1.0"
 
+# The supported surface: the README's entry points and what the tests,
+# scripts and benchmark import.  The other names imported above (result
+# types that callers receive but never build, the error base class and the
+# default step factor) stay importable from here without being listed.
 __all__ = [
     "Branch",
     "ContractViolationError",
     "DELTA_MAX",
-    "DEFAULT_STEP_FACTOR",
     "Feasibility",
-    "FeasibilityReport",
-    "ForceBalanceReport",
     "FrictionSpec",
     "Motion",
-    "MotionTrace",
     "ParameterError",
     "PlanarCurve",
     "Ramp2D",
-    "RampError",
-    "RampSurface3D",
-    "ScalingVerification",
     "SingularFieldError",
     "SpaceCurve3D",
     "TangentField",
-    "ThetaTrace",
     "Verdict",
     "alpha",
     "alpha_rotated",

@@ -83,16 +83,26 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
                     post_step: Callable | None = None):
     """Classical RK4 on a uniform grid over ``[t0, t1]``.
 
-    The grid has the fewest steps of equal width no larger than ``step``;
-    ``t[-1]`` is pinned to ``t1``.  ``post_step(y) -> y`` runs after every
-    step (used for constraint projection).
+    The state is a sequence of ``d`` floats; a scalar equation passes a
+    1-tuple.  ``rhs(t, y)`` gets the state as a list of floats and returns a
+    sequence of ``d`` floats (a tuple, a list or a ``(d,)`` array), and
+    ``post_step(y) -> y`` runs on the list after every step (used for
+    constraint projection).  The stages and the weighted sum are computed
+    in Python floats, with the IEEE operations, and their order, of the
+    array expressions ``y + 0.5*h*k1`` ... ``y + (h/6)*(k1 + 2k2 + 2k3 + k4)``.
 
-    Returns ``(t, y, dy, stop)`` where ``dy[i] = rhs(t[i], y[i])`` is the
-    slope at each sample, which is also the first stage of the step from it.
-    If ``rhs`` raises :class:`SingularFieldError`, the samples whose slope is
-    known are returned with the error message as ``stop``; otherwise ``stop``
-    is ``None``.  A singular start raises.
+    The grid has the fewest steps of equal width no larger than ``step``;
+    ``t[-1]`` is pinned to ``t1``.  Returns ``(t, y, dy, stop)``: ``t`` of
+    shape ``(n+1,)``, ``y`` and ``dy`` of shape ``(n+1, d)``, where
+    ``dy[i] = rhs(t[i], y[i])`` is the slope at each sample, which is also
+    the first stage of the step from it.  If ``rhs`` raises
+    :class:`SingularFieldError`, the samples whose slope is known are
+    returned with the error message as ``stop``; otherwise ``stop`` is
+    ``None``.  A singular start raises.
     """
+    t0, t1 = float(t0), float(t1)
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ParameterError(f"integration span must be finite, got ({t0!r}, {t1!r})")
     span = t1 - t0
     if span <= 0.0:
         raise ParameterError("integration span must have t1 > t0")
@@ -100,10 +110,12 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
         raise ParameterError(f"step must be positive, got {step!r}")
     n = max(1, math.ceil(span / step - 1e-12))
     h = span / n
-    y = np.asarray(y0, dtype=float) + 0.0
+    hh = 0.5 * h
+    h6 = h / 6.0
+    y = [float(c) for c in y0]
     ts = t0 + h * np.arange(n + 1)
     ts[-1] = t1
-    ys = np.empty((n + 1,) + y.shape)
+    ys = np.empty((n + 1, len(y)))
     dys = np.empty_like(ys)
     ys[0] = y
     times = ts.tolist()  # Python floats: cheaper per-step arithmetic than numpy scalars
@@ -112,10 +124,11 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
     for i in range(n):
         t = times[i]
         try:
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = rhs(t + hh, [a + hh * b for a, b in zip(y, k1)])
+            k3 = rhs(t + hh, [a + hh * b for a, b in zip(y, k2)])
+            k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
+            y = [a + h6 * (b + 2.0 * c + 2.0 * d + e)
+                 for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
             if post_step is not None:
                 y = post_step(y)
             k1 = rhs(times[i + 1], y)
@@ -137,9 +150,10 @@ def integrate_theta(spec: FrictionSpec, theta0: float, s_span: tuple[float, floa
     if step is None:
         step = DEFAULT_STEP_FACTOR / spec.a
 
-    def rhs(_s, th):
-        return theta_ode_rhs(spec, th)
+    a, delta = spec.a, spec.delta
 
-    ss, ths, _, _ = integrate_fixed(rhs, float(theta0), float(s_span[0]),
-                                    float(s_span[1]), step)
-    return ThetaTrace(s=ss, theta=ths)
+    def rhs(_s, th):  # theta_ode_rhs in Python floats
+        return (-a * math.sin(th[0] + delta),)
+
+    ss, ths, _, _ = integrate_fixed(rhs, (float(theta0),), s_span[0], s_span[1], step)
+    return ThetaTrace(s=ss, theta=ths[:, 0])

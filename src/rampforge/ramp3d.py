@@ -63,40 +63,43 @@ def e3_tangential(y: np.ndarray) -> np.ndarray:
 class TangentField:
     """Unit tangent field on the hemisphere: ``eval(y)`` with ``N.y = 0``.
 
-    ``eval`` takes a unit ``(3,)`` float array and returns a ``(3,)`` float
-    ndarray; the integrator calls it once per RK4 stage.  It must raise
+    ``eval`` takes a unit direction as a list of three floats and returns
+    three floats (a tuple; a list or a ``(3,)`` array also works); the
+    integrator calls it once per RK4 stage.  It must raise
     :class:`SingularFieldError` within ``SINGULAR_TOL`` of the field's
     singular set.  ``singular_set`` is a human-readable description used in
     diagnostics.
     """
 
     name: str
-    eval: Callable[[np.ndarray], np.ndarray]
+    eval: Callable[[list], tuple]
     singular_set: str = "none"
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
+    def __call__(self, y) -> tuple:
         return self.eval(y)
 
 
-def _normalized_or_singular(w: np.ndarray, y: np.ndarray, name: str) -> np.ndarray:
-    # sqrt(w.dot(w)) is what np.linalg.norm computes for a real vector, so
-    # the bits match it, without its per-call overhead
+def _normalized_or_singular(w1: float, w2: float, w3: float, y, name: str) -> tuple:
+    # sqrt(w.dot(w)) on an array is what np.linalg.norm computes for a real
+    # vector; the dot may fuse its multiply-adds, so a Python sum of squares
+    # would not give the same bits
+    w = np.array((w1, w2, w3))
     n = math.sqrt(w.dot(w))
     if n < SINGULAR_TOL:
-        raise SingularFieldError(f"field {name!r} is singular at {y.tolist()}", point=y)
-    return w / n
+        raise SingularFieldError(
+            f"field {name!r} is singular at {[float(c) for c in y]}", point=y)
+    return w1 / n, w2 / n, w3 / n
 
 
-def _upslope_eval(y: np.ndarray) -> np.ndarray:
-    y1, y2, y3 = y.tolist()  # e3_tangential(y), one operation at a time
-    w = np.array([0.0 - y3 * y1, 0.0 - y3 * y2, 1.0 - y3 * y3])
-    return _normalized_or_singular(w, y, "upslope")
+def _upslope_eval(y) -> tuple:
+    y1, y2, y3 = y  # e3_tangential(y), one operation at a time
+    return _normalized_or_singular(0.0 - y3 * y1, 0.0 - y3 * y2, 1.0 - y3 * y3,
+                                   y, "upslope")
 
 
-def _horizontal_eval(y: np.ndarray) -> np.ndarray:
-    y1, y2, _ = y.tolist()
-    w = np.array([y2, -y1, 0.0])  # y x e3
-    return _normalized_or_singular(w, y, "horizontal")
+def _horizontal_eval(y) -> tuple:
+    y1, y2, _ = y
+    return _normalized_or_singular(y2, -y1, 0.0, y, "horizontal")  # y x e3
 
 
 def builtin_field(kind: str, weight: float | None = None) -> TangentField:
@@ -119,33 +122,34 @@ def builtin_field(kind: str, weight: float | None = None) -> TangentField:
             raise ParameterError(f"blend weight must lie in [0, 1], got {weight!r}",
                                  code="config")
         w = float(weight)
+        c = 1.0 - w
+        name = f"blend:{w!r}"
 
-        def _blend_eval(y: np.ndarray) -> np.ndarray:
+        def _blend_eval(y) -> tuple:
             # w * upslope + (1 - w) * horizontal, one operation at a time
-            u1, u2, u3 = _upslope_eval(y).tolist()
-            h1, h2, h3 = _horizontal_eval(y).tolist()
-            c = 1.0 - w
-            mix = np.array([w * u1 + c * h1, w * u2 + c * h2, w * u3 + c * h3])
-            return _normalized_or_singular(mix, y, f"blend:{w}")
+            u1, u2, u3 = _upslope_eval(y)
+            h1, h2, h3 = _horizontal_eval(y)
+            return _normalized_or_singular(w * u1 + c * h1, w * u2 + c * h2,
+                                           w * u3 + c * h3, y, name)
 
-        return TangentField(name=f"blend:{w!r}", eval=_blend_eval,
+        return TangentField(name=name, eval=_blend_eval,
                             singular_set="south pole (0, 0, -1)")
     raise ParameterError(f"unknown field kind {kind!r}", code="config")
 
 
-def field_x(spec: FrictionSpec, tangent_field: TangentField, y: np.ndarray) -> np.ndarray:
-    """Flow direction of the motion-direction curve at ``y``.
+def field_x(spec: FrictionSpec, tangent_field: TangentField, y) -> tuple:
+    """Flow direction of the motion-direction curve at ``y`` (three floats).
 
     Computed component by component in Python floats, with the IEEE
     operations, and their order, of the array expression
     ``-(g / v**2) * (e3_tangential(y) + (y3 / mu) * N(y))``.
     """
-    y1, y2, y3 = y.tolist()
-    n1, n2, n3 = tangent_field.eval(y).tolist()
+    y1, y2, y3 = y
+    n1, n2, n3 = tangent_field.eval(y)
     k = -(spec.g / (spec.v * spec.v))
     c = y3 / spec.mu
-    return np.array([k * (0.0 - y3 * y1 + c * n1), k * (0.0 - y3 * y2 + c * n2),
-                     k * (1.0 - y3 * y3 + c * n3)])
+    return (k * (0.0 - y3 * y1 + c * n1), k * (0.0 - y3 * y2 + c * n2),
+            k * (1.0 - y3 * y3 + c * n3))
 
 
 def lambda_3d(spec: FrictionSpec, y) -> np.ndarray:
@@ -265,7 +269,7 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
         Arc length to integrate; the grid is uniform with approximately
         ``step`` (default ``1e-3 / a``).
     """
-    y0 = hemisphere_point(y0)
+    y0 = hemisphere_point(y0).tolist()
     if not (math.isfinite(s_max) and s_max > 0.0):
         raise ParameterError(f"s_max must be positive, got {s_max!r}")
     if step is None:
@@ -275,17 +279,18 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
     if (abs(float(np.linalg.norm(n0)) - 1.0) > FIELD_CHECK_TOL
             or abs(float(np.dot(n0, y0))) > FIELD_CHECK_TOL):
         raise ContractViolationError(
-            f"field {tangent_field.name!r} does not return a unit tangent at {y0.tolist()}")
+            f"field {tangent_field.name!r} does not return a unit tangent at {y0}")
 
     drift_total = drift_max = 0.0
 
     def renormalize(y):
         nonlocal drift_total, drift_max
-        norm = math.sqrt(y.dot(y))
+        w = np.array(y)
+        norm = math.sqrt(w.dot(w))  # the bits of np.linalg.norm, as in the fields
         drift = abs(norm - 1.0)
         drift_total += drift
         drift_max = max(drift_max, drift)
-        return y / norm
+        return [c / norm for c in y]
 
     t, gamma, dgamma, stop_reason = integrate_fixed(
         lambda _s, y: field_x(spec, tangent_field, y), y0, 0.0, s_max, step,
@@ -360,7 +365,7 @@ def build_surface(curve: SpaceCurve3D, tangent_field: TangentField,
     positions = curve.position(s_grid)
     tangents = curve.tangent(s_grid)
     tangents = tangents / np.linalg.norm(tangents, axis=-1, keepdims=True)
-    normals = np.stack([tangent_field.eval(t) for t in tangents])
+    normals = np.array([tangent_field.eval(t) for t in tangents.tolist()])
     ruling = np.cross(tangents, normals)
     ruling = ruling / np.linalg.norm(ruling, axis=-1, keepdims=True)
 

@@ -50,6 +50,8 @@ def _frame_times(t_span: tuple[float, float], fps: float) -> np.ndarray:
         raise ParameterError(f"fps must be positive, got {fps!r}")
     if not (t1 >= t0 >= 0.0):
         raise ParameterError(f"need 0 <= t0 <= t1, got {t_span!r}")
+    if math.isinf(t1):
+        raise ParameterError(f"t_span must be finite, got {t_span!r}")
     count = int(math.floor((t1 - t0) * fps + _COUNT_EPS)) + 1
     return t0 + np.arange(count) / fps
 
@@ -97,7 +99,7 @@ def simulate(spec: FrictionSpec, geometry, t_span: tuple[float, float],
             gamma = geometry.tangent(s)
             velocity = spec.v * gamma
             lam = lambda_3d(spec, gamma)
-            normals = np.stack([geometry.field.eval(y) for y in gamma])
+            normals = np.array([geometry.field.eval(y) for y in gamma.tolist()])
             forces = _force_balance(
                 spec, lam, normals, velocity,
                 spec.m * spec.v * spec.v * geometry.derivative(s),

@@ -179,7 +179,7 @@ def verify_3d(spec: FrictionSpec, curve: SpaceCurve3D,
     idx = np.unique(np.round(np.linspace(0, curve.s.shape[0] - 1, count)).astype(int))
 
     gamma = curve.gamma[idx]
-    normals = np.stack([tangent_field.eval(y) for y in gamma])
+    normals = np.array([tangent_field.eval(y) for y in gamma.tolist()])
     lam = lambda_3d(spec, gamma)
     forces = _force_balance(spec, lam, normals, gamma,
                             spec.m * spec.v * spec.v * curve.dgamma[idx])
@@ -251,10 +251,11 @@ class Motion:
             return np.linalg.norm(curve.tangent(np.asarray(u, dtype=float)), axis=-1)
 
         def rhs(_t, u):
-            return speed / speed_of(u)
+            return (speed / speed_of(u[0]),)
 
         t0, t1 = float(t_span[0]), float(t_span[1])
-        ts, hs, dhs, _ = integrate_fixed(rhs, float(start), t0, t1, (t1 - t0) / grid)
+        ts, hs, dhs, _ = integrate_fixed(rhs, (float(start),), t0, t1, (t1 - t0) / grid)
+        hs, dhs = hs[:, 0], dhs[:, 0]
         step = ts[1] - ts[0]
 
         def h(t):

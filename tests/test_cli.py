@@ -207,6 +207,14 @@ def test_simulate_command(tmp_path, capsys):
     assert rows[0]["t"] == 0.0
 
 
+@pytest.mark.parametrize("t_span", [("0", "inf"), ("inf", "inf")])
+def test_simulate_infinite_t_span_exits_2(capsys, t_span):
+    code, _, err = run(capsys, "simulate", "--mu", "0.5", "--v", "5",
+                       "--branch", "lower", "--t-span", *t_span, "--fps", "10")
+    assert code == 2
+    assert "t_span must be finite" in err
+
+
 def test_simulate_all_truncated_jsonl_is_empty(tmp_path, capsys):
     out = tmp_path / "frames.jsonl"
     code, stdout, _ = run(capsys, "simulate", "--mu", "0.5", "--v", "5",

@@ -17,7 +17,20 @@ angles = st.floats(min_value=0.02, max_value=math.pi / 4 - 0.02)
 def test_integrate_fixed_rejects_bad_step():
     for step in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ParameterError):
-            integrate_fixed(lambda _t, u: u, 1.0, 0.0, 1.0, step)
+            integrate_fixed(lambda _t, u: u, (1.0,), 0.0, 1.0, step)
+
+
+@pytest.mark.parametrize("span", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0),
+                                  (math.nan, 1.0), (math.inf, math.inf)])
+def test_integrate_fixed_rejects_non_finite_span(span):
+    with pytest.raises(ParameterError):
+        integrate_fixed(lambda _t, u: u, (1.0,), span[0], span[1], 0.1)
+
+
+@pytest.mark.parametrize("end", [math.inf, math.nan])
+def test_integrate_theta_rejects_non_finite_span(fig_spec, end):
+    with pytest.raises(ParameterError):
+        integrate_theta(fig_spec, 0.1, (0.0, end))
 
 
 def test_default_step_tracks_length_scale(fig_spec):
@@ -64,7 +77,8 @@ def test_lambda_from_theta_signs(fig_spec):
 
 
 def test_integrate_fixed_exponential():
-    t, y, dy, stop = integrate_fixed(lambda _t, u: u, 1.0, 0.0, 1.0, 1e-3)
+    t, y, dy, stop = integrate_fixed(lambda _t, u: u, (1.0,), 0.0, 1.0, 1e-3)
+    y, dy = y[:, 0], dy[:, 0]
     assert t.shape == y.shape == dy.shape
     assert stop is None
     assert t[-1] == pytest.approx(1.0, abs=1e-15)
@@ -73,7 +87,7 @@ def test_integrate_fixed_exponential():
 
 
 def test_integrate_fixed_spacing_is_uniform():
-    t, *_ = integrate_fixed(lambda _t, u: u, 1.0, 0.0, 1.0, 0.3)  # 0.3 -> 4 steps
+    t, *_ = integrate_fixed(lambda _t, u: u, (1.0,), 0.0, 1.0, 0.3)  # 0.3 -> 4 steps
     assert len(t) == 5
     assert np.allclose(np.diff(t), 0.25)
 
@@ -92,7 +106,8 @@ def test_integrate_fixed_stops_where_slopes_are_known(fail_at, kept):
             raise SingularFieldError("singular")
         return u
 
-    t, y, dy, stop = integrate_fixed(rhs, 1.0, 0.0, 1.0, 0.25)
+    t, y, dy, stop = integrate_fixed(rhs, (1.0,), 0.0, 1.0, 0.25)
+    y, dy = y[:, 0], dy[:, 0]
     assert stop == "singular"
     assert t.shape == y.shape == dy.shape == (kept,)
     assert np.array_equal(dy, y)
@@ -103,7 +118,7 @@ def test_integrate_fixed_singular_start_raises():
         raise SingularFieldError("singular")
 
     with pytest.raises(SingularFieldError):
-        integrate_fixed(rhs, 1.0, 0.0, 1.0, 0.25)
+        integrate_fixed(rhs, (1.0,), 0.0, 1.0, 0.25)
 
 
 def test_integrate_theta_matches_closed_form(fig_spec):

@@ -89,7 +89,7 @@ def test_field_x_formula(fig_spec, rng):
         for tf in fields:
             for y in _directions(rng):
                 expect = -(spec.g / (spec.v * spec.v)) * (
-                    e3_tangential(y) + (y[2] / spec.mu) * tf(y))
+                    e3_tangential(y) + (y[2] / spec.mu) * np.asarray(tf(y)))
                 assert np.array_equal(field_x(spec, tf, y), expect)
 
 
@@ -159,7 +159,7 @@ def test_integrate_validates_inputs(fig_spec):
 def test_integrate_rejects_broken_field(fig_spec):
     stretched = TangentField(
         name="stretched",
-        eval=lambda y: 1.01 * builtin_field("upslope")(y))
+        eval=lambda y: 1.01 * np.asarray(builtin_field("upslope")(y)))
     with pytest.raises(ContractViolationError):
         integrate_ramp3d(fig_spec, stretched, [1.0, 0.0, 0.0], 1.0)
     radial = TangentField(name="radial", eval=lambda y: np.asarray(y, float))
