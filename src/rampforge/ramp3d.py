@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -79,12 +80,30 @@ class TangentField:
         return self.eval(y)
 
 
+_scratch = threading.local()
+
+
+def _norm3(w1: float, w2: float, w3: float) -> float:
+    """``np.linalg.norm((w1, w2, w3))``, bit for bit, without a new array.
+
+    sqrt(w.dot(w)) on an array is what np.linalg.norm computes for a real
+    vector; the dot may fuse its multiply-adds, so a Python sum of squares
+    would not give the same bits.  The ``(3,)`` buffer is reused, one per
+    thread, so concurrent integrations cannot overwrite each other's
+    components between the fill and the dot.
+    """
+    try:
+        w = _scratch.w
+    except AttributeError:
+        w = _scratch.w = np.empty(3)
+    w[0] = w1
+    w[1] = w2
+    w[2] = w3
+    return math.sqrt(w.dot(w))
+
+
 def _normalized_or_singular(w1: float, w2: float, w3: float, y, name: str) -> tuple:
-    # sqrt(w.dot(w)) on an array is what np.linalg.norm computes for a real
-    # vector; the dot may fuse its multiply-adds, so a Python sum of squares
-    # would not give the same bits
-    w = np.array((w1, w2, w3))
-    n = math.sqrt(w.dot(w))
+    n = _norm3(w1, w2, w3)
     if n < SINGULAR_TOL:
         raise SingularFieldError(
             f"field {name!r} is singular at {[float(c) for c in y]}", point=y)
@@ -276,8 +295,8 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
         step = DEFAULT_STEP_FACTOR / spec.a
 
     n0 = tangent_field.eval(y0)  # singular start raises here
-    if (abs(float(np.linalg.norm(n0)) - 1.0) > FIELD_CHECK_TOL
-            or abs(float(np.dot(n0, y0))) > FIELD_CHECK_TOL):
+    if not (abs(float(np.linalg.norm(n0)) - 1.0) <= FIELD_CHECK_TOL
+            and abs(float(np.dot(n0, y0))) <= FIELD_CHECK_TOL):
         raise ContractViolationError(
             f"field {tangent_field.name!r} does not return a unit tangent at {y0}")
 
@@ -285,8 +304,7 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
 
     def renormalize(y):
         nonlocal drift_total, drift_max
-        w = np.array(y)
-        norm = math.sqrt(w.dot(w))  # the bits of np.linalg.norm, as in the fields
+        norm = _norm3(*y)
         drift = abs(norm - 1.0)
         drift_total += drift
         drift_max = max(drift_max, drift)

@@ -103,9 +103,10 @@ def _report(t: np.ndarray, lam: np.ndarray, residual: np.ndarray,
     residual_norm = np.linalg.norm(residual, axis=-1)
     lambda_min = float(lam.min())
     max_residual = float(residual_norm.max())
-    if lambda_min < -tol_lambda:
+    # phrased so that a NaN fails both tests instead of passing them
+    if not (lambda_min >= -tol_lambda):
         verdict = Verdict.LAMBDA_NEGATIVE
-    elif max_residual > tol_residual:
+    elif not (max_residual <= tol_residual):
         verdict = Verdict.RESIDUAL_EXCEEDED
     else:
         verdict = Verdict.VALID
@@ -141,18 +142,20 @@ def verify_2d(spec: FrictionSpec, ramp: Ramp2D,
     if t_span is None:
         t_span = (0.0, default_span(spec) / spec.v)
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ParameterError(f"t_span must be finite, got {t_span!r}")
     if not (t1 > t0 >= 0.0):
         raise ParameterError(f"need 0 <= t0 < t1, got {t_span!r}")
     _require_samples(n_samples)
 
     t = np.linspace(t0, t1, n_samples)
     tangents, normals, lam, forces = _planar_balance(spec, ramp, t)
-    if np.max(np.abs(np.linalg.norm(tangents, axis=-1) - 1.0)) > _UNIT_TANGENT_TOL:
+    if not (np.max(np.abs(np.linalg.norm(tangents, axis=-1) - 1.0)) <= _UNIT_TANGENT_TOL):
         raise ContractViolationError(
             "curve tangent is not unit length; verify_2d needs an arc-length "
             "parametrization")
-    if (np.max(np.abs(np.linalg.norm(normals, axis=-1) - 1.0)) > _UNIT_TANGENT_TOL
-            or np.max(np.abs(np.einsum("ij,ij->i", normals, tangents))) > _UNIT_TANGENT_TOL):
+    if not (np.max(np.abs(np.linalg.norm(normals, axis=-1) - 1.0)) <= _UNIT_TANGENT_TOL
+            and np.max(np.abs(np.einsum("ij,ij->i", normals, tangents))) <= _UNIT_TANGENT_TOL):
         raise ContractViolationError("ramp normal is not a unit vector orthogonal "
                                      "to the tangent")
     return _report(t, lam, forces[-1], normals, tangents, tol_residual, tol_lambda,
@@ -245,6 +248,8 @@ class Motion:
         integrated once over ``t_span`` and interpolated, while both
         derivatives are evaluated from the curve analytically.
         """
+        if not math.isfinite(start):
+            raise ParameterError(f"start must be finite, got {start!r}")
         curve = ramp.curve
 
         def speed_of(u):

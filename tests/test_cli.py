@@ -168,6 +168,13 @@ def test_verify_command_2d(capsys, tmp_path):
     assert "residual_norm" in saved  # file keeps the full profile
 
 
+def test_verify_infinite_t_span_exits_2(capsys):
+    code, stdout, err = run(capsys, "verify", "--mu", "0.5", "--v", "5",
+                            "--branch", "lower", "--t-span", "0", "inf")
+    assert code == 2 and stdout == ""
+    assert "t_span must be finite" in err
+
+
 def test_verify_command_3d(capsys):
     code, stdout, _ = run(capsys, "verify", "--mu", "0.5", "--v", "5",
                           "--field", "blend:0.5", "--y0", "0.8", "0", "-0.6",

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -165,6 +167,10 @@ def test_integrate_rejects_broken_field(fig_spec):
     radial = TangentField(name="radial", eval=lambda y: np.asarray(y, float))
     with pytest.raises(ContractViolationError):
         integrate_ramp3d(fig_spec, radial, [1.0, 0.0, 0.0], 1.0)
+    # a NaN field used to pass the start check and fill gamma with NaN
+    undefined = TangentField(name="nan", eval=lambda y: (math.nan,) * 3)
+    with pytest.raises(ContractViolationError):
+        integrate_ramp3d(fig_spec, undefined, [1.0, 0.0, 0.0], 1.0)
 
 
 def test_integrate_stops_early_at_singularity(fig_spec):
@@ -221,6 +227,37 @@ def test_integrate_evaluates_field_once_per_stage(fig_spec):
         curve = integrate_ramp3d(fig_spec, tf, [0.8, 0.0, -0.6], s_max, step=step)
         n = curve.s.shape[0] - 1
         assert n > 0 and calls[0] == 4 * n + 2
+
+
+def test_concurrent_integrations_match_sequential(fig_spec):
+    # the field norms fill a reused scratch buffer; with a thread switch
+    # every microsecond, a buffer shared between threads would mix the
+    # components of different runs and change the bits
+    starts = ([0.8, 0.0, -0.6], [0.0, 0.6, -0.8])
+    jobs = [(builtin_field(kind), y0) for kind in ("upslope", "horizontal")
+            for y0 in starts] + [(builtin_field("blend", 0.37), starts[0])]
+    s_max = 1.0 / fig_spec.a
+    expect = [integrate_ramp3d(fig_spec, tf, y0, s_max) for tf, y0 in jobs]
+    results = [None] * len(jobs)
+
+    def run(i):
+        tf, y0 = jobs[i]
+        results[i] = integrate_ramp3d(fig_spec, tf, y0, s_max)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, expect):
+        assert np.array_equal(got.gamma, want.gamma)
+        assert np.array_equal(got.dgamma, want.dgamma)
 
 
 def test_single_sample_curve_raises_parameter_error(fig_spec):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,6 +91,38 @@ def test_verify_2d_rejects_non_arclength_curve(fig_spec):
         normal=ramp.normal, branch=ramp.branch)
     with pytest.raises(ContractViolationError):
         verify_2d(fig_spec, stretched)
+
+
+def test_verify_2d_rejects_non_finite_span(fig_spec):
+    # an infinite end used to fill the sample times with NaN
+    ramp = lower_ramp(fig_spec)
+    for span in ((0.0, math.inf), (math.inf, math.inf), (0.0, math.nan)):
+        with pytest.raises(ParameterError):
+            verify_2d(fig_spec, ramp, t_span=span)
+
+
+def test_nan_is_never_valid(fig_spec):
+    # NaN compares false with every bound, so each check must be phrased to
+    # fail on it rather than pass
+    ramp = lower_ramp(fig_spec)
+    curve = ramp.curve
+    nan_tangent = replace(curve, tangent=lambda s: math.nan * curve.tangent(s))
+    with pytest.raises(ContractViolationError):
+        verify_2d(fig_spec, replace(ramp, curve=nan_tangent))
+
+    nan_inertia = replace(
+        curve, second_derivative=lambda s: math.nan * curve.second_derivative(s))
+    report = verify_2d(fig_spec, replace(ramp, curve=nan_inertia))
+    assert math.isnan(report.max_residual)
+    assert report.verdict is Verdict.RESIDUAL_EXCEEDED
+
+    space = integrate_ramp3d(fig_spec, builtin_field("upslope"), [0.8, 0.0, -0.6],
+                             1.0, step=0.01)
+    gamma = space.gamma.copy()
+    gamma[5] = math.nan
+    report = verify_3d(fig_spec, replace(space, gamma=gamma))
+    assert math.isnan(report.lambda_min) and math.isnan(report.max_residual)
+    assert report.verdict is Verdict.LAMBDA_NEGATIVE
 
 
 def test_verify_2d_wrong_mu_is_residual_exceeded(fig_spec):
@@ -227,6 +260,13 @@ def test_constant_speed_motion_on_parabola():
     report = normal_sign_diagnostic(ramp, np.array([0.0, -9.81]), 1.0, motion,
                                     t_span=(0.0, 3.0))
     assert 1.0 < report.friction_consistency_max <= 9.81 + 1e-6
+
+
+def test_constant_speed_rejects_non_finite_start(fig_spec):
+    ramp = upper_ramp(fig_spec)
+    for start in (ramp.curve.domain[1], -math.inf, math.nan):
+        with pytest.raises(ParameterError, match="start must be finite"):
+            Motion.constant_speed(ramp, fig_spec.v, start, (0.0, 1.0))
 
 
 def test_verify_scaling_2d(fig_spec):
