@@ -21,6 +21,7 @@ from .verify import ForceBalanceReport, ScalingVerification
 CURVE2D_HEADER = "s,x,y,tx,ty,nx,ny,lambda"
 CURVE3D_HEADER = "s,x,y,z,tx,ty,tz,lambda"
 PROFILE_HEADER = "t,residual,lambda"
+SVG_WIDTH = 800.0  # px; the height follows the curve's aspect ratio
 
 
 def fmt(value: float) -> str:
@@ -77,10 +78,9 @@ def write_curve2d_json(path: str | Path, spec: FrictionSpec, samples: dict,
     write_json(path, payload)
 
 
-def write_curve2d_svg(path: str | Path, x: np.ndarray, y: np.ndarray,
-                      width: float = 800.0) -> None:
-    """Polyline figure of a planar curve; the y axis is flipped to screen
-    orientation."""
+def write_curve2d_svg(path: str | Path, x: np.ndarray, y: np.ndarray) -> None:
+    """Polyline figure of a planar curve, ``SVG_WIDTH`` wide; the y axis is
+    flipped to screen orientation."""
     x = np.asarray(x, dtype=float)
     y = -np.asarray(y, dtype=float)
     span_x = float(x.max() - x.min()) or 1.0
@@ -88,11 +88,11 @@ def write_curve2d_svg(path: str | Path, x: np.ndarray, y: np.ndarray,
     margin = 0.05 * max(span_x, span_y)
     x0, y0 = float(x.min()) - margin, float(y.min()) - margin
     w, h = span_x + 2 * margin, span_y + 2 * margin
-    height = width * h / w
+    height = SVG_WIDTH * h / w
     stroke = 0.004 * max(w, h)
     d = "M " + " L ".join(f"{fmt6(px)} {fmt6(py)}" for px, py in zip(x, y))
     svg = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt6(width)}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt6(SVG_WIDTH)}" '
         f'height="{fmt6(height)}" viewBox="{fmt6(x0)} {fmt6(y0)} {fmt6(w)} {fmt6(h)}">\n'
         f'  <path d="{d}" fill="none" stroke="black" stroke-width="{fmt6(stroke)}"/>\n'
         f'</svg>'

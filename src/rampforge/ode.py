@@ -67,16 +67,37 @@ class ThetaTrace:
     theta: np.ndarray
 
 
-def cubic_hermite(u, h: float, p0, m0, p1, m1):
-    """Cubic Hermite interpolant on a node interval of width ``h``.
+def hermite(grid: np.ndarray, y: np.ndarray, dy: np.ndarray, t):
+    """Cubic Hermite dense output of samples on a uniform grid.
 
-    ``u`` is the position inside the interval as a fraction of ``h``;
-    ``p0``/``p1`` are the node values and ``m0``/``m1`` their derivatives.
+    ``y[i]`` is the value and ``dy[i]`` the slope at ``grid[i]``, as
+    :func:`integrate_fixed` returns them; a row may be a scalar or a vector.
+    Returns ``(value, slope)`` at ``t``: the piecewise cubic that matches
+    both at every node, and its derivative in ``t`` (Hairer, Norsett and
+    Wanner, Solving ODEs I, section II.6).  Raises :class:`ParameterError`
+    for fewer than 2 samples or for a ``t`` outside the grid, NaN included.
     """
+    n = grid.shape[0]
+    if n < 2:
+        raise ParameterError("curve holds fewer than 2 samples")
+    t = np.asarray(t, dtype=float)
+    lo, hi = float(grid[0]), float(grid[-1])
+    if not np.all((t >= lo - 1e-12) & (t <= hi + 1e-12)):
+        raise ParameterError(f"parameter outside the integrated span [{lo!r}, {hi!r}]",
+                             code="magnitude")
+    h = float(grid[1] - grid[0])
+    i = np.clip((t - lo) // h, 0, n - 2).astype(int)
+    u = (t - grid[i]) / h
+    if y.ndim > 1:
+        u = u[..., None]
+    p0, m0, p1, m1 = y[i], dy[i], y[i + 1], dy[i + 1]
     u2 = u * u
     u3 = u2 * u
-    return ((2.0 * u3 - 3.0 * u2 + 1.0) * p0 + (u3 - 2.0 * u2 + u) * h * m0
-            + (-2.0 * u3 + 3.0 * u2) * p1 + (u3 - u2) * h * m1)
+    value = ((2.0 * u3 - 3.0 * u2 + 1.0) * p0 + (u3 - 2.0 * u2 + u) * h * m0
+             + (-2.0 * u3 + 3.0 * u2) * p1 + (u3 - u2) * h * m1)
+    slope = (6.0 * (u2 - u) * (p0 - p1) / h + (3.0 * u2 - 4.0 * u + 1.0) * m0
+             + (3.0 * u2 - 2.0 * u) * m1)
+    return value, slope
 
 
 def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,

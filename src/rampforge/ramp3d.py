@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, SingularFieldError
-from .ode import DEFAULT_STEP_FACTOR, cubic_hermite, integrate_fixed
+from .ode import DEFAULT_STEP_FACTOR, hermite, integrate_fixed
 from .params import FrictionSpec
 from .planar import PlanarCurve, Ramp2D
 
@@ -207,8 +207,10 @@ class SpaceCurve3D:
 
     ``gamma[i]`` is the unit motion direction at arc length ``s[i]``,
     ``dgamma[i]`` the flow right-hand side recorded at that sample, and
-    ``alpha[i]`` the integrated position.  ``norm_drift_total`` accumulates
-    the per-step departure of ``|gamma|`` from 1 before renormalization.
+    ``alpha[i]`` the integrated position.  All three are read between the
+    nodes through the one dense output :func:`ode.hermite`.
+    ``norm_drift_total`` accumulates the per-step departure of ``|gamma|``
+    from 1 before renormalization.
     """
 
     s: np.ndarray
@@ -218,7 +220,6 @@ class SpaceCurve3D:
     field: TangentField
     norm_drift_total: float
     norm_drift_max: float
-    stopped_early: bool = False
     stop_reason: str | None = None
     metadata: dict = field(default_factory=dict)
 
@@ -227,48 +228,24 @@ class SpaceCurve3D:
         return float(self.s[-1])
 
     @property
+    def stopped_early(self) -> bool:
+        return self.stop_reason is not None
+
+    @property
     def step(self) -> float:
         return float(self.s[1] - self.s[0]) if self.s.shape[0] > 1 else 0.0
 
-    def _locate(self, s) -> tuple[np.ndarray, np.ndarray]:
-        if self.s.shape[0] < 2:
-            raise ParameterError("curve holds fewer than 2 samples")
-        s = np.asarray(s, dtype=float)
-        if np.any(s < self.s[0] - 1e-12) or np.any(s > self.s[-1] + 1e-12):
-            raise ParameterError(
-                f"parameter outside the integrated span [0, {self.s_end!r}]",
-                code="magnitude")
-        h = self.step
-        idx = np.clip((s - self.s[0]) // h, 0, self.s.shape[0] - 2).astype(int)
-        u = (s - self.s[idx]) / h
-        return idx, u
-
-    def _hermite(self, nodes: np.ndarray, derivs: np.ndarray, s) -> np.ndarray:
-        idx, u = self._locate(s)
-        return cubic_hermite(u[..., None], self.step, nodes[idx], derivs[idx],
-                             nodes[idx + 1], derivs[idx + 1])
-
     def position(self, s) -> np.ndarray:
-        """Cubic Hermite interpolation of ``alpha`` (derivative ``gamma``)."""
-        return self._hermite(self.alpha, self.gamma, s)
+        """Cubic Hermite interpolation of ``alpha`` (slope ``gamma``)."""
+        return hermite(self.s, self.alpha, self.gamma, s)[0]
 
     def tangent(self, s) -> np.ndarray:
-        """Cubic Hermite interpolation of ``gamma`` (derivative ``dgamma``)."""
-        return self._hermite(self.gamma, self.dgamma, s)
+        """Cubic Hermite interpolation of ``gamma`` (slope ``dgamma``)."""
+        return hermite(self.s, self.gamma, self.dgamma, s)[0]
 
     def derivative(self, s) -> np.ndarray:
-        """Quadratic interpolation of the recorded flow derivative."""
-        if self.s.shape[0] < 3:
-            idx, u = self._locate(s)
-            u = u[..., None]
-            return (1.0 - u) * self.dgamma[idx] + u * self.dgamma[idx + 1]
-        s = np.asarray(s, dtype=float)
-        h = self.step
-        j = np.clip(np.rint((s - self.s[0]) / h), 1, self.s.shape[0] - 2).astype(int)
-        tau = ((s - self.s[j]) / h)[..., None]
-        return (0.5 * tau * (tau - 1.0) * self.dgamma[j - 1]
-                + (1.0 - tau * tau) * self.dgamma[j]
-                + 0.5 * tau * (tau + 1.0) * self.dgamma[j + 1])
+        """Slope of the :meth:`tangent` cubic; ``dgamma`` on the nodes."""
+        return hermite(self.s, self.gamma, self.dgamma, s)[1]
 
 
 def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
@@ -323,8 +300,7 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
               gamma.shape[0] - 1, drift_total, drift_max)
     return SpaceCurve3D(s=s, gamma=gamma, dgamma=dgamma, alpha=alpha,
                         field=tangent_field, norm_drift_total=drift_total,
-                        norm_drift_max=drift_max, stopped_early=stop_reason is not None,
-                        stop_reason=stop_reason)
+                        norm_drift_max=drift_max, stop_reason=stop_reason)
 
 
 @dataclass(frozen=True)

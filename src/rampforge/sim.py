@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
+from .ode import hermite
 from .params import FrictionSpec
 from .planar import Ramp2D
 from .ramp3d import SpaceCurve3D, lambda_3d
@@ -96,13 +97,12 @@ def simulate(spec: FrictionSpec, geometry, t_span: tuple[float, float],
             velocity = spec.v * tangents
         else:
             position = geometry.position(s)
-            gamma = geometry.tangent(s)
+            gamma, dgamma = hermite(geometry.s, geometry.gamma, geometry.dgamma, s)
             velocity = spec.v * gamma
             lam = lambda_3d(spec, gamma)
             normals = np.array([geometry.field.eval(y) for y in gamma.tolist()])
             forces = _force_balance(
-                spec, lam, normals, velocity,
-                spec.m * spec.v * spec.v * geometry.derivative(s),
+                spec, lam, normals, velocity, spec.m * spec.v * spec.v * dgamma,
                 speed=np.linalg.norm(velocity, axis=-1, keepdims=True))
         for name, column in zip(frames.dtype.names, (t, position, velocity, *forces)):
             frames[name] = column

@@ -20,14 +20,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
-from .ode import cubic_hermite, integrate_fixed
+from .ode import hermite, integrate_fixed
 from .params import FrictionSpec, make_spec
 from .planar import Ramp2D, default_span, normal_force_2d, tangent_angle_orbit_position
-from .ramp3d import E3, RampSurface3D, SpaceCurve3D, TangentField, lambda_3d, scale_ramp
+from .ramp3d import E3, RampSurface3D, SpaceCurve3D, lambda_3d, scale_ramp
 
 TOL_RESIDUAL_2D = 1e-8   # N, closed-form geometry
 TOL_RESIDUAL_3D = 1e-6   # N, integrated geometry
 TOL_LAMBDA = 1e-10       # N, slack on the sign condition
+TOL_FEASIBILITY = 1e-9   # N, slack on the sign of a required normal force
+MOTION_GRID = 2048       # RK4 steps of a constant-speed parameter history
 _UNIT_TANGENT_TOL = 1e-8
 
 
@@ -99,12 +101,12 @@ def _planar_balance(spec: FrictionSpec, ramp: Ramp2D, t: np.ndarray):
 
 def _report(t: np.ndarray, lam: np.ndarray, residual: np.ndarray,
             normals: np.ndarray, tangents: np.ndarray, tol_residual: float,
-            tol_lambda: float, meta: dict) -> ForceBalanceReport:
+            meta: dict) -> ForceBalanceReport:
     residual_norm = np.linalg.norm(residual, axis=-1)
     lambda_min = float(lam.min())
     max_residual = float(residual_norm.max())
     # phrased so that a NaN fails both tests instead of passing them
-    if not (lambda_min >= -tol_lambda):
+    if not (lambda_min >= -TOL_LAMBDA):
         verdict = Verdict.LAMBDA_NEGATIVE
     elif not (max_residual <= tol_residual):
         verdict = Verdict.RESIDUAL_EXCEEDED
@@ -117,14 +119,13 @@ def _report(t: np.ndarray, lam: np.ndarray, residual: np.ndarray,
         max_tangential_residual=float(
             np.abs(np.einsum("ij,ij->i", residual, tangents)).max()),
         lambda_min=lambda_min,
-        tol_residual=tol_residual, tol_lambda=tol_lambda,
+        tol_residual=tol_residual, tol_lambda=TOL_LAMBDA,
         t=t, residual_norm=residual_norm, lambda_profile=lam, meta=meta)
 
 
 def verify_2d(spec: FrictionSpec, ramp: Ramp2D,
-              t_span: tuple[float, float] | None = None, n_samples: int = 400,
-              tol_residual: float = TOL_RESIDUAL_2D,
-              tol_lambda: float = TOL_LAMBDA) -> ForceBalanceReport:
+              t_span: tuple[float, float] | None = None,
+              n_samples: int = 400) -> ForceBalanceReport:
     """Check the force balance along a planar ramp branch.
 
     The normal force comes from the closed-form profile for ``ramp.branch``
@@ -158,23 +159,20 @@ def verify_2d(spec: FrictionSpec, ramp: Ramp2D,
             and np.max(np.abs(np.einsum("ij,ij->i", normals, tangents))) <= _UNIT_TANGENT_TOL):
         raise ContractViolationError("ramp normal is not a unit vector orthogonal "
                                      "to the tangent")
-    return _report(t, lam, forces[-1], normals, tangents, tol_residual, tol_lambda,
+    return _report(t, lam, forces[-1], normals, tangents, TOL_RESIDUAL_2D,
                    meta={"dimension": "2d", "branch": ramp.branch.value})
 
 
 def verify_3d(spec: FrictionSpec, curve: SpaceCurve3D,
-              tangent_field: TangentField | None = None, n_samples: int = 400,
-              tol_residual: float = TOL_RESIDUAL_3D,
-              tol_lambda: float = TOL_LAMBDA) -> ForceBalanceReport:
+              n_samples: int = 400) -> ForceBalanceReport:
     """Check the force balance along an integrated space curve.
 
     The acceleration term uses the derivative samples recorded at
     integration time, while the force side is rebuilt fresh from the stored
     direction samples.  Corrupting either side (rescaled directions, dilated
-    curve verified at the original speed) breaks the match.
+    curve verified at the original speed) breaks the match.  The contact
+    normals come from the curve's own field.
     """
-    if tangent_field is None:
-        tangent_field = curve.field
     _require_samples(n_samples)
     if curve.s.shape[0] < 2:
         raise ParameterError("curve holds fewer than 2 samples")
@@ -182,13 +180,13 @@ def verify_3d(spec: FrictionSpec, curve: SpaceCurve3D,
     idx = np.unique(np.round(np.linspace(0, curve.s.shape[0] - 1, count)).astype(int))
 
     gamma = curve.gamma[idx]
-    normals = np.array([tangent_field.eval(y) for y in gamma.tolist()])
+    normals = np.array([curve.field.eval(y) for y in gamma.tolist()])
     lam = lambda_3d(spec, gamma)
     forces = _force_balance(spec, lam, normals, gamma,
                             spec.m * spec.v * spec.v * curve.dgamma[idx])
     return _report(curve.s[idx] / spec.v, lam, forces[-1], normals, gamma,
-                   tol_residual, tol_lambda,
-                   meta={"dimension": "3d", "field": tangent_field.name,
+                   TOL_RESIDUAL_3D,
+                   meta={"dimension": "3d", "field": curve.field.name,
                          "max_gamma3": float(curve.gamma[:, 2].max()),
                          "norm_drift_total": curve.norm_drift_total,
                          "stopped_early": curve.stopped_early})
@@ -241,12 +239,14 @@ class Motion:
 
     @staticmethod
     def constant_speed(ramp: Ramp2D, speed: float, start: float,
-                       t_span: tuple[float, float], grid: int = 2048) -> "Motion":
+                       t_span: tuple[float, float]) -> "Motion":
         """Motion traversing ``ramp`` at constant metric speed.
 
         The parameter history solves ``h' = speed / |curve'(h)|``; it is
-        integrated once over ``t_span`` and interpolated, while both
-        derivatives are evaluated from the curve analytically.
+        integrated once over ``t_span`` in ``MOTION_GRID`` RK4 steps and read
+        through :func:`ode.hermite`, so a time outside ``t_span`` raises
+        :class:`ParameterError`.  Both derivatives are evaluated from the
+        curve analytically.
         """
         if not math.isfinite(start):
             raise ParameterError(f"start must be finite, got {start!r}")
@@ -259,15 +259,12 @@ class Motion:
             return (speed / speed_of(u[0]),)
 
         t0, t1 = float(t_span[0]), float(t_span[1])
-        ts, hs, dhs, _ = integrate_fixed(rhs, (float(start),), t0, t1, (t1 - t0) / grid)
+        ts, hs, dhs, _ = integrate_fixed(rhs, (float(start),), t0, t1,
+                                         (t1 - t0) / MOTION_GRID)
         hs, dhs = hs[:, 0], dhs[:, 0]
-        step = ts[1] - ts[0]
 
         def h(t):
-            t = np.asarray(t, dtype=float)
-            i = np.clip((t - t0) // step, 0, len(ts) - 2).astype(int)
-            return cubic_hermite((t - ts[i]) / step, step, hs[i], dhs[i],
-                                 hs[i + 1], dhs[i + 1])
+            return hermite(ts, hs, dhs, t)[0]
 
         def h_dot(t):
             return speed / speed_of(h(t))
@@ -297,21 +294,25 @@ class FeasibilityReport:
 
 def normal_sign_diagnostic(ramp: Ramp2D, force, mass: float, motion: Motion,
                            t_span: tuple[float, float], n_samples: int = 200,
-                           mu: float = 0.0, tol: float = 1e-9) -> FeasibilityReport:
+                           mu: float = 0.0) -> FeasibilityReport:
     """Recover the normal force a motion on a ramp would require and test its sign.
 
     Projecting ``m beta'' - F`` on the ramp normal isolates lambda without
-    assuming the balance holds; any sample with ``lambda < -tol`` makes the
-    configuration infeasible (the ramp would have to pull).  The tangential
-    projection is returned separately as a friction consistency error; it
-    vanishes only if the motion is dynamically possible at friction ``mu``.
+    assuming the balance holds; any sample with ``lambda < -TOL_FEASIBILITY``
+    makes the configuration infeasible (the ramp would have to pull).  The
+    tangential projection is returned separately as a friction consistency
+    error; it vanishes only if the motion is dynamically possible at
+    friction ``mu``.  ``t_span`` must be finite with ``t0 < t1``.
 
     ``force`` is a constant vector or a callable mapping positions of shape
     ``(n, 2)`` to forces of the same shape.  The ramp curve may carry any
     regular parametrization here, not just arc length.
     """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+        raise ParameterError(f"t_span must be finite with t0 < t1, got {t_span!r}")
     _require_samples(n_samples)
-    t = np.linspace(float(t_span[0]), float(t_span[1]), n_samples)
+    t = np.linspace(t0, t1, n_samples)
     u = np.asarray(motion.h(t), dtype=float)
     du = np.asarray(motion.h_dot(t), dtype=float)
     ddu = np.asarray(motion.h_ddot(t), dtype=float)
@@ -332,10 +333,11 @@ def normal_sign_diagnostic(ramp: Ramp2D, force, mass: float, motion: Motion,
     consistency = np.abs(np.einsum("ij,ij->i", need, direction) + mu * lam)
 
     lambda_min = float(lam.min())
-    verdict = Feasibility.FEASIBLE if lambda_min >= -tol else Feasibility.INFEASIBLE
+    verdict = (Feasibility.FEASIBLE if lambda_min >= -TOL_FEASIBILITY
+               else Feasibility.INFEASIBLE)
     return FeasibilityReport(verdict=verdict, lambda_min=lambda_min,
                              friction_consistency_max=float(consistency.max()),
-                             tol=tol, t=t, lambda_required=lam,
+                             tol=TOL_FEASIBILITY, t=t, lambda_required=lam,
                              meta={"mu": mu, "branch": ramp.branch.value})
 
 

@@ -9,6 +9,7 @@ from rampforge import (ParameterError, SingularFieldError, integrate_fixed,
                        integrate_theta, lambda_from_theta, make_spec,
                        theta_closed_form, theta_closed_form_derivative,
                        theta_ode_rhs)
+from rampforge.ode import hermite
 from conftest import LAMBDA_INF_REF
 
 angles = st.floats(min_value=0.02, max_value=math.pi / 4 - 0.02)
@@ -145,3 +146,21 @@ def test_rk4_convergence_is_fourth_order(fig_spec):
         errs.append(abs(trace.theta[-1] - float(theta_closed_form(fig_spec, span[1]))))
     order = math.log2(errs[0] / errs[1])
     assert 3.8 <= order <= 4.2
+
+
+def test_hermite_reproduces_a_cubic():
+    def p(t):
+        return np.stack([2.0 * t**3 - t**2 + 3.0 * t - 1.0, 4.0 * t - t**3], axis=-1)
+
+    def dp(t):
+        return np.stack([6.0 * t**2 - 2.0 * t + 3.0, 4.0 - 3.0 * t**2], axis=-1)
+
+    grid = np.linspace(-1.0, 2.0, 7)
+    t = np.concatenate([grid, np.random.default_rng(5).uniform(-1.0, 2.0, 50)])
+    value, slope = hermite(grid, p(grid), dp(grid), t)
+    assert np.allclose(value, p(t), rtol=0.0, atol=1e-12)
+    assert np.allclose(slope, dp(t), rtol=0.0, atol=1e-12)
+    # a scalar state, as integrate_fixed returns it for a 1-tuple
+    value, slope = hermite(grid, p(grid)[:, 0], dp(grid)[:, 0], t)
+    assert np.allclose(value, p(t)[:, 0], rtol=0.0, atol=1e-12)
+    assert np.allclose(slope, dp(t)[:, 0], rtol=0.0, atol=1e-12)

@@ -309,6 +309,15 @@ def test_position_derivative_consistency(fig_spec):
     assert np.max(np.linalg.norm(num - curve.tangent(s), axis=-1)) < 1e-8
 
 
+def test_tangent_derivative_consistency(fig_spec):
+    curve = integrate_ramp3d(fig_spec, builtin_field("horizontal"),
+                             [0.8, 0.0, -0.6], 2.0 / fig_spec.a)
+    s = np.linspace(0.1, 1.9, 23) / fig_spec.a
+    h = 1e-6
+    num = (curve.tangent(s + h) - curve.tangent(s - h)) / (2.0 * h)
+    assert np.max(np.linalg.norm(num - curve.derivative(s), axis=-1)) < 1e-8
+
+
 def test_build_surface_layout(fig_spec):
     curve = integrate_ramp3d(fig_spec, builtin_field("upslope"),
                              [1.0, 0.0, 0.0], 1.0, step=0.01)

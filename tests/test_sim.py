@@ -69,6 +69,15 @@ def test_frames_carry_consistent_forces_3d(fig_spec):
     assert np.all(np.linalg.norm(frames["residual"], axis=-1) < 1e-6)
 
 
+def test_frames_3d_inertia_is_the_slope_of_the_tangent_cubic(fig_spec):
+    # on a coarse grid the residual is the interpolation error of the
+    # inertia term; the slope of the gamma cubic keeps it below 2e-4 N
+    curve = integrate_ramp3d(fig_spec, builtin_field("horizontal"), [0.8, 0.0, -0.6],
+                             5.0 / fig_spec.a, step=0.01 / fig_spec.a)
+    trace = simulate(fig_spec, curve, (0.0, curve.s_end / fig_spec.v), fps=47.0)
+    assert np.linalg.norm(trace.frames["residual"], axis=-1).max() < 2e-4
+
+
 def test_all_frames_truncated_yields_empty_trace(fig_spec):
     curve = integrate_ramp3d(fig_spec, builtin_field("upslope"),
                              [1.0, 0.0, 0.0], 0.5, step=1e-3)

@@ -205,6 +205,22 @@ def test_normal_sign_diagnostic_needs_two_samples(fig_spec):
                                    n_samples=n_samples)
 
 
+@pytest.mark.parametrize("t_span", [(0.0, math.inf), (0.0, math.nan), (1.0, 1.0),
+                                    (1.0, 0.5)])
+def test_normal_sign_diagnostic_rejects_a_bad_span(fig_spec, t_span):
+    with pytest.raises(ParameterError):
+        normal_sign_diagnostic(lower_ramp(fig_spec), np.array([0.0, -9.81]), 1.0,
+                               Motion.constant_rate(1.0), t_span)
+
+
+@pytest.mark.parametrize("t_span", [(0.0, math.inf), (0.0, 2.0)])
+def test_normal_sign_diagnostic_stays_inside_a_constant_speed_motion(fig_spec, t_span):
+    ramp = lower_ramp(fig_spec)
+    motion = Motion.constant_speed(ramp, 1.0, 0.0, (0.0, 1.0))
+    with pytest.raises(ParameterError):
+        normal_sign_diagnostic(ramp, np.array([0.0, -9.81]), 1.0, motion, t_span)
+
+
 def test_static_block_in_circular_bowl():
     inward = unit_circle_ramp(inward=True)
     parked = Motion.static(-math.pi / 2.0)  # lowest point of the circle
@@ -260,6 +276,13 @@ def test_constant_speed_motion_on_parabola():
     report = normal_sign_diagnostic(ramp, np.array([0.0, -9.81]), 1.0, motion,
                                     t_span=(0.0, 3.0))
     assert 1.0 < report.friction_consistency_max <= 9.81 + 1e-6
+
+
+def test_constant_speed_motion_rejects_times_outside_its_span():
+    motion = Motion.constant_speed(parabola_ramp(), 2.0, start=-1.5, t_span=(0.0, 1.0))
+    for t in (math.nan, 1.5, -0.5, [0.5, math.nan]):
+        with pytest.raises(ParameterError, match="outside the integrated span"):
+            motion.h(t)
 
 
 def test_constant_speed_rejects_non_finite_start(fig_spec):
