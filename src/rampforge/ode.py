@@ -44,6 +44,43 @@ def theta_closed_form_derivative(spec: FrictionSpec, s) -> np.ndarray:
     return -spec.a * 2.0 * e / (1.0 + e * e)
 
 
+def _log_cosh(x):
+    # log(cosh(x)) = |x| + log1p(exp(-2|x|)) - log 2, without overflow
+    x = np.abs(x)
+    return x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)
+
+
+def horizontal_closed_form(spec: FrictionSpec, y0, s) -> tuple[np.ndarray, np.ndarray]:
+    """Direction curve and height of the ``horizontal``-field flow from ``y0``.
+
+    That field, ``N = (y2, -y1, 0) / rho`` with ``rho = sqrt(y1**2 + y2**2)``,
+    is level, so the flow's third component decouples to
+    ``y3' = -k (1 - y3**2)`` with ``k = g / v**2``.  With ``u = k (s + s0)``
+    and ``tanh(k s0) = -y3(0)``:
+
+        gamma(s) = (sech u cos phi, sech u sin phi, -tanh u),
+        phi(s)   = phi0 - (cosh u - cosh(k s0)) / mu,
+        height   = alpha3(s) = -(1/k) ln(cosh u / cosh(k s0)).
+
+    Returns ``(gamma, height)``, ``gamma`` of shape ``s.shape + (3,)``.  It
+    goes through neither the field nor RK4, so it is an oracle for
+    ``integrate_ramp3d`` with the ``horizontal`` field.  ``y0`` is a unit
+    direction off the south pole, ``-1 < y3 <= 0``; ``cosh u`` overflows
+    once ``k (s + s0)`` exceeds about 710.
+    """
+    y1, y2, y3 = (float(c) for c in y0)
+    if not (abs(math.hypot(y1, y2, y3) - 1.0) <= 1e-10 and -1.0 < y3 <= 0.0):
+        raise ParameterError(f"y0 must be a unit direction with -1 < y3 <= 0, "
+                             f"got {[y1, y2, y3]}", code="hemisphere")
+    k = spec.g / (spec.v * spec.v)
+    ks0 = math.atanh(-y3)
+    u = k * np.asarray(s, dtype=float) + ks0
+    cosh = np.cosh(u)
+    phi = math.atan2(y2, y1) - (cosh - math.cosh(ks0)) / spec.mu
+    gamma = np.stack([np.cos(phi) / cosh, np.sin(phi) / cosh, -np.tanh(u)], axis=-1)
+    return gamma, -(_log_cosh(u) - _log_cosh(ks0)) / k
+
+
 def theta_ode_rhs(spec: FrictionSpec, theta) -> np.ndarray:
     """Right-hand side ``-a sin(theta + delta)``."""
     return -spec.a * np.sin(np.asarray(theta, dtype=float) + spec.delta)
@@ -105,8 +142,8 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
     """Classical RK4 on a uniform grid over ``[t0, t1]``.
 
     The state is a sequence of ``d`` floats; a scalar equation passes a
-    1-tuple.  ``rhs(t, y)`` gets the state as a list of floats and returns a
-    sequence of ``d`` floats (a tuple, a list or a ``(d,)`` array), and
+    1-tuple.  ``rhs(t, y)`` gets the state as a list of floats and must
+    return ``d`` floats (a tuple, a list or a ``(d,)`` array), and
     ``post_step(y) -> y`` runs on the list after every step (used for
     constraint projection).  The stages and the weighted sum are computed
     in Python floats, with the IEEE operations, and their order, of the
@@ -114,12 +151,15 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
 
     The grid has the fewest steps of equal width no larger than ``step``;
     ``t[-1]`` is pinned to ``t1``.  Returns ``(t, y, dy, stop)``: ``t`` of
-    shape ``(n+1,)``, ``y`` and ``dy`` of shape ``(n+1, d)``, where
-    ``dy[i] = rhs(t[i], y[i])`` is the slope at each sample, which is also
-    the first stage of the step from it.  If ``rhs`` raises
-    :class:`SingularFieldError`, the samples whose slope is known are
-    returned with the error message as ``stop``; otherwise ``stop`` is
-    ``None``.  A singular start raises.
+    shape ``(n+1,)``, ``y`` and ``dy`` C-contiguous float64 tables of shape
+    ``(n+1, d)``, where ``dy[i] = rhs(t[i], y[i])`` is the slope at each
+    sample, which is also the first stage of the step from it.  Both tables
+    are allocated once; each sample is written into them one element at a
+    time through flat memoryviews, so an ``rhs`` that returns another
+    number of values than ``d`` raises instead of leaving a misaligned
+    table.  If ``rhs`` raises :class:`SingularFieldError`, the samples whose
+    slope is known are returned with the error message as ``stop``;
+    otherwise ``stop`` is ``None``.  A singular start raises.
     """
     t0, t1 = float(t0), float(t1)
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -134,14 +174,20 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
     hh = 0.5 * h
     h6 = h / 6.0
     y = [float(c) for c in y0]
+    dim = len(y)
     ts = t0 + h * np.arange(n + 1)
     ts[-1] = t1
-    ys = np.empty((n + 1, len(y)))
+    ys = np.empty((n + 1, dim))
     dys = np.empty_like(ys)
     ys[0] = y
     times = ts.tolist()  # Python floats: cheaper per-step arithmetic than numpy scalars
     k1 = rhs(times[0], y)  # a singular start raises
     dys[0] = k1
+    # element stores into flat views are cheaper than numpy row assignment
+    yv = memoryview(ys).cast("B").cast("d")
+    dv = memoryview(dys).cast("B").cast("d")
+    j = jd = dim  # next element of ys and of dys
+    rows, stop = n + 1, None
     for i in range(n):
         t = times[i]
         try:
@@ -154,10 +200,19 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
                 y = post_step(y)
             k1 = rhs(times[i + 1], y)
         except SingularFieldError as exc:
-            return ts[:i + 1], ys[:i + 1], dys[:i + 1], str(exc)
-        ys[i + 1] = y
-        dys[i + 1] = k1
-    return ts, ys, dys, None
+            rows, stop = i + 1, str(exc)
+            break
+        for c in y:
+            yv[j] = c
+            j += 1
+        for c in k1:
+            dv[jd] = c
+            jd += 1
+    if not j == jd == rows * dim:
+        raise ParameterError(f"rhs must return {dim} values, as many as y0 has")
+    if stop is None:
+        return ts, ys, dys, None
+    return ts[:rows], ys[:rows], dys[:rows], stop
 
 
 def integrate_theta(spec: FrictionSpec, theta0: float, s_span: tuple[float, float],

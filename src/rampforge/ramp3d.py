@@ -103,7 +103,16 @@ def _norm3(w1: float, w2: float, w3: float) -> float:
 
 
 def _normalized_or_singular(w1: float, w2: float, w3: float, y, name: str) -> tuple:
-    n = _norm3(w1, w2, w3)
+    # the body of _norm3, inlined because this runs in every field
+    # evaluation; both must stay the same expression (tests pin both)
+    try:
+        w = _scratch.w
+    except AttributeError:
+        w = _scratch.w = np.empty(3)
+    w[0] = w1
+    w[1] = w2
+    w[2] = w3
+    n = math.sqrt(w.dot(w))
     if n < SINGULAR_TOL:
         raise SingularFieldError(
             f"field {name!r} is singular at {[float(c) for c in y]}", point=y)
@@ -156,19 +165,33 @@ def builtin_field(kind: str, weight: float | None = None) -> TangentField:
     raise ParameterError(f"unknown field kind {kind!r}", code="config")
 
 
-def field_x(spec: FrictionSpec, tangent_field: TangentField, y) -> tuple:
-    """Flow direction of the motion-direction curve at ``y`` (three floats).
+def flow(spec: FrictionSpec, tangent_field: TangentField) -> Callable:
+    """The flow as an RK4 stage ``rhs(s, y)``, returning three floats.
 
-    Computed component by component in Python floats, with the IEEE
-    operations, and their order, of the array expression
-    ``-(g / v**2) * (e3_tangential(y) + (y3 / mu) * N(y))``.
+    ``k = -(g / v**2)``, ``mu`` and ``tangent_field.eval`` are bound once,
+    when the flow is made.  Each call computes, component by component in
+    Python floats, the IEEE operations, in their order, of the array
+    expression ``-(g / v**2) * (e3_tangential(y) + (y3 / mu) * N(y))``:
+    ``k * (e3T_i + c * n_i)`` with ``c = y3 / mu`` and ``e3T = (0 - y3*y1,
+    0 - y3*y2, 1 - y3*y3)``, so it matches that expression bit for bit.
     """
-    y1, y2, y3 = y
-    n1, n2, n3 = tangent_field.eval(y)
     k = -(spec.g / (spec.v * spec.v))
-    c = y3 / spec.mu
-    return (k * (0.0 - y3 * y1 + c * n1), k * (0.0 - y3 * y2 + c * n2),
-            k * (1.0 - y3 * y3 + c * n3))
+    mu = spec.mu
+    normal = tangent_field.eval
+
+    def rhs(_s, y) -> tuple:
+        y1, y2, y3 = y
+        n1, n2, n3 = normal(y)
+        c = y3 / mu
+        return (k * (0.0 - y3 * y1 + c * n1), k * (0.0 - y3 * y2 + c * n2),
+                k * (1.0 - y3 * y3 + c * n3))
+
+    return rhs
+
+
+def field_x(spec: FrictionSpec, tangent_field: TangentField, y) -> tuple:
+    """Flow direction of the motion-direction curve at ``y`` (three floats)."""
+    return flow(spec, tangent_field)(0.0, y)
 
 
 def lambda_3d(spec: FrictionSpec, y) -> np.ndarray:
@@ -284,12 +307,12 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
         norm = _norm3(*y)
         drift = abs(norm - 1.0)
         drift_total += drift
-        drift_max = max(drift_max, drift)
+        if drift > drift_max:  # a NaN drift is skipped, as max() skips it
+            drift_max = drift
         return [c / norm for c in y]
 
     t, gamma, dgamma, stop_reason = integrate_fixed(
-        lambda _s, y: field_x(spec, tangent_field, y), y0, 0.0, s_max, step,
-        post_step=renormalize)
+        flow(spec, tangent_field), y0, 0.0, s_max, step, post_step=renormalize)
     # t[-1] is pinned to s_max, which can differ from h * n in the last bit
     h = float(t[1]) if t.shape[0] > 1 else 0.0
     s = h * np.arange(t.shape[0])

@@ -114,6 +114,58 @@ def test_integrate_fixed_stops_where_slopes_are_known(fail_at, kept):
     assert np.array_equal(dy, y)
 
 
+def _rotation(_t, u):
+    return (u[1], -u[0])
+
+
+def test_integrate_fixed_storage_is_a_float64_table():
+    t, y, dy, stop = integrate_fixed(_rotation, (1.0, 0.5), 0.0, 1.0, 0.1)
+    assert stop is None and t.shape == (11,)
+    for table in (y, dy):
+        assert table.shape == (11, 2) and table.dtype == np.float64
+        assert table.flags.c_contiguous
+    assert np.array_equal(dy, np.stack([y[:, 1], -y[:, 0]], axis=-1))
+
+
+def test_integrate_fixed_storage_ignores_the_rhs_container():
+    expect = integrate_fixed(_rotation, (1.0, 0.5), 0.0, 1.0, 0.1)
+    for wrap in (list, np.array):
+        got = integrate_fixed(lambda t, u: wrap(_rotation(t, u)), (1.0, 0.5), 0.0, 1.0, 0.1)
+        for a, b in zip(expect[:3], got[:3]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got[3] is None
+
+
+def test_integrate_fixed_early_stop_keeps_aligned_rows():
+    # a two-component state stopped after the slope at sample 3 is known
+    full = integrate_fixed(_rotation, (1.0, 0.5), 0.0, 1.0, 0.1)
+    calls = [0]
+
+    def rhs(t, u):
+        calls[0] += 1
+        if calls[0] == 14:  # the second stage of step 3
+            raise SingularFieldError("singular")
+        return _rotation(t, u)
+
+    t, y, dy, stop = integrate_fixed(rhs, (1.0, 0.5), 0.0, 1.0, 0.1)
+    assert stop == "singular"
+    assert y.shape == dy.shape == (4, 2) and t.shape == (4,)
+    assert y.flags.c_contiguous and dy.flags.c_contiguous
+    for a, b in zip(full[:3], (t, y, dy)):
+        assert np.array_equal(a[:4], b)
+
+
+@pytest.mark.parametrize("size, after", [(2, 0.0), (4, 0.0), (0, 0.0), (2, 0.45)])
+def test_integrate_fixed_rejects_a_wrong_number_of_components(size, after):
+    # a three-component state; from t >= after the rhs returns `size` values
+    def rhs(t, u):
+        k = [-c for c in u]
+        return k if t < after else (k + [0.0, 0.0])[:size]
+
+    with pytest.raises(ValueError):
+        integrate_fixed(rhs, (1.0, 0.5, 0.25), 0.0, 1.0, 0.1)
+
+
 def test_integrate_fixed_singular_start_raises():
     def rhs(_t, _u):
         raise SingularFieldError("singular")

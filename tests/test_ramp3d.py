@@ -13,6 +13,7 @@ from rampforge import (ContractViolationError, ParameterError,
                        e3_tangential, field_x, hemisphere_point,
                        integrate_ramp3d, lambda_3d, lower_ramp, scale_ramp,
                        simulate, spec_from_mu, verify_3d)
+from rampforge.ode import horizontal_closed_form
 
 # directions strictly inside the south hemisphere, away from the pole
 interior = st.tuples(
@@ -258,6 +259,37 @@ def test_concurrent_integrations_match_sequential(fig_spec):
     for got, want in zip(results, expect):
         assert np.array_equal(got.gamma, want.gamma)
         assert np.array_equal(got.dgamma, want.dgamma)
+
+
+HORIZONTAL_STARTS = ([0.8, 0.0, -0.6], [0.0, 0.6, -0.8], [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("y0", HORIZONTAL_STARTS)
+def test_horizontal_flow_matches_its_closed_form(fig_spec, y0):
+    # the closed form uses neither the field nor RK4
+    curve = integrate_ramp3d(fig_spec, builtin_field("horizontal"), y0, 5.0 / fig_spec.a)
+    gamma, height = horizontal_closed_form(fig_spec, y0, curve.s)
+    assert gamma.shape == curve.gamma.shape and height.shape == curve.s.shape
+    assert np.abs(curve.gamma - gamma).max() <= 1e-9
+    assert np.abs(curve.alpha[:, 2] - height).max() <= 1e-9
+
+
+@pytest.mark.parametrize("y0", HORIZONTAL_STARTS)
+def test_horizontal_flow_converges_at_fourth_order(fig_spec, y0):
+    errs = []
+    for step in (0.01, 0.005, 0.0025):
+        curve = integrate_ramp3d(fig_spec, builtin_field("horizontal"), y0,
+                                 5.0 / fig_spec.a, step=step / fig_spec.a)
+        gamma, _ = horizontal_closed_form(fig_spec, y0, curve.s)
+        errs.append(np.abs(curve.gamma - gamma).max())
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.7 <= math.log2(coarse / fine) <= 4.3
+
+
+def test_horizontal_closed_form_rejects_bad_starts(fig_spec):
+    for bad in ([0.0, 0.0, -1.0], [0.6, 0.0, 0.8], [0.5, 0.0, 0.0], [math.nan, 0.0, 0.0]):
+        with pytest.raises(ParameterError):
+            horizontal_closed_form(fig_spec, bad, [0.0, 1.0])
 
 
 def test_single_sample_curve_raises_parameter_error(fig_spec):
