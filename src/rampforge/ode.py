@@ -188,6 +188,7 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
     dv = memoryview(dys).cast("B").cast("d")
     j = jd = dim  # next element of ys and of dys
     rows, stop = n + 1, None
+    wrong_size = f"rhs must return {dim} values, as many as y0 has"
     for i in range(n):
         t = times[i]
         try:
@@ -202,16 +203,17 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
         except SingularFieldError as exc:
             rows, stop = i + 1, str(exc)
             break
-        for c in y:
-            yv[j] = c
-            j += 1
-        for c in k1:
-            dv[jd] = c
-            jd += 1
+        try:
+            for c in y:
+                yv[j] = c
+                j += 1
+            for c in k1:
+                dv[jd] = c
+                jd += 1
+        except IndexError:  # longer rows ran past the end of a table
+            raise ParameterError(wrong_size) from None
     if not j == jd == rows * dim:
-        raise ParameterError(f"rhs must return {dim} values, as many as y0 has")
-    if stop is None:
-        return ts, ys, dys, None
+        raise ParameterError(wrong_size)
     return ts[:rows], ys[:rows], dys[:rows], stop
 
 

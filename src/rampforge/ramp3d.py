@@ -65,8 +65,9 @@ class TangentField:
     """Unit tangent field on the hemisphere: ``eval(y)`` with ``N.y = 0``.
 
     ``eval`` takes a unit direction as a list of three floats and returns
-    three floats (a tuple; a list or a ``(3,)`` array also works); the
-    integrator calls it once per RK4 stage.  It must raise
+    three floats (a tuple; a list or a ``(3,)`` array also works);
+    :func:`integrate_ramp3d` reads it once, when it starts, and calls it
+    once per RK4 stage.  It must raise
     :class:`SingularFieldError` within ``SINGULAR_TOL`` of the field's
     singular set.  ``singular_set`` is a human-readable description used in
     diagnostics.
@@ -190,7 +191,10 @@ def flow(spec: FrictionSpec, tangent_field: TangentField) -> Callable:
 
 
 def field_x(spec: FrictionSpec, tangent_field: TangentField, y) -> tuple:
-    """Flow direction of the motion-direction curve at ``y`` (three floats)."""
+    """Flow direction of the motion-direction curve at ``y`` (three floats).
+
+    One evaluation of :func:`flow`, so the formula exists once.
+    """
     return flow(spec, tangent_field)(0.0, y)
 
 

@@ -155,7 +155,8 @@ def test_integrate_fixed_early_stop_keeps_aligned_rows():
         assert np.array_equal(a[:4], b)
 
 
-@pytest.mark.parametrize("size, after", [(2, 0.0), (4, 0.0), (0, 0.0), (2, 0.45)])
+@pytest.mark.parametrize("size, after", [(2, 0.0), (4, 0.0), (0, 0.0), (2, 0.45),
+                                         (4, 0.45)])
 def test_integrate_fixed_rejects_a_wrong_number_of_components(size, after):
     # a three-component state; from t >= after the rhs returns `size` values
     def rhs(t, u):
@@ -164,6 +165,12 @@ def test_integrate_fixed_rejects_a_wrong_number_of_components(size, after):
 
     with pytest.raises(ValueError):
         integrate_fixed(rhs, (1.0, 0.5, 0.25), 0.0, 1.0, 0.1)
+
+
+def test_integrate_fixed_does_not_broadcast_a_single_component():
+    # numpy would spread one value over a whole row of the table
+    with pytest.raises(ParameterError):
+        integrate_fixed(lambda _t, u: (-u[0],), (1.0, 0.5, 0.25), 0.0, 1.0, 0.1)
 
 
 def test_integrate_fixed_singular_start_raises():
