@@ -15,7 +15,7 @@ count, the seeds, the pair count and, for each end-to-end metric of
 both commits and each side's Python and numpy versions and core count.
 
 Usage:
-    python3 scripts/bench_record.py --label pr8 \\
+    python3 scripts/bench_record.py --label lean-stage \\
         --parent runs/parent/* --change runs/change/*
 """
 
