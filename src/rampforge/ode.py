@@ -137,6 +137,53 @@ def hermite(grid: np.ndarray, y: np.ndarray, dy: np.ndarray, t):
     return value, slope
 
 
+_RK4_TEMPLATE = """\
+def step(rhs, t, y, k1, h, hh, h6):
+    {y}, = y
+    {a}, = k1
+    {b}, = rhs(t + hh, [{yb}])
+    {c}, = rhs(t + hh, [{yc}])
+    {d}, = rhs(t + h, [{yd}])
+    return [{out}]
+"""
+_rk4_steps: dict = {}
+
+
+def _rk4_step(dim: int) -> Callable:
+    """The RK4 step for a ``dim``-component state, as straight-line float code.
+
+    ``step(rhs, t, y, k1, h, hh, h6)`` returns the state after one step from
+    ``y``, whose slope ``k1`` is known.  Written out component by component,
+    unpacked into locals, because a comprehension per stage costs several
+    times the arithmetic on Pythons that do not inline them.  Compiled once
+    per ``dim``, on first use, the way :mod:`dataclasses` builds ``__init__``.
+    """
+    try:
+        return _rk4_steps[dim]
+    except KeyError:
+        pass
+
+    def row(term):  # term for each component, comma-separated
+        return ", ".join(term.format(i=i) for i in range(dim))
+
+    source = _RK4_TEMPLATE.format(
+        y=row("y{i}"), a=row("a{i}"), b=row("b{i}"), c=row("c{i}"), d=row("d{i}"),
+        yb=row("y{i} + hh * a{i}"), yc=row("y{i} + hh * b{i}"), yd=row("y{i} + h * c{i}"),
+        out=row("y{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"))
+    namespace: dict = {}
+    exec(compile(source, f"<rk4 step, {dim} components>", "exec"), namespace)
+    step = _rk4_steps[dim] = namespace["step"]
+    return step
+
+
+def _raised_in(exc: BaseException, code) -> bool:
+    # whether the innermost frame of exc's traceback runs `code`
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return tb.tb_frame.f_code is code
+
+
 def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
                     post_step: Callable | None = None):
     """Classical RK4 on a uniform grid over ``[t0, t1]``.
@@ -145,9 +192,11 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
     1-tuple.  ``rhs(t, y)`` gets the state as a list of floats and must
     return ``d`` floats (a tuple, a list or a ``(d,)`` array), and
     ``post_step(y) -> y`` runs on the list after every step (used for
-    constraint projection).  The stages and the weighted sum are computed
-    in Python floats, with the IEEE operations, and their order, of the
-    array expressions ``y + 0.5*h*k1`` ... ``y + (h/6)*(k1 + 2k2 + 2k3 + k4)``.
+    constraint projection).  Each step is one call of straight-line code
+    generated for ``d`` components (:func:`_rk4_step`), which unpacks the
+    state and each stage's slope into floats and computes, component by
+    component, the IEEE operations, in their order, of the array
+    expressions ``y + 0.5*h*k1`` ... ``y + (h/6)*(k1 + 2k2 + 2k3 + k4)``.
 
     The grid has the fewest steps of equal width no larger than ``step``;
     ``t[-1]`` is pinned to ``t1``.  Returns ``(t, y, dy, stop)``: ``t`` of
@@ -155,11 +204,15 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
     ``(n+1, d)``, where ``dy[i] = rhs(t[i], y[i])`` is the slope at each
     sample, which is also the first stage of the step from it.  Both tables
     are allocated once; each sample is written into them one element at a
-    time through flat memoryviews, so an ``rhs`` that returns another
-    number of values than ``d`` raises instead of leaving a misaligned
-    table.  If ``rhs`` raises :class:`SingularFieldError`, the samples whose
-    slope is known are returned with the error message as ``stop``;
-    otherwise ``stop`` is ``None``.  A singular start raises.
+    time through flat memoryviews.  An ``rhs`` that returns another number
+    of values than ``d`` raises :class:`ParameterError` instead of leaving
+    a misaligned table: the start slope is checked, a stage slope of the
+    wrong size fails to unpack in the generated step, and the element count
+    catches the last one.  Any other error of ``rhs``, a ``ValueError``
+    included, propagates unchanged.  If ``rhs`` raises
+    :class:`SingularFieldError`, the samples whose slope is known are
+    returned with the error message as ``stop``; otherwise ``stop`` is
+    ``None``.  A singular start raises.
     """
     t0, t1 = float(t0), float(t1)
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -175,34 +228,39 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
     h6 = h / 6.0
     y = [float(c) for c in y0]
     dim = len(y)
+    if dim == 0:
+        raise ParameterError("y0 must hold at least one value")
+    rk4 = _rk4_step(dim)
     ts = t0 + h * np.arange(n + 1)
     ts[-1] = t1
-    ys = np.empty((n + 1, dim))
-    dys = np.empty_like(ys)
-    ys[0] = y
     times = ts.tolist()  # Python floats: cheaper per-step arithmetic than numpy scalars
     k1 = rhs(times[0], y)  # a singular start raises
-    dys[0] = k1
+    wrong_size = f"rhs must return {dim} values, as many as y0 has"
+    if len(k1) != dim:
+        raise ParameterError(wrong_size)
+    ys = np.empty((n + 1, dim))
+    dys = np.empty_like(ys)
     # element stores into flat views are cheaper than numpy row assignment
     yv = memoryview(ys).cast("B").cast("d")
     dv = memoryview(dys).cast("B").cast("d")
+    for j, c in enumerate(y):  # the start sample
+        yv[j] = c
+        dv[j] = k1[j]
     j = jd = dim  # next element of ys and of dys
     rows, stop = n + 1, None
-    wrong_size = f"rhs must return {dim} values, as many as y0 has"
     for i in range(n):
-        t = times[i]
         try:
-            k2 = rhs(t + hh, [a + hh * b for a, b in zip(y, k1)])
-            k3 = rhs(t + hh, [a + hh * b for a, b in zip(y, k2)])
-            k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
-            y = [a + h6 * (b + 2.0 * c + 2.0 * d + e)
-                 for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+            y = rk4(rhs, times[i], y, k1, h, hh, h6)
             if post_step is not None:
                 y = post_step(y)
             k1 = rhs(times[i + 1], y)
         except SingularFieldError as exc:
             rows, stop = i + 1, str(exc)
             break
+        except ValueError as exc:
+            if _raised_in(exc, rk4.__code__):  # a slope that does not unpack
+                raise ParameterError(wrong_size) from None
+            raise
         try:
             for c in y:
                 yv[j] = c

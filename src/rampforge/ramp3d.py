@@ -84,6 +84,11 @@ class TangentField:
 _scratch = threading.local()
 
 
+def _new_scratch() -> tuple:
+    w = np.empty(3)
+    return memoryview(w), w.dot, w
+
+
 def _norm3(w1: float, w2: float, w3: float) -> float:
     """``np.linalg.norm((w1, w2, w3))``, bit for bit, without a new array.
 
@@ -91,32 +96,39 @@ def _norm3(w1: float, w2: float, w3: float) -> float:
     vector; the dot may fuse its multiply-adds, so a Python sum of squares
     would not give the same bits.  The ``(3,)`` buffer is reused, one per
     thread, so concurrent integrations cannot overwrite each other's
-    components between the fill and the dot.
+    components between the fill and the dot.  Each thread keeps it as
+    ``(memoryview(w), w.dot, w)``: a memoryview store costs about half a
+    numpy item assignment, and the bound ``dot`` saves an attribute lookup.
     """
     try:
-        w = _scratch.w
+        wv, dot, w = _scratch.w
     except AttributeError:
-        w = _scratch.w = np.empty(3)
-    w[0] = w1
-    w[1] = w2
-    w[2] = w3
-    return math.sqrt(w.dot(w))
+        wv, dot, w = _scratch.w = _new_scratch()
+    wv[0] = w1
+    wv[1] = w2
+    wv[2] = w3
+    return math.sqrt(dot(w))
+
+
+def _singular(name: str, y) -> SingularFieldError:
+    return SingularFieldError(f"field {name!r} is singular at {[float(c) for c in y]}",
+                              point=y)
 
 
 def _normalized_or_singular(w1: float, w2: float, w3: float, y, name: str) -> tuple:
     # the body of _norm3, inlined because this runs in every field
-    # evaluation; both must stay the same expression (tests pin both)
+    # evaluation: the same per-thread memoryview stores and bound dot, so
+    # both stay the same expression (tests pin both)
     try:
-        w = _scratch.w
+        wv, dot, w = _scratch.w
     except AttributeError:
-        w = _scratch.w = np.empty(3)
-    w[0] = w1
-    w[1] = w2
-    w[2] = w3
-    n = math.sqrt(w.dot(w))
+        wv, dot, w = _scratch.w = _new_scratch()
+    wv[0] = w1
+    wv[1] = w2
+    wv[2] = w3
+    n = math.sqrt(dot(w))
     if n < SINGULAR_TOL:
-        raise SingularFieldError(
-            f"field {name!r} is singular at {[float(c) for c in y]}", point=y)
+        raise _singular(name, y)
     return w1 / n, w2 / n, w3 / n
 
 
@@ -156,8 +168,11 @@ def builtin_field(kind: str, weight: float | None = None) -> TangentField:
 
         def _blend_eval(y) -> tuple:
             # w * upslope + (1 - w) * horizontal, one operation at a time
-            u1, u2, u3 = _upslope_eval(y)
-            h1, h2, h3 = _horizontal_eval(y)
+            try:
+                u1, u2, u3 = _upslope_eval(y)
+                h1, h2, h3 = _horizontal_eval(y)
+            except SingularFieldError:  # name the blend, not the part
+                raise _singular(name, y) from None
             return _normalized_or_singular(w * u1 + c * h1, w * u2 + c * h2,
                                            w * u3 + c * h3, y, name)
 
@@ -308,12 +323,13 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
 
     def renormalize(y):
         nonlocal drift_total, drift_max
-        norm = _norm3(*y)
+        y1, y2, y3 = y
+        norm = _norm3(y1, y2, y3)
         drift = abs(norm - 1.0)
         drift_total += drift
         if drift > drift_max:  # a NaN drift is skipped, as max() skips it
             drift_max = drift
-        return [c / norm for c in y]
+        return [y1 / norm, y2 / norm, y3 / norm]
 
     t, gamma, dgamma, stop_reason = integrate_fixed(
         flow(spec, tangent_field), y0, 0.0, s_max, step, post_step=renormalize)
