@@ -163,8 +163,49 @@ def test_integrate_fixed_rejects_a_wrong_number_of_components(size, after):
         k = [-c for c in u]
         return k if t < after else (k + [0.0, 0.0])[:size]
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         integrate_fixed(rhs, (1.0, 0.5, 0.25), 0.0, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("size", [2, 4, 0])
+@pytest.mark.parametrize("bad_call", [2, 3, 4, 5, 6])
+def test_integrate_fixed_rejects_a_wrong_size_at_any_stage(size, bad_call):
+    # call 1 is the start slope; calls 2, 3 and 4 are the second, third and
+    # fourth stage of step 1, call 5 the slope at sample 1 and call 6 the
+    # second stage of step 2
+    calls = [0]
+
+    def rhs(_t, u):
+        calls[0] += 1
+        k = [-c for c in u]
+        return (k + [0.0, 0.0])[:size] if calls[0] == bad_call else k
+
+    with pytest.raises(ParameterError, match="rhs must return 3 values"):
+        integrate_fixed(rhs, (1.0, 0.5, 0.25), 0.0, 1.0, 0.1)
+    assert calls[0] == bad_call
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("bad_call", [1, 3, 5, 11])
+def test_integrate_fixed_keeps_the_rhs_own_value_error(dim, bad_call):
+    # an rhs that fails by itself is not a wrong-size rhs
+    calls = [0]
+
+    def rhs(_t, u):
+        calls[0] += 1
+        if calls[0] == bad_call:
+            math.sqrt(-1.0)
+        return [-c for c in u]
+
+    with pytest.raises(ValueError) as info:
+        integrate_fixed(rhs, (1.0,) * dim, 0.0, 1.0, 0.1)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "math domain error"
+
+
+def test_integrate_fixed_rejects_an_empty_state():
+    with pytest.raises(ParameterError):
+        integrate_fixed(lambda _t, u: u, (), 0.0, 1.0, 0.1)
 
 
 def test_integrate_fixed_does_not_broadcast_a_single_component():

@@ -72,6 +72,16 @@ def test_fields_singular_only_at_pole():
         builtin_field(kind)(near)  # close but regular
 
 
+@pytest.mark.parametrize("weight", [0.0, 0.5, 1.0])
+def test_blend_names_itself_when_singular(weight):
+    pole = [0.0, 0.0, -1.0]
+    blend = builtin_field("blend", weight)
+    with pytest.raises(SingularFieldError) as info:
+        blend(pole)
+    assert str(info.value) == f"field {blend.name!r} is singular at {pole}"
+    assert info.value.point is pole
+
+
 def _directions(rng):
     # axis-aligned starts (signed zeros in the products) plus random ones
     fixed = [[1.0, 0.0, 0.0], [0.6, 0.0, -0.8], [0.0, -0.6, -0.8],

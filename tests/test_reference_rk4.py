@@ -8,9 +8,9 @@ the plain array formulation below, step for step.
 import numpy as np
 import pytest
 
-from rampforge import (builtin_field, e3_tangential, integrate_ramp3d,
-                       integrate_theta, spec_from_mu, theta_closed_form,
-                       theta_ode_rhs)
+from rampforge import (builtin_field, e3_tangential, integrate_fixed,
+                       integrate_ramp3d, integrate_theta, spec_from_mu,
+                       theta_closed_form, theta_ode_rhs)
 
 
 def _array_rk4(f, y0, h, n, renormalize=False):
@@ -89,3 +89,18 @@ def test_theta_matches_array_rk4(spec, start):
     trace = integrate_theta(spec, theta0, (0.0, 6.0 / spec.a), step=h)
     assert trace.theta.shape == (n + 1,)
     assert np.array_equal(trace.theta, theta)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_fixed_matches_array_rk4_in_any_dimension(dim):
+    # y' = A y; only d = 1 and d = 3 have callers in the package
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(dim, dim)) - np.eye(dim)
+    y0 = rng.normal(size=dim)
+    n, h = 40, 0.05
+    y, dy, _, _ = _array_rk4(lambda u: a @ u, y0, h, n)
+    t, ys, dys, stop = integrate_fixed(lambda _t, u: (a @ np.array(u)).tolist(),
+                                       y0.tolist(), 0.0, n * h, h)
+    assert stop is None and t.shape == (n + 1,)
+    assert np.array_equal(ys, y)
+    assert np.array_equal(dys, dy)
