@@ -14,6 +14,12 @@ count, the seeds, the pair count and, for each end-to-end metric of
 ``BENCHMARK.json``, the number of pairs the change won.  It also records
 both commits and each side's Python and numpy versions and core count.
 
+``job_tail_ms`` is the highest percentile a run has ten samples beyond, so
+two runs with different job counts can report different percentiles.  Each
+side keeps every run's ``tail_percentile`` and ``tail_samples_beyond``, the
+workload lists the pairs whose two runs compare different percentiles under
+``tail_percentile_differs`` (numbered from 1), and a line is printed for each.
+
 Usage:
     python3 scripts/bench_record.py --label lean-stage \\
         --parent runs/parent/* --change runs/change/*
@@ -28,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RAW = ("raw_jobs_per_s", "raw_job_p50_ms", "raw_job_tail_ms", "raw_setup_s",
        "median_speed_scale")
+TAIL = ("tail_percentile", "tail_samples_beyond")
 
 
 def load(paths: list[str]) -> dict:
@@ -64,6 +71,9 @@ def side(runs: list[dict]) -> dict:
     raw = [name for name in RAW if name in runs[0]["info"]]
     if raw:
         out["raw"] = {name: spread([run["info"][name] for run in runs]) for name in raw}
+    for name in TAIL:
+        if name in runs[0]["info"]:
+            out[name] = [run["info"][name] for run in runs]
     return out
 
 
@@ -82,7 +92,11 @@ def record(label: str, parent: dict, change: dict, benchmark: dict) -> dict:
         workloads[f"{key[0]}-trace{key[1]}"] = {
             "workload": key[0], "trace": key[1], "pairs": pairs,
             "seconds": parent[key][0]["args"]["seconds"],
-            "change_better_pairs": wins, "parent": a, "change": b}
+            "change_better_pairs": wins, "parent": a, "change": b,
+            "tail_percentile_differs": [
+                i for i, (x, y) in enumerate(zip(a.get("tail_percentile", []),
+                                                 b.get("tail_percentile", [])), 1)
+                if x != y]}
     return {"label": label, "command": benchmark["command"], "workloads": workloads}
 
 
@@ -105,6 +119,9 @@ def main() -> None:
             a, b = entry["parent"]["scaled"][metric], entry["change"]["scaled"][metric]
             print(f"{name} {metric}: {a['median']:.4g} -> {b['median']:.4g}, "
                   f"change better in {won} of {entry['pairs']} pairs")
+        for i in entry["tail_percentile_differs"]:
+            x, y = (entry[s]["tail_percentile"][i - 1] for s in ("parent", "change"))
+            print(f"{name} job_tail_ms: pair {i} compares p{x:g} with p{y:g}")
     print(f"wrote {out}")
 
 

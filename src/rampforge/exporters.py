@@ -2,13 +2,17 @@
 
 Numbers are serialized with ``repr`` (shortest round-trip, at most 17
 significant digits) except in SVG, where 6 significant digits are plenty for
-figures.  Nothing here embeds timestamps or environment state, so repeated
-runs produce byte-identical files.
+figures.  In JSON, NaN and the infinities are written as ``json`` writes them
+(``NaN``, ``Infinity``, ``-Infinity``); the JSON and JSONL writers render their
+text themselves, one ``repr`` per float, and tests pin it byte for byte to
+``json.dumps`` with the same settings.  Nothing here embeds timestamps or
+environment state, so repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +49,49 @@ def _write_csv(path: str | Path, header: str, columns: list) -> None:
     _write_lines(path, [header] + [",".join(map(repr, row)) for row in rows])
 
 
+# repr's spelling of the non-finite floats -> json's
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number(value: float) -> str:
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+def _render(value, indent: str) -> str:
+    """The text ``json.dumps(value, indent=2, sort_keys=True)`` writes for
+    ``value`` at the depth whose lines start with ``indent``."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # json sorts the keys as they are, then writes a non-str key as its JSON text
+        body = sep.join(json.dumps(k if isinstance(k, str) else json.dumps(k))
+                        + ": " + _render(v, inner) for k, v in sorted(value.items()))
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {float}:  # exact floats, so repr is float's
+            body = sep.join(map(repr, value))
+            if "n" in body:  # only nan, inf and -inf spell an n
+                body = sep.join(map(_number, value))
+        else:
+            body = sep.join(_render(v, inner) for v in value)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(value, float):
+        return _number(value)
+    return json.dumps(value)
+
+
 def write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          newline="\n")
+    Path(path).write_text(dumps_json(payload) + "\n", newline="\n")
 
 
 def dumps_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte."""
+    return _render(payload, "")
 
 
 def _obj_points(tag: str, points: np.ndarray) -> list[str]:
@@ -90,7 +130,7 @@ def write_curve2d_svg(path: str | Path, x: np.ndarray, y: np.ndarray) -> None:
     w, h = span_x + 2 * margin, span_y + 2 * margin
     height = SVG_WIDTH * h / w
     stroke = 0.004 * max(w, h)
-    d = "M " + " L ".join(f"{fmt6(px)} {fmt6(py)}" for px, py in zip(x, y))
+    d = "M " + " L ".join(f"{px:.6g} {py:.6g}" for px, py in zip(x.tolist(), y.tolist()))
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt6(SVG_WIDTH)}" '
         f'height="{fmt6(height)}" viewBox="{fmt6(x0)} {fmt6(y0)} {fmt6(w)} {fmt6(h)}">\n'
@@ -151,9 +191,9 @@ def report_to_dict(report: ForceBalanceReport, include_profiles: bool = True) ->
         "meta": report.meta,
     }
     if include_profiles:
-        payload["t"] = [float(v) for v in report.t]
-        payload["residual_norm"] = [float(v) for v in report.residual_norm]
-        payload["lambda"] = [float(v) for v in report.lambda_profile]
+        payload["t"] = report.t.tolist()
+        payload["residual_norm"] = report.residual_norm.tolist()
+        payload["lambda"] = report.lambda_profile.tolist()
     return payload
 
 
@@ -179,11 +219,21 @@ def write_profile_csv(path: str | Path, report: ForceBalanceReport) -> None:
 
 
 def write_frames_jsonl(path: str | Path, trace: MotionTrace) -> None:
-    """One JSON object per line, one line per frame."""
-    names = trace.frames.dtype.names
-    columns = [trace.frames[name].tolist() for name in names]
-    lines = [json.dumps(dict(zip(names, row)), sort_keys=True) for row in zip(*columns)]
-    _write_lines(path, lines)
+    """One JSON object per line, one line per frame, keys sorted: the text of
+    ``json.dumps(frame_dict, sort_keys=True)``."""
+    frames = trace.frames
+    names = sorted(frames.dtype.names)
+    fields = []
+    for name in names:
+        shape = frames.dtype[name].shape  # () for t; the width even with no frames
+        cells = ", ".join(["%s"] * math.prod(shape))  # str of a float is its repr
+        fields.append(f"{json.dumps(name)}: " + (f"[{cells}]" if shape else cells))
+    template = "{" + ", ".join(fields) + "}"
+    table = np.column_stack([frames[name] for name in names])
+    rows = table.tolist()
+    if not np.isfinite(table).all():
+        rows = [[_number(v) for v in row] for row in rows]
+    _write_lines(path, [template % tuple(row) for row in rows])
 
 
 def write_frames_csv(path: str | Path, trace: MotionTrace) -> None:

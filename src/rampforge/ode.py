@@ -184,6 +184,13 @@ def _raised_in(exc: BaseException, code) -> bool:
     return tb.tb_frame.f_code is code
 
 
+def _wrong_size(dim: int, y) -> ParameterError:
+    # called on an error path only; y is the last state, post_step's result
+    # when there is one, so a wrong size there is post_step's fault
+    who = "rhs" if len(y) == dim else "post_step"
+    return ParameterError(f"{who} must return {dim} values, as many as y0 has")
+
+
 def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
                     post_step: Callable | None = None):
     """Classical RK4 on a uniform grid over ``[t0, t1]``.
@@ -208,11 +215,12 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
     of values than ``d`` raises :class:`ParameterError` instead of leaving
     a misaligned table: the start slope is checked, a stage slope of the
     wrong size fails to unpack in the generated step, and the element count
-    catches the last one.  Any other error of ``rhs``, a ``ValueError``
-    included, propagates unchanged.  If ``rhs`` raises
-    :class:`SingularFieldError`, the samples whose slope is known are
-    returned with the error message as ``stop``; otherwise ``stop`` is
-    ``None``.  A singular start raises.
+    catches the last one.  A ``post_step`` that returns another number of
+    values is caught the same way and named in the error.  Any other error
+    of ``rhs``, a ``ValueError`` included, propagates unchanged.  If
+    ``rhs`` raises :class:`SingularFieldError`, the samples whose slope is
+    known are returned with the error message as ``stop``; otherwise
+    ``stop`` is ``None``.  A singular start raises.
     """
     t0, t1 = float(t0), float(t1)
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -235,9 +243,8 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
     ts[-1] = t1
     times = ts.tolist()  # Python floats: cheaper per-step arithmetic than numpy scalars
     k1 = rhs(times[0], y)  # a singular start raises
-    wrong_size = f"rhs must return {dim} values, as many as y0 has"
     if len(k1) != dim:
-        raise ParameterError(wrong_size)
+        raise _wrong_size(dim, y)
     ys = np.empty((n + 1, dim))
     dys = np.empty_like(ys)
     # element stores into flat views are cheaper than numpy row assignment
@@ -258,8 +265,8 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
             rows, stop = i + 1, str(exc)
             break
         except ValueError as exc:
-            if _raised_in(exc, rk4.__code__):  # a slope that does not unpack
-                raise ParameterError(wrong_size) from None
+            if _raised_in(exc, rk4.__code__):  # a slope or state that does not unpack
+                raise _wrong_size(dim, y) from None
             raise
         try:
             for c in y:
@@ -269,9 +276,9 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
                 dv[jd] = c
                 jd += 1
         except IndexError:  # longer rows ran past the end of a table
-            raise ParameterError(wrong_size) from None
+            raise _wrong_size(dim, y) from None
     if not j == jd == rows * dim:
-        raise ParameterError(wrong_size)
+        raise _wrong_size(dim, y)
     return ts[:rows], ys[:rows], dys[:rows], stop
 
 

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rampforge import (builtin_field, build_surface, integrate_ramp3d,
                        lower_ramp, sample_ramp, simulate,
@@ -13,6 +16,7 @@ from rampforge.exporters import (dumps_json, fmt, report_to_dict,
                                  write_curve3d_csv, write_frames_csv,
                                  write_frames_jsonl, write_json, write_obj,
                                  write_obj_polyline, write_profile_csv)
+from rampforge.params import spec_to_dict
 
 
 @pytest.fixture
@@ -200,3 +204,59 @@ def test_write_json(tmp_path):
     text = path.read_text()
     assert text.index('"a"') < text.index('"b"')  # sorted keys
     assert json.loads(text) == {"a": [1.5, None, "x"], "b": 1}
+
+
+# leaves json.dumps writes: every float (NaN and the infinities included, and
+# numpy's float64 subclass), ints of any size, bools, None and any text
+_LEAVES = (st.floats() | st.floats().map(np.float64) | st.integers() | st.booleans()
+           | st.none() | st.text())
+_PAYLOADS = st.recursive(
+    _LEAVES | st.lists(st.floats()),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)
+                      | st.dictionaries(st.integers(), children)),
+    max_leaves=40)
+
+
+@settings(max_examples=200)
+@given(_PAYLOADS)
+@example({"a": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22], "b": [],
+          "c": {}, "d": (1.5, 2), "e": [np.float64(0.3), 0.1], "f": 10 ** 40,
+          "g": {10: True, 2: None, -1: "\u00e9\n\"\\"}, "h": [[0.5], [math.nan]]})
+def test_dumps_json_is_json_dumps_byte_for_byte(payload):
+    assert dumps_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _jsonl_reference(trace):
+    names = trace.frames.dtype.names
+    columns = [trace.frames[name].tolist() for name in names]
+    return "".join(json.dumps(dict(zip(names, row)), sort_keys=True) + "\n"
+                   for row in zip(*columns))
+
+
+def test_frames_jsonl_is_json_dumps_byte_for_byte(tmp_path, fig_spec, small_curve):
+    trace2 = simulate(fig_spec, lower_ramp(fig_spec), (0.0, 0.5), fps=40.0)
+    frames = trace2.frames.copy()
+    frames["t"][1] = math.nan
+    frames["position"][2] = [math.inf, -math.inf]
+    frames["residual"][3] = [-0.0, 5e-324]
+    traces = [trace2, dataclasses.replace(trace2, frames=frames),
+              simulate(fig_spec, small_curve, (0.0, 0.08), fps=50.0),
+              simulate(fig_spec, small_curve, (1.0, 2.0), fps=50.0)]
+    assert [len(t.frames) for t in traces] == [21, 21, 5, 0]
+    path = tmp_path / "frames.jsonl"
+    for trace in traces:
+        write_frames_jsonl(path, trace)
+        assert path.read_text() == _jsonl_reference(trace)
+
+
+def test_curve2d_json_is_json_dumps_byte_for_byte(tmp_path, fig_spec):
+    data = sample_ramp(fig_spec, upper_ramp(fig_spec), np.linspace(0.0, 5.0, 200))
+    path = tmp_path / "curve.json"
+    keys = ["s", "x", "y", "tx", "ty", "nx", "ny", "lambda"]
+    for extra in (None, {"branch": "upper"}):
+        write_curve2d_json(path, fig_spec, data, extra=extra)
+        expected = {"spec": spec_to_dict(fig_spec), "columns": keys,
+                    "samples": np.column_stack([data[k] for k in keys]).tolist(),
+                    **(extra or {})}
+        assert path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
