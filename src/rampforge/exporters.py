@@ -6,7 +6,11 @@ figures.  In JSON, NaN and the infinities are written as ``json`` writes them
 (``NaN``, ``Infinity``, ``-Infinity``); the JSON and JSONL writers render their
 text themselves, one ``repr`` per float, and tests pin it byte for byte to
 ``json.dumps`` with the same settings.  Nothing here embeds timestamps or
-environment state, so repeated runs produce byte-identical files.
+environment state, so repeated runs produce byte-identical files.  3D
+outputs are identical on any host, because the hemisphere flow is IEEE
+arithmetic in a fixed order.  Outputs built on transcendentals (the 2D
+``theta_closed_form`` path) are identical only for the same numpy build,
+SIMD target and libm.
 """
 
 from __future__ import annotations

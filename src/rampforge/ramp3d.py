@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -81,33 +80,14 @@ class TangentField:
         return self.eval(y)
 
 
-_scratch = threading.local()
-
-
-def _new_scratch() -> tuple:
-    w = np.empty(3)
-    return memoryview(w), w.dot, w
-
-
 def _norm3(w1: float, w2: float, w3: float) -> float:
-    """``np.linalg.norm((w1, w2, w3))``, bit for bit, without a new array.
+    """``sqrt(w1*w1 + w2*w2 + w3*w3)`` in Python floats.
 
-    sqrt(w.dot(w)) on an array is what np.linalg.norm computes for a real
-    vector; the dot may fuse its multiply-adds, so a Python sum of squares
-    would not give the same bits.  The ``(3,)`` buffer is reused, one per
-    thread, so concurrent integrations cannot overwrite each other's
-    components between the fill and the dot.  Each thread keeps it as
-    ``(memoryview(w), w.dot, w)``: a memoryview store costs about half a
-    numpy item assignment, and the bound ``dot`` saves an attribute lookup.
+    The one definition of every norm on the hemisphere flow: IEEE
+    operations in the order Python fixes, with no fused multiply-add and
+    no run-time kernel choice, so the bits are the same on every host.
     """
-    try:
-        wv, dot, w = _scratch.w
-    except AttributeError:
-        wv, dot, w = _scratch.w = _new_scratch()
-    wv[0] = w1
-    wv[1] = w2
-    wv[2] = w3
-    return math.sqrt(dot(w))
+    return math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
 
 
 def _singular(name: str, y) -> SingularFieldError:
@@ -116,17 +96,7 @@ def _singular(name: str, y) -> SingularFieldError:
 
 
 def _normalized_or_singular(w1: float, w2: float, w3: float, y, name: str) -> tuple:
-    # the body of _norm3, inlined because this runs in every field
-    # evaluation: the same per-thread memoryview stores and bound dot, so
-    # both stay the same expression (tests pin both)
-    try:
-        wv, dot, w = _scratch.w
-    except AttributeError:
-        wv, dot, w = _scratch.w = _new_scratch()
-    wv[0] = w1
-    wv[1] = w2
-    wv[2] = w3
-    n = math.sqrt(dot(w))
+    n = _norm3(w1, w2, w3)
     if n < SINGULAR_TOL:
         raise _singular(name, y)
     return w1 / n, w2 / n, w3 / n
@@ -190,6 +160,8 @@ def flow(spec: FrictionSpec, tangent_field: TangentField) -> Callable:
     expression ``-(g / v**2) * (e3_tangential(y) + (y3 / mu) * N(y))``:
     ``k * (e3T_i + c * n_i)`` with ``c = y3 / mu`` and ``e3T = (0 - y3*y1,
     0 - y3*y2, 1 - y3*y3)``, so it matches that expression bit for bit.
+    The built-in fields normalise with :func:`_norm3`, so with them a stage
+    involves no BLAS call and gives the same bits on every host.
     """
     k = -(spec.g / (spec.v * spec.v))
     mu = spec.mu

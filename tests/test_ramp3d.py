@@ -1,6 +1,9 @@
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,10 +110,10 @@ def test_field_x_formula(fig_spec, rng):
 
 
 def test_builtin_fields_normalize_their_defining_vector(rng):
-    # each field is w / |w| of its defining vector, exactly as
-    # np.linalg.norm rounds it
+    # each field is w / |w| of its defining vector, with |w| the sum of
+    # squares in this order, rounded as elementwise IEEE operations
     def unit(w):
-        return w / np.linalg.norm(w)
+        return w / np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
 
     blend = builtin_field("blend", 0.37)
     for y in _directions(rng):
@@ -241,9 +244,9 @@ def test_integrate_evaluates_field_once_per_stage(fig_spec):
 
 
 def test_concurrent_integrations_match_sequential(fig_spec):
-    # the field norms fill a reused scratch buffer; with a thread switch
-    # every microsecond, a buffer shared between threads would mix the
-    # components of different runs and change the bits
+    # concurrent runs give the bits of sequential ones; a thread switch
+    # every microsecond interleaves their steps as finely as it can, so any
+    # state shared between runs would show in the bits
     starts = ([0.8, 0.0, -0.6], [0.0, 0.6, -0.8])
     jobs = [(builtin_field(kind), y0) for kind in ("upslope", "horizontal")
             for y0 in starts] + [(builtin_field("blend", 0.37), starts[0])]
@@ -269,6 +272,45 @@ def test_concurrent_integrations_match_sequential(fig_spec):
     for got, want in zip(results, expect):
         assert np.array_equal(got.gamma, want.gamma)
         assert np.array_equal(got.dgamma, want.dgamma)
+
+
+
+# a short integration per built-in field, hashed in a child process
+_DIGEST_CHILD = """
+import hashlib
+from rampforge import builtin_field, integrate_ramp3d, spec_from_mu
+spec = spec_from_mu(0.5, g=9.81, v=5.0, m=1.0)
+for kind in (("horizontal",), ("upslope",), ("blend", 0.37)):
+    c = integrate_ramp3d(spec, builtin_field(*kind), [0.8, 0.0, -0.6], 1.0 / spec.a)
+    h = hashlib.sha256()
+    for a in (c.gamma, c.dgamma, c.alpha):
+        h.update(a.tobytes())
+    h.update(repr((c.norm_drift_total, c.norm_drift_max)).encode())
+    print(kind[0], h.hexdigest())
+"""
+
+# OpenBLAS's run-time kernel choice and numpy's SIMD dispatch, each read
+# only by the process it is set for
+HOST_SETTINGS = ({}, {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Prescott"},
+                 {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"})
+
+
+def test_3d_bits_do_not_depend_on_blas_kernel_or_simd_target():
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    base["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    base.get("PYTHONPATH")) if p)
+    base["OPENBLAS_NUM_THREADS"] = "1"
+    outputs = []
+    for setting in HOST_SETTINGS:
+        proc = subprocess.run([sys.executable, "-c", _DIGEST_CHILD],
+                              env={**base, **setting}, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs == [outputs[0]] * len(HOST_SETTINGS)
 
 
 HORIZONTAL_STARTS = ([0.8, 0.0, -0.6], [0.0, 0.6, -0.8], [1.0, 0.0, 0.0])
