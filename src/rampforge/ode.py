@@ -15,6 +15,7 @@ the closed form so each can check the other.
 from __future__ import annotations
 
 import math
+import textwrap
 from dataclasses import dataclass
 from typing import Callable
 
@@ -138,42 +139,79 @@ def hermite(grid: np.ndarray, y: np.ndarray, dy: np.ndarray, t):
 
 
 _RK4_TEMPLATE = """\
-def step(rhs, t, y, k1, h, hh, h6):
-    {y}, = y
-    {a}, = k1
-    {b}, = rhs(t + hh, [{yb}])
-    {c}, = rhs(t + hh, [{yc}])
-    {d}, = rhs(t + h, [{yd}])
-    return [{out}]
+def rk4({params}):
+    def step(t, t1, y, k1):
+        {x}, = y
+        {a}, = k1
+{b}
+{c}
+{d}
+        {x}, = {out},
+{tail}
+    return step
 """
+
+
+def _rk4_source(dim: int, params: str, stage: Callable, tail: str) -> str:
+    """Source of ``rk4(params)``, which returns one RK4 step as straight-line code.
+
+    ``step(t, t1, y, k1)`` takes the state ``y`` at ``t``, whose slope
+    ``k1`` is known, and the next grid time ``t1``.  It unpacks both into
+    locals ``x0, x1, ...`` and ``a0, a1, ...``; ``stage(t, point, out)``
+    returns the source that sets the names ``out`` to the slope at the
+    components ``point`` and time ``t`` (each a comma-separated list), for
+    the stages ``b``, ``c`` and ``d``.  The combination then overwrites
+    ``x0, x1, ...`` with the state after the step, and ``tail``, formatted
+    with ``x`` (the state's names), must return ``(state, slope)`` at
+    ``t1``.  ``params`` are the names every source reads besides
+    builtins and its module's globals.
+    """
+    def row(term):  # term for each component, comma-separated
+        return ", ".join(term.format(i=i) for i in range(dim))
+
+    def block(text):
+        return textwrap.indent(text.rstrip("\n"), " " * 8)
+
+    return _RK4_TEMPLATE.format(
+        params=params, x=row("x{i}"), a=row("a{i}"),
+        b=block(stage("t + hh", row("x{i} + hh * a{i}"), row("b{i}"))),
+        c=block(stage("t + hh", row("x{i} + hh * b{i}"), row("c{i}"))),
+        d=block(stage("t + h", row("x{i} + h * c{i}"), row("d{i}"))),
+        out=row("x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"),
+        tail=block(tail.format(x=row("x{i}"))))
+
+
+def _rhs_stage(t: str, point: str, out: str) -> str:
+    return f"{out}, = rhs({t}, [{point}])"
+
+
+_RHS_TAIL = """\
+y = [{x}]
+if post_step is not None:
+    y = post_step(y)
+return y, rhs(t1, y)"""
 _rk4_steps: dict = {}
 
 
 def _rk4_step(dim: int) -> Callable:
-    """The RK4 step for a ``dim``-component state, as straight-line float code.
+    """``rk4(rhs, post_step, h, hh, h6)``: the RK4 step of :func:`integrate_fixed`.
 
-    ``step(rhs, t, y, k1, h, hh, h6)`` returns the state after one step from
-    ``y``, whose slope ``k1`` is known.  Written out component by component,
-    unpacked into locals, because a comprehension per stage costs several
-    times the arithmetic on Pythons that do not inline them.  Compiled once
-    per ``dim``, on first use, the way :mod:`dataclasses` builds ``__init__``.
+    The stages call ``rhs(t, point)``; the step ends with ``post_step``,
+    when there is one, and the slope at ``t1``, both as calls.  Written out
+    component by component, unpacked into locals, because a comprehension
+    per stage costs several times the arithmetic on Pythons that do not
+    inline them.  Compiled once per ``dim``, on first use, the way
+    :mod:`dataclasses` builds ``__init__``.
     """
     try:
         return _rk4_steps[dim]
     except KeyError:
         pass
-
-    def row(term):  # term for each component, comma-separated
-        return ", ".join(term.format(i=i) for i in range(dim))
-
-    source = _RK4_TEMPLATE.format(
-        y=row("y{i}"), a=row("a{i}"), b=row("b{i}"), c=row("c{i}"), d=row("d{i}"),
-        yb=row("y{i} + hh * a{i}"), yc=row("y{i} + hh * b{i}"), yd=row("y{i} + h * c{i}"),
-        out=row("y{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"))
+    source = _rk4_source(dim, "rhs, post_step, h, hh, h6", _rhs_stage, _RHS_TAIL)
     namespace: dict = {}
     exec(compile(source, f"<rk4 step, {dim} components>", "exec"), namespace)
-    step = _rk4_steps[dim] = namespace["step"]
-    return step
+    rk4 = _rk4_steps[dim] = namespace["rk4"]
+    return rk4
 
 
 def _raised_in(exc: BaseException, code) -> bool:
@@ -191,6 +229,67 @@ def _wrong_size(dim: int, y) -> ParameterError:
     return ParameterError(f"{who} must return {dim} values, as many as y0 has")
 
 
+def _grid(t0: float, t1: float, step: float) -> tuple[np.ndarray, float]:
+    """The uniform grid over ``[t0, t1]`` with the fewest steps no wider
+    than ``step``, and its width; ``t[-1]`` is pinned to ``t1``."""
+    t0, t1 = float(t0), float(t1)
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ParameterError(f"integration span must be finite, got ({t0!r}, {t1!r})")
+    span = t1 - t0
+    if span <= 0.0:
+        raise ParameterError("integration span must have t1 > t0")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ParameterError(f"step must be positive, got {step!r}")
+    n = max(1, math.ceil(span / step - 1e-12))
+    h = span / n
+    ts = t0 + h * np.arange(n + 1)
+    ts[-1] = t1
+    return ts, h
+
+
+def _run(step: Callable, rhs: Callable, y: list, ts: np.ndarray):
+    """Integrate from ``y`` at ``ts[0]`` with one call of ``step`` per grid
+    interval; ``rhs(t, y)`` gives the start slope.  Returns what
+    :func:`integrate_fixed` returns."""
+    dim, n = len(y), ts.shape[0] - 1
+    times = ts.tolist()  # Python floats: cheaper per-step arithmetic than numpy scalars
+    k1 = rhs(times[0], y)  # a singular start raises
+    if len(k1) != dim:
+        raise _wrong_size(dim, y)
+    ys = np.empty((n + 1, dim))
+    dys = np.empty_like(ys)
+    # element stores into flat views are cheaper than numpy row assignment
+    yv = memoryview(ys).cast("B").cast("d")
+    dv = memoryview(dys).cast("B").cast("d")
+    for j, c in enumerate(y):  # the start sample
+        yv[j] = c
+        dv[j] = k1[j]
+    j = jd = dim  # next element of ys and of dys
+    rows, stop = n + 1, None
+    for i in range(n):
+        try:
+            y, k1 = step(times[i], times[i + 1], y, k1)
+        except SingularFieldError as exc:
+            rows, stop = i + 1, str(exc)
+            break
+        except ValueError as exc:
+            if _raised_in(exc, step.__code__):  # a slope or state that does not unpack
+                raise _wrong_size(dim, y) from None
+            raise
+        try:
+            for c in y:
+                yv[j] = c
+                j += 1
+            for c in k1:
+                dv[jd] = c
+                jd += 1
+        except IndexError:  # longer rows ran past the end of a table
+            raise _wrong_size(dim, y) from None
+    if not j == jd == rows * dim:
+        raise _wrong_size(dim, y)
+    return ts[:rows], ys[:rows], dys[:rows], stop
+
+
 def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
                     post_step: Callable | None = None):
     """Classical RK4 on a uniform grid over ``[t0, t1]``.
@@ -203,7 +302,10 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
     generated for ``d`` components (:func:`_rk4_step`), which unpacks the
     state and each stage's slope into floats and computes, component by
     component, the IEEE operations, in their order, of the array
-    expressions ``y + 0.5*h*k1`` ... ``y + (h/6)*(k1 + 2k2 + 2k3 + k4)``.
+    expressions ``y + 0.5*h*k1`` ... ``y + (h/6)*(k1 + 2k2 + 2k3 + k4)``;
+    it calls ``rhs`` once per stage and once more for the slope at the new
+    sample, after ``post_step``.  :func:`ramp3d.integrate_ramp3d` runs the
+    same template and loop with the hemisphere flow written into the step.
 
     The grid has the fewest steps of equal width no larger than ``step``;
     ``t[-1]`` is pinned to ``t1``.  Returns ``(t, y, dy, stop)``: ``t`` of
@@ -222,64 +324,12 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
     known are returned with the error message as ``stop``; otherwise
     ``stop`` is ``None``.  A singular start raises.
     """
-    t0, t1 = float(t0), float(t1)
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ParameterError(f"integration span must be finite, got ({t0!r}, {t1!r})")
-    span = t1 - t0
-    if span <= 0.0:
-        raise ParameterError("integration span must have t1 > t0")
-    if not (math.isfinite(step) and step > 0.0):
-        raise ParameterError(f"step must be positive, got {step!r}")
-    n = max(1, math.ceil(span / step - 1e-12))
-    h = span / n
-    hh = 0.5 * h
-    h6 = h / 6.0
+    ts, h = _grid(t0, t1, step)
     y = [float(c) for c in y0]
-    dim = len(y)
-    if dim == 0:
+    if not y:
         raise ParameterError("y0 must hold at least one value")
-    rk4 = _rk4_step(dim)
-    ts = t0 + h * np.arange(n + 1)
-    ts[-1] = t1
-    times = ts.tolist()  # Python floats: cheaper per-step arithmetic than numpy scalars
-    k1 = rhs(times[0], y)  # a singular start raises
-    if len(k1) != dim:
-        raise _wrong_size(dim, y)
-    ys = np.empty((n + 1, dim))
-    dys = np.empty_like(ys)
-    # element stores into flat views are cheaper than numpy row assignment
-    yv = memoryview(ys).cast("B").cast("d")
-    dv = memoryview(dys).cast("B").cast("d")
-    for j, c in enumerate(y):  # the start sample
-        yv[j] = c
-        dv[j] = k1[j]
-    j = jd = dim  # next element of ys and of dys
-    rows, stop = n + 1, None
-    for i in range(n):
-        try:
-            y = rk4(rhs, times[i], y, k1, h, hh, h6)
-            if post_step is not None:
-                y = post_step(y)
-            k1 = rhs(times[i + 1], y)
-        except SingularFieldError as exc:
-            rows, stop = i + 1, str(exc)
-            break
-        except ValueError as exc:
-            if _raised_in(exc, rk4.__code__):  # a slope or state that does not unpack
-                raise _wrong_size(dim, y) from None
-            raise
-        try:
-            for c in y:
-                yv[j] = c
-                j += 1
-            for c in k1:
-                dv[jd] = c
-                jd += 1
-        except IndexError:  # longer rows ran past the end of a table
-            raise _wrong_size(dim, y) from None
-    if not j == jd == rows * dim:
-        raise _wrong_size(dim, y)
-    return ts[:rows], ys[:rows], dys[:rows], stop
+    rk4 = _rk4_step(len(y))(rhs, post_step, h, 0.5 * h, h / 6.0)
+    return _run(rk4, rhs, y, ts)
 
 
 def integrate_theta(spec: FrictionSpec, theta0: float, s_span: tuple[float, float],

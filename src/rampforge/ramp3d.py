@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import logging
 import math
+import textwrap
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, SingularFieldError
-from .ode import DEFAULT_STEP_FACTOR, hermite, integrate_fixed
+from .ode import DEFAULT_STEP_FACTOR, _grid, _rk4_source, _run, hermite
 from .params import FrictionSpec
 from .planar import PlanarCurve, Ramp2D
 
@@ -64,30 +65,101 @@ class TangentField:
     """Unit tangent field on the hemisphere: ``eval(y)`` with ``N.y = 0``.
 
     ``eval`` takes a unit direction as a list of three floats and returns
-    three floats (a tuple; a list or a ``(3,)`` array also works);
-    :func:`integrate_ramp3d` reads it once, when it starts, and calls it
-    once per RK4 stage.  It must raise
-    :class:`SingularFieldError` within ``SINGULAR_TOL`` of the field's
+    three floats (a tuple; a list or a ``(3,)`` array also works).  It must
+    raise :class:`SingularFieldError` within ``SINGULAR_TOL`` of the field's
     singular set.  ``singular_set`` is a human-readable description used in
     diagnostics.
+
+    ``source`` is set by :func:`builtin_field` only: the field's component
+    source, from which its ``eval``, its :func:`flow` and its RK4 step are
+    compiled, with ``weight`` the blend weight it reads.  A field without
+    it, such as any field made by hand, is called through ``eval``:
+    :func:`integrate_ramp3d` reads it once when it starts, once per RK4
+    stage and once per sample, ``4n + 2`` calls for ``n`` steps.
     """
 
     name: str
     eval: Callable[[list], tuple]
     singular_set: str = "none"
+    source: str | None = field(default=None, repr=False)
+    weight: float = 0.0
 
     def __call__(self, y) -> tuple:
         return self.eval(y)
 
 
-def _norm3(w1: float, w2: float, w3: float) -> float:
-    """``sqrt(w1*w1 + w2*w2 + w3*w3)`` in Python floats.
+# Component source: each built-in field once, as w / |w| for its defining
+# vector w in the components y1, y2, y3 of a unit direction.  A source sets
+# n1, n2, n3 and reads `name` (a blend also `w` and `c = 1 - w`); the code
+# it is compiled into fills in the `{point}` it raises at.  Python float
+# arithmetic is IEEE, in the order the language fixes, with no fused
+# multiply-add and no run-time kernel choice, so the bits are the same on
+# every host.
+_E3T = ("0.0 - y3 * y1", "0.0 - y3 * y2", "1.0 - y3 * y3")  # e3_tangential(y)
+_NORM = "sqrt({0} * {0} + {1} * {1} + {2} * {2})"  # every norm of the flow
 
-    The one definition of every norm on the hemisphere flow: IEEE
-    operations in the order Python fixes, with no fused multiply-add and
-    no run-time kernel choice, so the bits are the same on every host.
-    """
-    return math.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
+
+def _unit(w: tuple, out: str) -> str:
+    # set {out}1..3 to w / |w|, or raise within SINGULAR_TOL of |w| = 0
+    return (f"w1, w2, w3 = {', '.join(w)}\n"
+            f"r = {_NORM.format('w1', 'w2', 'w3')}\n"
+            f"if r < {SINGULAR_TOL!r}:\n"
+            f"    raise singular(name, {{point}})\n"
+            f"{out}1, {out}2, {out}3 = w1 / r, w2 / r, w3 / r\n")
+
+
+_HORIZONTAL_W = ("y2", "-y1", "0.0")  # y x e3
+_SOURCES = {
+    "upslope": _unit(_E3T, "n"),
+    "horizontal": _unit(_HORIZONTAL_W, "n"),
+    # w * upslope + (1 - w) * horizontal, renormalised; a singular part
+    # raises with the blend's name
+    "blend": (_unit(_E3T, "u") + _unit(_HORIZONTAL_W, "h")
+              + _unit(("w * u1 + c * h1", "w * u2 + c * h2", "w * u3 + c * h3"), "n")),
+}
+# the field block of a field without source
+_CALL_EVAL = """\
+n = normal({point})
+try:
+    n1, n2, n3 = n
+except ValueError:
+    raise malformed(name, n) from None
+"""
+
+
+def _flow(out: str) -> str:
+    # set the names `out` to -(g / v**2) * (e3T(y) + (y3 / mu) * N(y))
+    return (f"q = y3 / mu\n{out} = " + ", ".join(
+        f"k * ({e} + q * n{i})" for i, e in enumerate(_E3T, 1)) + "\n")
+
+
+# the state after an RK4 step back onto the sphere, its drift recorded
+_RENORMALIZE = f"""\
+r = {_NORM.format('x0', 'x1', 'x2')}
+err = abs(r - 1.0)
+drift[0] += err
+if err > drift[1]:  # a NaN drift is skipped, as max() skips it
+    drift[1] = err
+x0, x1, x2 = x0 / r, x1 / r, x2 / r
+"""
+
+_FIELD_TEMPLATE = """\
+def bind_eval(name, w, c):
+    def eval(y):
+        y1, y2, y3 = y
+{field}        return n1, n2, n3
+    return eval
+
+
+def bind_flow(k, mu, name, w, c, normal):
+    def rhs(_s, y):
+        y1, y2, y3 = y
+{field}{flow}        return o1, o2, o3
+    return rhs
+
+
+"""
+_compiled: dict = {}
 
 
 def _singular(name: str, y) -> SingularFieldError:
@@ -95,22 +167,36 @@ def _singular(name: str, y) -> SingularFieldError:
                               point=y)
 
 
-def _normalized_or_singular(w1: float, w2: float, w3: float, y, name: str) -> tuple:
-    n = _norm3(w1, w2, w3)
-    if n < SINGULAR_TOL:
-        raise _singular(name, y)
-    return w1 / n, w2 / n, w3 / n
+def _malformed(name: str, n) -> ContractViolationError:
+    return ContractViolationError(f"field {name!r} must return 3 values, got {n!r}")
 
 
-def _upslope_eval(y) -> tuple:
-    y1, y2, y3 = y  # e3_tangential(y), one operation at a time
-    return _normalized_or_singular(0.0 - y3 * y1, 0.0 - y3 * y2, 1.0 - y3 * y3,
-                                   y, "upslope")
+def _compile(source: str | None) -> dict:
+    """``bind_eval``, ``bind_flow`` and the RK4 step factory ``rk4`` of a
+    field, from its component source (``None``: a call of its ``eval``).
 
+    Compiled once per source, on first use, like :func:`ode._rk4_step`;
+    ``k``, ``mu``, the field's name, the blend weight and ``eval`` are
+    arguments of the factories.
+    """
+    try:
+        return _compiled[source]
+    except KeyError:
+        pass
+    block = _CALL_EVAL if source is None else source
 
-def _horizontal_eval(y) -> tuple:
-    y1, y2, _ = y
-    return _normalized_or_singular(y2, -y1, 0.0, y, "horizontal")  # y x e3
+    def stage(_t: str, point: str, out: str) -> str:
+        return f"y1, y2, y3 = {point}\n{block.format(point='[y1, y2, y3]')}{_flow(out)}"
+
+    text = _FIELD_TEMPLATE.format(field=textwrap.indent(block.format(point="y"), " " * 8),
+                                  flow=textwrap.indent(_flow("o1, o2, o3"), " " * 8))
+    tail = (_RENORMALIZE + stage("t1", "x0, x1, x2", "e0, e1, e2")
+            + "return [x0, x1, x2], (e0, e1, e2)")
+    text += _rk4_source(3, "k, mu, name, w, c, normal, drift, h, hh, h6", stage, tail)
+    namespace = {"sqrt": math.sqrt, "singular": _singular, "malformed": _malformed}
+    exec(compile(text, "<tangent field>", "exec"), namespace)
+    _compiled[source] = namespace
+    return namespace
 
 
 def builtin_field(kind: str, weight: float | None = None) -> TangentField:
@@ -122,59 +208,45 @@ def builtin_field(kind: str, weight: float | None = None) -> TangentField:
     singular exactly at the south pole.
     """
     kind = kind.lower()
-    plain = {"upslope": _upslope_eval, "horizontal": _horizontal_eval}
-    if kind in plain:
+    if kind not in _SOURCES:
+        raise ParameterError(f"unknown field kind {kind!r}", code="config")
+    if kind != "blend":
         if weight is not None:
             raise ParameterError(f"{kind} takes no weight", code="config")
-        return TangentField(name=kind, eval=plain[kind],
-                            singular_set="south pole (0, 0, -1)")
-    if kind == "blend":
+        name, w = kind, 0.0
+    else:
         if weight is None or not (math.isfinite(weight) and 0.0 <= weight <= 1.0):
             raise ParameterError(f"blend weight must lie in [0, 1], got {weight!r}",
                                  code="config")
         w = float(weight)
-        c = 1.0 - w
         name = f"blend:{w!r}"
+    source = _SOURCES[kind]
+    return TangentField(name=name, eval=_compile(source)["bind_eval"](name, w, 1.0 - w),
+                        singular_set="south pole (0, 0, -1)", source=source, weight=w)
 
-        def _blend_eval(y) -> tuple:
-            # w * upslope + (1 - w) * horizontal, one operation at a time
-            try:
-                u1, u2, u3 = _upslope_eval(y)
-                h1, h2, h3 = _horizontal_eval(y)
-            except SingularFieldError:  # name the blend, not the part
-                raise _singular(name, y) from None
-            return _normalized_or_singular(w * u1 + c * h1, w * u2 + c * h2,
-                                           w * u3 + c * h3, y, name)
 
-        return TangentField(name=name, eval=_blend_eval,
-                            singular_set="south pole (0, 0, -1)")
-    raise ParameterError(f"unknown field kind {kind!r}", code="config")
+def _bind(spec: FrictionSpec, tangent_field: TangentField) -> tuple:
+    # the arguments of the compiled factories, in order
+    w = tangent_field.weight
+    return (-(spec.g / (spec.v * spec.v)), spec.mu, tangent_field.name, w, 1.0 - w,
+            tangent_field.eval)
 
 
 def flow(spec: FrictionSpec, tangent_field: TangentField) -> Callable:
     """The flow as an RK4 stage ``rhs(s, y)``, returning three floats.
 
-    ``k = -(g / v**2)``, ``mu`` and ``tangent_field.eval`` are bound once,
-    when the flow is made.  Each call computes, component by component in
-    Python floats, the IEEE operations, in their order, of the array
-    expression ``-(g / v**2) * (e3_tangential(y) + (y3 / mu) * N(y))``:
-    ``k * (e3T_i + c * n_i)`` with ``c = y3 / mu`` and ``e3T = (0 - y3*y1,
-    0 - y3*y2, 1 - y3*y3)``, so it matches that expression bit for bit.
-    The built-in fields normalise with :func:`_norm3`, so with them a stage
-    involves no BLAS call and gives the same bits on every host.
+    Compiled from the field's component source with ``k = -(g / v**2)``,
+    ``mu`` and the field bound once, when the flow is made; a field without
+    source has its ``eval`` called instead.  Each call computes, component
+    by component in Python floats, the IEEE operations, in their order, of
+    the array expression ``-(g / v**2) * (e3_tangential(y) + (y3 / mu) *
+    N(y))``: ``k * (e3T_i + q * n_i)`` with ``q = y3 / mu`` and ``e3T =
+    (0 - y3*y1, 0 - y3*y2, 1 - y3*y3)``, so it matches that expression bit
+    for bit.  The built-in fields normalise with the sum of squares in that
+    order, so a stage involves no BLAS call and gives the same bits on
+    every host.
     """
-    k = -(spec.g / (spec.v * spec.v))
-    mu = spec.mu
-    normal = tangent_field.eval
-
-    def rhs(_s, y) -> tuple:
-        y1, y2, y3 = y
-        n1, n2, n3 = normal(y)
-        c = y3 / mu
-        return (k * (0.0 - y3 * y1 + c * n1), k * (0.0 - y3 * y2 + c * n2),
-                k * (1.0 - y3 * y3 + c * n3))
-
-    return rhs
+    return _compile(tangent_field.source)["bind_flow"](*_bind(spec, tangent_field))
 
 
 def field_x(spec: FrictionSpec, tangent_field: TangentField, y) -> tuple:
@@ -267,7 +339,13 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
     """Integrate the hemisphere flow from ``y0`` over ``[0, s_max]``.
 
     Fixed-step RK4 with renormalization onto the sphere after every step;
-    the accumulated drift is recorded.  If the trajectory enters a field's
+    the accumulated drift is recorded.  Each step is one call of straight-line
+    code compiled per field kind from :func:`ode._rk4_source`, with the four
+    flow evaluations, the renormalization and the slope at the new sample
+    written out (a field without ``source`` is called through its
+    ``eval``), through the loop of :func:`ode.integrate_fixed`.  A field
+    whose ``eval`` returns other than three values raises
+    :class:`ContractViolationError`.  If the trajectory enters a field's
     singular set the run stops early with the partial curve and a reason
     instead of raising, except when the start itself is singular.
 
@@ -286,28 +364,21 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
         step = DEFAULT_STEP_FACTOR / spec.a
 
     n0 = tangent_field.eval(y0)  # singular start raises here
+    if np.shape(n0) != (3,):
+        raise _malformed(tangent_field.name, n0)
     if not (abs(float(np.linalg.norm(n0)) - 1.0) <= FIELD_CHECK_TOL
             and abs(float(np.dot(n0, y0))) <= FIELD_CHECK_TOL):
         raise ContractViolationError(
             f"field {tangent_field.name!r} does not return a unit tangent at {y0}")
 
-    drift_total = drift_max = 0.0
-
-    def renormalize(y):
-        nonlocal drift_total, drift_max
-        y1, y2, y3 = y
-        norm = _norm3(y1, y2, y3)
-        drift = abs(norm - 1.0)
-        drift_total += drift
-        if drift > drift_max:  # a NaN drift is skipped, as max() skips it
-            drift_max = drift
-        return [y1 / norm, y2 / norm, y3 / norm]
-
-    t, gamma, dgamma, stop_reason = integrate_fixed(
-        flow(spec, tangent_field), y0, 0.0, s_max, step, post_step=renormalize)
-    # t[-1] is pinned to s_max, which can differ from h * n in the last bit
-    h = float(t[1]) if t.shape[0] > 1 else 0.0
-    s = h * np.arange(t.shape[0])
+    ts, h = _grid(0.0, s_max, step)
+    drift = [0.0, 0.0]  # total and max of |norm - 1| before each renormalisation
+    compiled, args = _compile(tangent_field.source), _bind(spec, tangent_field)
+    rk4 = compiled["rk4"](*args, drift, h, 0.5 * h, h / 6.0)
+    _, gamma, dgamma, stop_reason = _run(rk4, compiled["bind_flow"](*args), y0, ts)
+    drift_total, drift_max = drift
+    # ts[-1] is pinned to s_max, which can differ from h * n in the last bit
+    s = h * np.arange(gamma.shape[0])
     if stop_reason is not None:
         log.warning("flow stopped early at s=%s: %s", float(s[-1]), stop_reason)
     alpha = cumulative_simpson(gamma, h)
