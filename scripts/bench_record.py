@@ -14,6 +14,9 @@ count, the seeds, the pair count and, for each end-to-end metric of
 ``BENCHMARK.json``, the number of pairs the change won.  It also records
 both commits and each side's Python and numpy versions and core count.
 
+Each end-to-end metric of each workload also gets a verdict (see
+:func:`verdict`): ``gain``, ``no worse``, ``worse`` or ``unresolved``.
+
 ``job_tail_ms`` is the highest percentile a run has ten samples beyond, so
 two runs with different job counts can report different percentiles.  Each
 side keeps every run's ``tail_percentile`` and ``tail_samples_beyond``, the
@@ -77,8 +80,31 @@ def side(runs: list[dict]) -> dict:
     return out
 
 
+def verdict(parent: dict, change: dict, won: int, pairs: int, better: str,
+            bound: float) -> str:
+    """Judge one metric from both sides' :func:`spread` and the pairs won.
+
+    ``gain``: the change won at least 9 of 10 pairs and its median is
+    better than the parent's by more than the parent's interquartile range.
+    Otherwise ``unresolved`` when that range is wider than ``bound`` (a
+    fraction of the parent's median) and the change did not win every pair;
+    else ``no worse`` when the change's median is worse by at most
+    ``bound``, and ``worse`` when by more.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    base = abs(parent["median"])
+    gained = sign * (change["median"] - parent["median"])
+    iqr = parent["q3"] - parent["q1"]
+    if 10 * won >= 9 * pairs and gained > iqr:
+        return "gain"
+    if iqr > bound * base and won < pairs:
+        return "unresolved"
+    return "no worse" if gained >= -bound * base else "worse"
+
+
 def record(label: str, parent: dict, change: dict, benchmark: dict) -> dict:
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     workloads = {}
     for key in sorted(set(parent) & set(change)):
         a, b = side(parent[key]), side(change[key])
@@ -93,6 +119,9 @@ def record(label: str, parent: dict, change: dict, benchmark: dict) -> dict:
             "workload": key[0], "trace": key[1], "pairs": pairs,
             "seconds": parent[key][0]["args"]["seconds"],
             "change_better_pairs": wins, "parent": a, "change": b,
+            "verdicts": {name: verdict(a["scaled"][name], b["scaled"][name], won, pairs,
+                                       better[name], bounds[name])
+                         for name, won in wins.items()},
             "tail_percentile_differs": [
                 i for i, (x, y) in enumerate(zip(a.get("tail_percentile", []),
                                                  b.get("tail_percentile", [])), 1)
@@ -118,7 +147,8 @@ def main() -> None:
         for metric, won in entry["change_better_pairs"].items():
             a, b = entry["parent"]["scaled"][metric], entry["change"]["scaled"][metric]
             print(f"{name} {metric}: {a['median']:.4g} -> {b['median']:.4g}, "
-                  f"change better in {won} of {entry['pairs']} pairs")
+                  f"change better in {won} of {entry['pairs']} pairs: "
+                  f"{entry['verdicts'][metric]}")
         for i in entry["tail_percentile_differs"]:
             x, y = (entry[s]["tail_percentile"][i - 1] for s in ("parent", "change"))
             print(f"{name} job_tail_ms: pair {i} compares p{x:g} with p{y:g}")

@@ -173,7 +173,8 @@ def _malformed(name: str, n) -> ContractViolationError:
 
 def _compile(source: str | None) -> dict:
     """``bind_eval``, ``bind_flow`` and the RK4 step factory ``rk4`` of a
-    field, from its component source (``None``: a call of its ``eval``).
+    field, from its component source (``None``: a call of its ``eval``,
+    and ``bind_eval`` goes unused).
 
     Compiled once per source, on first use, like :func:`ode._rk4_step`;
     ``k``, ``mu``, the field's name, the blend weight and ``eval`` are

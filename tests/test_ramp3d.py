@@ -16,6 +16,7 @@ from rampforge import (ContractViolationError, ParameterError,
                        e3_tangential, field_x, hemisphere_point,
                        integrate_ramp3d, lambda_3d, lower_ramp, scale_ramp,
                        simulate, spec_from_mu, verify_3d)
+from rampforge import ramp3d
 from rampforge.ode import horizontal_closed_form
 
 # directions strictly inside the south hemisphere, away from the pole
@@ -241,6 +242,63 @@ def test_integrate_evaluates_field_once_per_stage(fig_spec):
         curve = integrate_ramp3d(fig_spec, tf, [0.8, 0.0, -0.6], s_max, step=step)
         n = curve.s.shape[0] - 1
         assert n > 0 and calls[0] == 4 * n + 2
+
+
+@pytest.mark.parametrize("size", [2, 4])
+@pytest.mark.parametrize("from_call", [1, 7])
+def test_field_of_the_wrong_size_is_named(fig_spec, size, from_call):
+    # call 1 is the start check, call 7 a stage of step 2; a wrong size used
+    # to surface as an anonymous unpacking or numpy shape error
+    base = builtin_field("horizontal")
+    calls = [0]
+
+    def lopsided(y):
+        calls[0] += 1
+        n = list(base(y))
+        return (n + [0.0])[:size] if calls[0] >= from_call else n
+
+    tf = TangentField(name="lopsided", eval=lopsided)
+    with pytest.raises(ContractViolationError, match="field 'lopsided' must return 3 values"):
+        integrate_ramp3d(fig_spec, tf, [0.8, 0.0, -0.6], 1.0)
+    assert calls[0] == from_call
+
+
+@settings(max_examples=20, deadline=None)
+@given(mu=st.floats(min_value=0.05, max_value=0.95),
+       v=st.floats(min_value=0.5, max_value=20.0), y0=interior,
+       weight=st.floats(min_value=0.0, max_value=1.0))
+def test_compiled_fields_match_their_eval_call_path(mu, v, y0, weight):
+    # the same eval without the component source takes the eval-call
+    # instantiation of the step; both must give the same bits
+    spec = spec_from_mu(mu, v=v)
+    for tf in (builtin_field("upslope"), builtin_field("horizontal"),
+               builtin_field("blend", weight)):
+        custom = TangentField(tf.name, eval=tf.eval, singular_set=tf.singular_set)
+        assert tf.source is not None and custom.source is None
+        got = [integrate_ramp3d(spec, f, y0, 2.0 / spec.a, step=0.01 / spec.a)
+               for f in (tf, custom)]
+        for name in ("gamma", "dgamma", "alpha"):
+            assert np.array_equal(getattr(got[0], name), getattr(got[1], name))
+        for name in ("norm_drift_total", "norm_drift_max", "stop_reason"):
+            assert getattr(got[0], name) == getattr(got[1], name)
+
+
+@pytest.mark.parametrize("kind", [("upslope",), ("horizontal",), ("blend", 0.37)])
+def test_compiled_step_raises_at_the_stage_point(fig_spec, kind):
+    # no built-in run from the hemisphere reaches the pole, so drive one
+    # compiled step from within SINGULAR_TOL of it: with a zero slope the
+    # second stage evaluates the field at the start itself
+    tf = builtin_field(*kind)
+    drift = [0.0, 0.0]
+    h = 1e-3
+    step = ramp3d._compile(tf.source)["rk4"](*ramp3d._bind(fig_spec, tf), drift,
+                                             h, 0.5 * h, h / 6.0)
+    near = [3e-9, 4e-9, -1.0]
+    with pytest.raises(SingularFieldError) as info:
+        step(0.0, h, near, (0.0, 0.0, 0.0))
+    assert info.value.point == near
+    assert str(info.value) == f"field {tf.name!r} is singular at {near}"
+    assert drift == [0.0, 0.0]
 
 
 def test_concurrent_integrations_match_sequential(fig_spec):

@@ -1,5 +1,6 @@
 """Smoke runs of the study scripts and the benchmark recorder, with tiny arguments."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -59,6 +60,9 @@ def test_bench_record_summarises_pairs(tmp_path):
     entry = json.loads(out.read_text())["workloads"]["sweep3d-trace0"]
     assert entry["pairs"] == 3
     assert entry["change_better_pairs"] == {"jobs_per_s": 2, "peak_rss_mb": 0}
+    assert entry["verdicts"] == {"jobs_per_s": "no worse", "peak_rss_mb": "no worse"}
+    assert ("sweep3d-trace0 jobs_per_s: 7 -> 7, change better in 2 of 3 pairs: no worse"
+            in proc.stdout.splitlines())
     parent, change = entry["parent"], entry["change"]
     assert (parent["commit"], change["commit"]) == ("aaa", "bbb")
     assert parent["environment"] == {"python": "3.11.7", "numpy": "2.4.6",
@@ -73,3 +77,29 @@ def test_bench_record_summarises_pairs(tmp_path):
     assert change["tail_samples_beyond"] == [10, 5, 10]
     assert entry["tail_percentile_differs"] == [2]
     assert "sweep3d-trace0 job_tail_ms: pair 2 compares p90 with p95" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("parent, change, won, better, expect", [
+    # ten pairs, 9 won, medians 10 -> 12 with a parent IQR of 0.5
+    ([9.5, 10.0, 10.0, 10.5] * 2 + [10.0, 10.0], [12.0] * 10, 9, "higher", "gain"),
+    # the same medians with only 8 of 10 pairs won: within the 20% bound
+    ([9.5, 10.0, 10.0, 10.5] * 2 + [10.0, 10.0], [12.0] * 10, 8, "higher", "no worse"),
+    # a median 2 better that does not exceed a parent IQR of 2
+    ([9.0, 9.0, 11.0, 11.0] * 2 + [10.0, 10.0], [12.0] * 10, 10, "higher", "no worse"),
+    # lower is better: 30% slower against a tight parent
+    ([100.0] * 10, [130.0] * 10, 0, "lower", "worse"),
+    ([100.0] * 10, [115.0] * 10, 0, "lower", "no worse"),
+    # a parent IQR of 40% of its median is wider than the bound
+    ([60.0, 80.0, 120.0, 140.0] * 2 + [100.0, 100.0], [100.0] * 10, 5, "lower", "unresolved"),
+    # unless the change won every pair
+    ([60.0, 80.0, 120.0, 140.0] * 2 + [100.0, 100.0], [70.0] * 10, 10, "lower", "no worse"),
+    # a gain wider than that IQR is resolved
+    ([60.0, 80.0, 120.0, 140.0] * 2 + [100.0, 100.0], [59.0] * 10, 9, "lower", "gain"),
+])
+def test_bench_record_verdict(parent, change, won, better, expect):
+    spec = importlib.util.spec_from_file_location("bench_record",
+                                                  ROOT / "scripts" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    got = module.verdict(module.spread(parent), module.spread(change), won, 10, better, 0.2)
+    assert got == expect
