@@ -81,23 +81,25 @@ def side(runs: list[dict]) -> dict:
 
 
 def verdict(parent: dict, change: dict, won: int, pairs: int, better: str,
-            bound: float) -> str:
+            bound: float, fails_more: bool = False) -> str:
     """Judge one metric from both sides' :func:`spread` and the pairs won.
 
-    ``gain``: the change won at least 9 of 10 pairs and its median is
-    better than the parent's by more than the parent's interquartile range.
-    Otherwise ``unresolved`` when that range is wider than ``bound`` (a
-    fraction of the parent's median) and the change did not win every pair;
-    else ``no worse`` when the change's median is worse by at most
-    ``bound``, and ``worse`` when by more.
+    ``gain``: the change won at least 9 of 10 pairs, its median is better
+    than the parent's by more than the parent's interquartile range, and it
+    does not fail a larger share of its jobs (``fails_more``).  Otherwise
+    ``unresolved`` when that range is wider than ``bound`` (a fraction of
+    the parent's median), unless every run of the change beats every run
+    of the parent; else ``no worse`` when the change's median is worse by
+    at most ``bound``, and ``worse`` when by more.
     """
     sign = 1.0 if better == "higher" else -1.0
     base = abs(parent["median"])
     gained = sign * (change["median"] - parent["median"])
     iqr = parent["q3"] - parent["q1"]
-    if 10 * won >= 9 * pairs and gained > iqr:
+    if 10 * won >= 9 * pairs and gained > iqr and not fails_more:
         return "gain"
-    if iqr > bound * base and won < pairs:
+    beats_all = min(sign * x for x in change["runs"]) > max(sign * x for x in parent["runs"])
+    if iqr > bound * base and not beats_all:
         return "unresolved"
     return "no worse" if gained >= -bound * base else "worse"
 
@@ -109,6 +111,8 @@ def record(label: str, parent: dict, change: dict, benchmark: dict) -> dict:
     for key in sorted(set(parent) & set(change)):
         a, b = side(parent[key]), side(change[key])
         pairs = min(a["runs"], b["runs"])
+        # the change fails a larger share of its jobs than the parent
+        fails_more = b["failed"] * a["attempted"] > a["failed"] * b["attempted"]
         wins = {}
         for name, direction in better.items():
             if name in a["scaled"]:
@@ -120,7 +124,7 @@ def record(label: str, parent: dict, change: dict, benchmark: dict) -> dict:
             "seconds": parent[key][0]["args"]["seconds"],
             "change_better_pairs": wins, "parent": a, "change": b,
             "verdicts": {name: verdict(a["scaled"][name], b["scaled"][name], won, pairs,
-                                       better[name], bounds[name])
+                                       better[name], bounds[name], fails_more)
                          for name, won in wins.items()},
             "tail_percentile_differs": [
                 i for i, (x, y) in enumerate(zip(a.get("tail_percentile", []),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 import textwrap
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -70,19 +71,18 @@ class TangentField:
     singular set.  ``singular_set`` is a human-readable description used in
     diagnostics.
 
-    ``source`` is set by :func:`builtin_field` only: the field's component
-    source, from which its ``eval``, its :func:`flow` and its RK4 step are
-    compiled, with ``weight`` the blend weight it reads.  A field without
-    it, such as any field made by hand, is called through ``eval``:
-    :func:`integrate_ramp3d` reads it once when it starts, once per RK4
-    stage and once per sample, ``4n + 2`` calls for ``n`` steps.
+    The ``eval`` of a :func:`builtin_field` is compiled from the field's
+    component source, and so are its :func:`flow` and its RK4 step, which
+    run the field inline.  A field with any other ``eval``, such as a
+    built-in one rebuilt around a wrapper of its ``eval``, is called
+    through ``eval``: :func:`integrate_ramp3d` reads it once when it
+    starts, once per RK4 stage and once per sample, ``4n + 2`` calls for
+    ``n`` steps.
     """
 
     name: str
     eval: Callable[[list], tuple]
     singular_set: str = "none"
-    source: str | None = field(default=None, repr=False)
-    weight: float = 0.0
 
     def __call__(self, y) -> tuple:
         return self.eval(y)
@@ -117,7 +117,7 @@ _SOURCES = {
     "blend": (_unit(_E3T, "u") + _unit(_HORIZONTAL_W, "h")
               + _unit(("w * u1 + c * h1", "w * u2 + c * h2", "w * u3 + c * h3"), "n")),
 }
-# the field block of a field without source
+# the field block of any other field: a call of its eval
 _CALL_EVAL = """\
 n = normal({point})
 try:
@@ -160,6 +160,9 @@ def bind_flow(k, mu, name, w, c, normal):
 
 """
 _compiled: dict = {}
+# each compiled built-in eval -> (its component source, the name it raises
+# with, its blend weight)
+_builtin_evals: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _singular(name: str, y) -> SingularFieldError:
@@ -222,23 +225,32 @@ def builtin_field(kind: str, weight: float | None = None) -> TangentField:
         w = float(weight)
         name = f"blend:{w!r}"
     source = _SOURCES[kind]
-    return TangentField(name=name, eval=_compile(source)["bind_eval"](name, w, 1.0 - w),
-                        singular_set="south pole (0, 0, -1)", source=source, weight=w)
+    field_eval = _compile(source)["bind_eval"](name, w, 1.0 - w)
+    _builtin_evals[field_eval] = source, name, w
+    return TangentField(name=name, eval=field_eval, singular_set="south pole (0, 0, -1)")
 
 
 def _bind(spec: FrictionSpec, tangent_field: TangentField) -> tuple:
-    # the arguments of the compiled factories, in order
-    w = tangent_field.weight
-    return (-(spec.g / (spec.v * spec.v)), spec.mu, tangent_field.name, w, 1.0 - w,
-            tangent_field.eval)
+    """The compiled factories of a field and their arguments, in order.
+
+    Inline from the component source when the field's ``eval`` is a
+    built-in one, raising with that ``eval``'s own name as a call of it
+    would; any other ``eval`` is called in the field block.
+    """
+    try:
+        source, name, w = _builtin_evals[tangent_field.eval]
+    except (KeyError, TypeError):  # TypeError: an eval with no hash or weak reference
+        source, name, w = None, tangent_field.name, 0.0
+    return _compile(source), (-(spec.g / (spec.v * spec.v)), spec.mu, name, w, 1.0 - w,
+                              tangent_field.eval)
 
 
 def flow(spec: FrictionSpec, tangent_field: TangentField) -> Callable:
     """The flow as an RK4 stage ``rhs(s, y)``, returning three floats.
 
     Compiled from the field's component source with ``k = -(g / v**2)``,
-    ``mu`` and the field bound once, when the flow is made; a field without
-    source has its ``eval`` called instead.  Each call computes, component
+    ``mu`` and the field bound once, when the flow is made; a field whose
+    ``eval`` is not a built-in one has it called instead.  Each call computes, component
     by component in Python floats, the IEEE operations, in their order, of
     the array expression ``-(g / v**2) * (e3_tangential(y) + (y3 / mu) *
     N(y))``: ``k * (e3T_i + q * n_i)`` with ``q = y3 / mu`` and ``e3T =
@@ -247,7 +259,8 @@ def flow(spec: FrictionSpec, tangent_field: TangentField) -> Callable:
     order, so a stage involves no BLAS call and gives the same bits on
     every host.
     """
-    return _compile(tangent_field.source)["bind_flow"](*_bind(spec, tangent_field))
+    compiled, args = _bind(spec, tangent_field)
+    return compiled["bind_flow"](*args)
 
 
 def field_x(spec: FrictionSpec, tangent_field: TangentField, y) -> tuple:
@@ -343,8 +356,8 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
     the accumulated drift is recorded.  Each step is one call of straight-line
     code compiled per field kind from :func:`ode._rk4_source`, with the four
     flow evaluations, the renormalization and the slope at the new sample
-    written out (a field without ``source`` is called through its
-    ``eval``), through the loop of :func:`ode.integrate_fixed`.  A field
+    written out (a field whose ``eval`` is not a built-in one is called
+    through it), through the loop of :func:`ode.integrate_fixed`.  A field
     whose ``eval`` returns other than three values raises
     :class:`ContractViolationError`.  If the trajectory enters a field's
     singular set the run stops early with the partial curve and a reason
@@ -374,7 +387,7 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
 
     ts, h = _grid(0.0, s_max, step)
     drift = [0.0, 0.0]  # total and max of |norm - 1| before each renormalisation
-    compiled, args = _compile(tangent_field.source), _bind(spec, tangent_field)
+    compiled, args = _bind(spec, tangent_field)
     rk4 = compiled["rk4"](*args, drift, h, 0.5 * h, h / 6.0)
     _, gamma, dgamma, stop_reason = _run(rk4, compiled["bind_flow"](*args), y0, ts)
     drift_total, drift_max = drift

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -244,6 +245,42 @@ def test_integrate_evaluates_field_once_per_stage(fig_spec):
         assert n > 0 and calls[0] == 4 * n + 2
 
 
+@pytest.mark.parametrize("kind", [("upslope",), ("horizontal",), ("blend", 0.37)])
+def test_replaced_eval_is_called_per_stage(fig_spec, kind):
+    # a built-in field with its eval replaced runs the new eval, not the
+    # compiled built-in step, whatever else it keeps of the built-in field
+    base = builtin_field(*kind)
+    calls = [0]
+
+    def counted(y):
+        calls[0] += 1
+        return base.eval(y)
+
+    curve = integrate_ramp3d(fig_spec, dataclasses.replace(base, eval=counted),
+                             [0.8, 0.0, -0.6], 1.0, step=0.01)
+    n = curve.s.shape[0] - 1
+    assert n > 0 and calls[0] == 4 * n + 2
+    calls[0] = 0
+    ramp3d.field_x(fig_spec, dataclasses.replace(base, eval=counted), [0.8, 0.0, -0.6])
+    assert calls[0] == 1
+
+
+def test_unhashable_eval_is_called(fig_spec):
+    # an eval with no hash cannot be a built-in one; it is called, not looked up
+    @dataclasses.dataclass
+    class Horizontal:
+        calls: int = 0
+
+        def __call__(self, y):
+            self.calls += 1
+            return builtin_field("horizontal").eval(y)
+
+    level = Horizontal()
+    curve = integrate_ramp3d(fig_spec, TangentField("horizontal", eval=level),
+                             [0.8, 0.0, -0.6], 1.0, step=0.01)
+    assert level.calls == 4 * (curve.s.shape[0] - 1) + 2
+
+
 @pytest.mark.parametrize("size", [2, 4])
 @pytest.mark.parametrize("from_call", [1, 7])
 def test_field_of_the_wrong_size_is_named(fig_spec, size, from_call):
@@ -268,13 +305,13 @@ def test_field_of_the_wrong_size_is_named(fig_spec, size, from_call):
        v=st.floats(min_value=0.5, max_value=20.0), y0=interior,
        weight=st.floats(min_value=0.0, max_value=1.0))
 def test_compiled_fields_match_their_eval_call_path(mu, v, y0, weight):
-    # the same eval without the component source takes the eval-call
-    # instantiation of the step; both must give the same bits
+    # the same eval behind a wrapper takes the eval-call instantiation of
+    # the step; both must give the same bits
     spec = spec_from_mu(mu, v=v)
     for tf in (builtin_field("upslope"), builtin_field("horizontal"),
                builtin_field("blend", weight)):
-        custom = TangentField(tf.name, eval=tf.eval, singular_set=tf.singular_set)
-        assert tf.source is not None and custom.source is None
+        custom = TangentField(tf.name, eval=lambda y, f=tf.eval: f(y),
+                              singular_set=tf.singular_set)
         got = [integrate_ramp3d(spec, f, y0, 2.0 / spec.a, step=0.01 / spec.a)
                for f in (tf, custom)]
         for name in ("gamma", "dgamma", "alpha"):
@@ -287,12 +324,15 @@ def test_compiled_fields_match_their_eval_call_path(mu, v, y0, weight):
 def test_compiled_step_raises_at_the_stage_point(fig_spec, kind):
     # no built-in run from the hemisphere reaches the pole, so drive one
     # compiled step from within SINGULAR_TOL of it: with a zero slope the
-    # second stage evaluates the field at the start itself
+    # second stage evaluates the field at the start itself.  A renamed copy
+    # runs the same inline code and raises, as its eval would, with the
+    # built-in name
     tf = builtin_field(*kind)
     drift = [0.0, 0.0]
     h = 1e-3
-    step = ramp3d._compile(tf.source)["rk4"](*ramp3d._bind(fig_spec, tf), drift,
-                                             h, 0.5 * h, h / 6.0)
+    compiled, args = ramp3d._bind(fig_spec, dataclasses.replace(tf, name="renamed"))
+    assert compiled is ramp3d._compile(ramp3d._SOURCES[kind[0]])
+    step = compiled["rk4"](*args, drift, h, 0.5 * h, h / 6.0)
     near = [3e-9, 4e-9, -1.0]
     with pytest.raises(SingularFieldError) as info:
         step(0.0, h, near, (0.0, 0.0, 0.0))

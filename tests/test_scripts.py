@@ -29,19 +29,31 @@ def test_script_runs(tmp_path, script, args):
     assert proc.stdout
 
 
-def _bench_result(directory, commit, jobs_per_s, raw_jobs_per_s, tail_percentile=90.0):
-    directory.mkdir(parents=True)
-    run = {"args": {"workload": "sweep3d", "seed": 1, "seconds": 30.0, "trace": 0},
+def _bench_run(commit, jobs_per_s, raw_jobs_per_s, tail_percentile=90.0, failed=0):
+    return {"args": {"workload": "sweep3d", "seed": 1, "seconds": 30.0, "trace": 0},
            "environment": {"commit": commit, "python": "3.11.7", "numpy": "2.4.6",
                            "nproc": 2, "cpu": "test cpu", "seed": 1},
            "info": {"raw_jobs_per_s": raw_jobs_per_s, "raw_job_p50_ms": 100.0,
                     "raw_job_tail_ms": 200.0, "raw_setup_s": 0.2,
                     "median_speed_scale": 1.0, "tail_percentile": tail_percentile,
                     "tail_samples_beyond": 100 - int(tail_percentile)},
-           "result": {"attempted": 10, "failed": 0, "correct": True,
+           "result": {"attempted": 10, "failed": failed, "correct": True,
                       "metrics": {"jobs_per_s": {"value": jobs_per_s, "unit": "1/s"},
                                   "peak_rss_mb": {"value": 40.0, "unit": "MB"}}}}
+
+
+def _bench_result(directory, commit, jobs_per_s, raw_jobs_per_s, tail_percentile=90.0):
+    directory.mkdir(parents=True)
+    run = _bench_run(commit, jobs_per_s, raw_jobs_per_s, tail_percentile)
     (directory / "result-sweep3d-seed1-trace0.json").write_text(json.dumps(run))
+
+
+def _recorder():
+    spec = importlib.util.spec_from_file_location("bench_record",
+                                                  ROOT / "scripts" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_bench_record_summarises_pairs(tmp_path):
@@ -91,15 +103,29 @@ def test_bench_record_summarises_pairs(tmp_path):
     ([100.0] * 10, [115.0] * 10, 0, "lower", "no worse"),
     # a parent IQR of 40% of its median is wider than the bound
     ([60.0, 80.0, 120.0, 140.0] * 2 + [100.0, 100.0], [100.0] * 10, 5, "lower", "unresolved"),
-    # unless the change won every pair
-    ([60.0, 80.0, 120.0, 140.0] * 2 + [100.0, 100.0], [70.0] * 10, 10, "lower", "no worse"),
+    # winning every pair does not resolve it while some parent run is faster
+    ([60.0, 80.0, 120.0, 140.0] * 2 + [100.0, 100.0], [55.0, 70.0] * 5, 10, "lower",
+     "unresolved"),
+    # every change run beating every parent run does
+    ([60.0, 80.0, 120.0, 140.0] * 2 + [100.0, 100.0], [58.0] * 10, 8, "lower", "no worse"),
     # a gain wider than that IQR is resolved
     ([60.0, 80.0, 120.0, 140.0] * 2 + [100.0, 100.0], [59.0] * 10, 9, "lower", "gain"),
 ])
 def test_bench_record_verdict(parent, change, won, better, expect):
-    spec = importlib.util.spec_from_file_location("bench_record",
-                                                  ROOT / "scripts" / "bench_record.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _recorder()
     got = module.verdict(module.spread(parent), module.spread(change), won, 10, better, 0.2)
     assert got == expect
+
+
+@pytest.mark.parametrize("failed, expect", [(0, "gain"), (1, "no worse")])
+def test_bench_record_gain_needs_no_more_failures(failed, expect):
+    # 20% faster in every pair is a gain only while the change fails no
+    # larger share of its jobs than the parent
+    module = _recorder()
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parent = {("sweep3d", 0): [_bench_run("aaa", 10.0, 20.0) for _ in range(10)]}
+    change = {("sweep3d", 0): [_bench_run("bbb", 12.0, 24.0, failed=failed if i == 3 else 0)
+                               for i in range(10)]}
+    entry = module.record("t", parent, change, benchmark)["workloads"]["sweep3d-trace0"]
+    assert entry["change_better_pairs"]["jobs_per_s"] == 10
+    assert entry["verdicts"]["jobs_per_s"] == expect
