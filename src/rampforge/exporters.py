@@ -32,11 +32,6 @@ PROFILE_HEADER = "t,residual,lambda"
 SVG_WIDTH = 800.0  # px; the height follows the curve's aspect ratio
 
 
-def fmt(value: float) -> str:
-    """Shortest decimal string that round-trips to the same float."""
-    return repr(float(value))
-
-
 def fmt6(value: float) -> str:
     return format(float(value), ".6g")
 
@@ -48,7 +43,8 @@ def _write_lines(path: str | Path, lines: list[str]) -> None:
 
 def _write_csv(path: str | Path, header: str, columns: list) -> None:
     # one row per sample; vector columns of shape (n, k) spread over k cells,
-    # and tolist() gives Python floats, whose repr is what fmt() writes
+    # and tolist() gives Python floats, each written as its shortest
+    # round-trip repr
     rows = np.column_stack(columns).tolist()
     _write_lines(path, [header] + [",".join(map(repr, row)) for row in rows])
 
@@ -99,7 +95,7 @@ def dumps_json(payload: dict) -> str:
 
 
 def _obj_points(tag: str, points: np.ndarray) -> list[str]:
-    # one "tag x y z" line per point (last axis), formatted like fmt()
+    # one "tag x y z" line per point (last axis), each coordinate its repr
     rows = points.reshape(-1, points.shape[-1]).tolist()
     return [f"{tag} " + " ".join(map(repr, p)) for p in rows]
 

@@ -140,77 +140,92 @@ def hermite(grid: np.ndarray, y: np.ndarray, dy: np.ndarray, t):
 
 _RK4_TEMPLATE = """\
 def rk4({params}):
-    def step(t, t1, y, k1):
+    def run(times, y, ys, dys):
+        yv = memoryview(ys).cast("B").cast("d")
+        dv = memoryview(dys).cast("B").cast("d")
+        grid = iter(times)
+        t = next(grid)
         {x}, = y
-        {a}, = k1
+{start}
+        j = 0
+{store}
+        stop = None
+        try:
+            for t1 in grid:
 {b}
 {c}
 {d}
-        {x}, = {out},
-{tail}
-    return step
+                {x}, = {out},
+{project}
+{slope}
+                j += {dim}
+{store_next}
+                t = t1
+        except SingularFieldError as exc:
+            stop = str(exc)
+        return j // {dim} + 1, stop
+    return run
 """
 
 
-def _rk4_source(dim: int, params: str, stage: Callable, tail: str) -> str:
-    """Source of ``rk4(params)``, which returns one RK4 step as straight-line code.
+def _rk4_source(dim: int, params: str, stage: Callable, project: str) -> str:
+    """Source of ``rk4(params)``, which returns ``run(times, y, ys, dys)``:
+    a whole RK4 integration, each step straight-line code.
 
-    ``step(t, t1, y, k1)`` takes the state ``y`` at ``t``, whose slope
-    ``k1`` is known, and the next grid time ``t1``.  It unpacks both into
-    locals ``x0, x1, ...`` and ``a0, a1, ...``; ``stage(t, point, out)``
-    returns the source that sets the names ``out`` to the slope at the
-    components ``point`` and time ``t`` (each a comma-separated list), for
-    the stages ``b``, ``c`` and ``d``.  The combination then overwrites
-    ``x0, x1, ...`` with the state after the step, and ``tail``, formatted
-    with ``x`` (the state's names), must return ``(state, slope)`` at
-    ``t1``.  ``params`` are the names every source reads besides
-    builtins and its module's globals.
+    ``run`` integrates from the state ``y`` at ``times[0]`` over the grid
+    ``times`` (Python floats), writes each sample and its slope into the
+    next row of the float64 tables ``ys`` and ``dys`` through flat
+    memoryviews, and returns ``(rows, stop)``: the rows written and the
+    message of the :class:`SingularFieldError` that ended the loop, or
+    ``None``.  Only the loop is in the ``try``, so a singular start raises.
+    The state lives in the locals ``x0, x1, ...``, its slope in ``a0, a1,
+    ...``; ``stage(t, point, out)`` returns the source that sets the names
+    ``out`` to the slope at the components ``point`` and time ``t`` (each
+    a comma-separated list).  ``project`` runs on each new state before its
+    slope is taken.  ``params`` are the names every source reads besides
+    builtins and its module's globals, which must hold ``SingularFieldError``.
     """
-    def row(term):  # term for each component, comma-separated
-        return ", ".join(term.format(i=i) for i in range(dim))
+    def row(term, sep=", "):  # term for each component
+        return sep.join(term.format(i=i) for i in range(dim))
 
-    def block(text):
-        return textwrap.indent(text.rstrip("\n"), " " * 8)
+    def block(text, depth):
+        return textwrap.indent(text.rstrip("\n"), " " * depth)
 
+    store = row("yv[j + {i}] = x{i}\ndv[j + {i}] = a{i}", "\n").replace("[j + 0]", "[j]")
     return _RK4_TEMPLATE.format(
-        params=params, x=row("x{i}"), a=row("a{i}"),
-        b=block(stage("t + hh", row("x{i} + hh * a{i}"), row("b{i}"))),
-        c=block(stage("t + hh", row("x{i} + hh * b{i}"), row("c{i}"))),
-        d=block(stage("t + h", row("x{i} + h * c{i}"), row("d{i}"))),
+        params=params, dim=dim, x=row("x{i}"),
+        start=block(stage("t", row("x{i}"), row("a{i}")), 8),
+        store=block(store, 8),
+        b=block(stage("t + hh", row("x{i} + hh * a{i}"), row("b{i}")), 16),
+        c=block(stage("t + hh", row("x{i} + hh * b{i}"), row("c{i}")), 16),
+        d=block(stage("t + h", row("x{i} + h * c{i}"), row("d{i}")), 16),
         out=row("x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"),
-        tail=block(tail.format(x=row("x{i}"))))
+        project=block(project, 16),
+        slope=block(stage("t1", row("x{i}"), row("a{i}")), 16),
+        store_next=block(store, 16))
 
 
-def _rhs_stage(t: str, point: str, out: str) -> str:
-    return f"{out}, = rhs({t}, [{point}])"
+_rk4_runs: dict = {}
 
 
-_RHS_TAIL = """\
-y = [{x}]
-if post_step is not None:
-    y = post_step(y)
-return y, rhs(t1, y)"""
-_rk4_steps: dict = {}
+def _rk4_run(dim: int) -> Callable:
+    """``rk4(rhs, h, hh, h6)``: the RK4 run of :func:`integrate_fixed`.
 
-
-def _rk4_step(dim: int) -> Callable:
-    """``rk4(rhs, post_step, h, hh, h6)``: the RK4 step of :func:`integrate_fixed`.
-
-    The stages call ``rhs(t, point)``; the step ends with ``post_step``,
-    when there is one, and the slope at ``t1``, both as calls.  Written out
-    component by component, unpacked into locals, because a comprehension
-    per stage costs several times the arithmetic on Pythons that do not
-    inline them.  Compiled once per ``dim``, on first use, the way
-    :mod:`dataclasses` builds ``__init__``.
+    Each stage is a call ``rhs(t, point)`` whose result is unpacked into
+    ``dim`` floats.  Written out component by component, unpacked into
+    locals, because a comprehension per stage costs several times the
+    arithmetic on Pythons that do not inline them.  Compiled once per
+    ``dim``, on first use, the way :mod:`dataclasses` builds ``__init__``.
     """
     try:
-        return _rk4_steps[dim]
+        return _rk4_runs[dim]
     except KeyError:
         pass
-    source = _rk4_source(dim, "rhs, post_step, h, hh, h6", _rhs_stage, _RHS_TAIL)
-    namespace: dict = {}
-    exec(compile(source, f"<rk4 step, {dim} components>", "exec"), namespace)
-    rk4 = _rk4_steps[dim] = namespace["rk4"]
+    source = _rk4_source(dim, "rhs, h, hh, h6",
+                         lambda t, point, out: f"{out}, = rhs({t}, [{point}])", "")
+    namespace = {"SingularFieldError": SingularFieldError}
+    exec(compile(source, f"<rk4 run, {dim} components>", "exec"), namespace)
+    rk4 = _rk4_runs[dim] = namespace["rk4"]
     return rk4
 
 
@@ -220,13 +235,6 @@ def _raised_in(exc: BaseException, code) -> bool:
     while tb.tb_next is not None:
         tb = tb.tb_next
     return tb.tb_frame.f_code is code
-
-
-def _wrong_size(dim: int, y) -> ParameterError:
-    # called on an error path only; y is the last state, post_step's result
-    # when there is one, so a wrong size there is post_step's fault
-    who = "rhs" if len(y) == dim else "post_step"
-    return ParameterError(f"{who} must return {dim} values, as many as y0 has")
 
 
 def _grid(t0: float, t1: float, step: float) -> tuple[np.ndarray, float]:
@@ -247,89 +255,53 @@ def _grid(t0: float, t1: float, step: float) -> tuple[np.ndarray, float]:
     return ts, h
 
 
-def _run(step: Callable, rhs: Callable, y: list, ts: np.ndarray):
-    """Integrate from ``y`` at ``ts[0]`` with one call of ``step`` per grid
-    interval; ``rhs(t, y)`` gives the start slope.  Returns what
-    :func:`integrate_fixed` returns."""
-    dim, n = len(y), ts.shape[0] - 1
-    times = ts.tolist()  # Python floats: cheaper per-step arithmetic than numpy scalars
-    k1 = rhs(times[0], y)  # a singular start raises
-    if len(k1) != dim:
-        raise _wrong_size(dim, y)
-    ys = np.empty((n + 1, dim))
+def _run(run: Callable, y: list, ts: np.ndarray):
+    """Integrate from ``y`` at ``ts[0]`` with one call of a compiled ``run``
+    (:func:`_rk4_source`).  Returns what :func:`integrate_fixed` returns."""
+    ys = np.empty((ts.shape[0], len(y)))
     dys = np.empty_like(ys)
-    # element stores into flat views are cheaper than numpy row assignment
-    yv = memoryview(ys).cast("B").cast("d")
-    dv = memoryview(dys).cast("B").cast("d")
-    for j, c in enumerate(y):  # the start sample
-        yv[j] = c
-        dv[j] = k1[j]
-    j = jd = dim  # next element of ys and of dys
-    rows, stop = n + 1, None
-    for i in range(n):
-        try:
-            y, k1 = step(times[i], times[i + 1], y, k1)
-        except SingularFieldError as exc:
-            rows, stop = i + 1, str(exc)
-            break
-        except ValueError as exc:
-            if _raised_in(exc, step.__code__):  # a slope or state that does not unpack
-                raise _wrong_size(dim, y) from None
-            raise
-        try:
-            for c in y:
-                yv[j] = c
-                j += 1
-            for c in k1:
-                dv[jd] = c
-                jd += 1
-        except IndexError:  # longer rows ran past the end of a table
-            raise _wrong_size(dim, y) from None
-    if not j == jd == rows * dim:
-        raise _wrong_size(dim, y)
+    try:
+        # Python floats: cheaper per-step arithmetic than numpy scalars
+        rows, stop = run(ts.tolist(), y, ys, dys)
+    except ValueError as exc:
+        if _raised_in(exc, run.__code__):  # a slope that does not unpack
+            raise ParameterError(
+                f"rhs must return {len(y)} values, as many as y0 has") from None
+        raise
     return ts[:rows], ys[:rows], dys[:rows], stop
 
 
-def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float,
-                    post_step: Callable | None = None):
+def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float):
     """Classical RK4 on a uniform grid over ``[t0, t1]``.
 
     The state is a sequence of ``d`` floats; a scalar equation passes a
     1-tuple.  ``rhs(t, y)`` gets the state as a list of floats and must
-    return ``d`` floats (a tuple, a list or a ``(d,)`` array), and
-    ``post_step(y) -> y`` runs on the list after every step (used for
-    constraint projection).  Each step is one call of straight-line code
-    generated for ``d`` components (:func:`_rk4_step`), which unpacks the
-    state and each stage's slope into floats and computes, component by
-    component, the IEEE operations, in their order, of the array
-    expressions ``y + 0.5*h*k1`` ... ``y + (h/6)*(k1 + 2k2 + 2k3 + k4)``;
-    it calls ``rhs`` once per stage and once more for the slope at the new
-    sample, after ``post_step``.  :func:`ramp3d.integrate_ramp3d` runs the
-    same template and loop with the hemisphere flow written into the step.
+    return ``d`` floats (a tuple, a list or a ``(d,)`` array).  The whole
+    integration is one call of code generated for ``d`` components
+    (:func:`_rk4_run`), which unpacks the state and each slope into floats
+    and computes, component by component, the IEEE operations, in their
+    order, of the array expressions ``y + 0.5*h*k1`` ... ``y + (h/6)*(k1 +
+    2k2 + 2k3 + k4)``; it calls ``rhs`` at the start, once per stage and at
+    each new sample.  :func:`ramp3d.integrate_ramp3d` runs the same
+    template with the hemisphere flow written in.
 
     The grid has the fewest steps of equal width no larger than ``step``;
     ``t[-1]`` is pinned to ``t1``.  Returns ``(t, y, dy, stop)``: ``t`` of
     shape ``(n+1,)``, ``y`` and ``dy`` C-contiguous float64 tables of shape
-    ``(n+1, d)``, where ``dy[i] = rhs(t[i], y[i])`` is the slope at each
-    sample, which is also the first stage of the step from it.  Both tables
-    are allocated once; each sample is written into them one element at a
-    time through flat memoryviews.  An ``rhs`` that returns another number
-    of values than ``d`` raises :class:`ParameterError` instead of leaving
-    a misaligned table: the start slope is checked, a stage slope of the
-    wrong size fails to unpack in the generated step, and the element count
-    catches the last one.  A ``post_step`` that returns another number of
-    values is caught the same way and named in the error.  Any other error
-    of ``rhs``, a ``ValueError`` included, propagates unchanged.  If
-    ``rhs`` raises :class:`SingularFieldError`, the samples whose slope is
-    known are returned with the error message as ``stop``; otherwise
-    ``stop`` is ``None``.  A singular start raises.
+    ``(n+1, d)``, allocated once, where ``dy[i] = rhs(t[i], y[i])`` is the
+    slope at each sample and the first stage of the step from it.  An
+    ``rhs`` that returns another number of values than ``d`` raises
+    :class:`ParameterError`; any other error of ``rhs``, a ``ValueError``
+    included, propagates unchanged.  If ``rhs`` raises
+    :class:`SingularFieldError`, the samples whose slope is known are
+    returned with its message as ``stop``; otherwise ``stop`` is ``None``.
+    A singular start raises.
     """
     ts, h = _grid(t0, t1, step)
     y = [float(c) for c in y0]
     if not y:
         raise ParameterError("y0 must hold at least one value")
-    rk4 = _rk4_step(len(y))(rhs, post_step, h, 0.5 * h, h / 6.0)
-    return _run(rk4, rhs, y, ts)
+    return _run(_rk4_run(len(y))(rhs, h, 0.5 * h, h / 6.0), y, ts)
 
 
 def integrate_theta(spec: FrictionSpec, theta0: float, s_span: tuple[float, float],

@@ -72,7 +72,7 @@ class TangentField:
     diagnostics.
 
     The ``eval`` of a :func:`builtin_field` is compiled from the field's
-    component source, and so are its :func:`flow` and its RK4 step, which
+    component source, and so are its :func:`field_x` and its RK4 run, which
     run the field inline.  A field with any other ``eval``, such as a
     built-in one rebuilt around a wrapper of its ``eval``, is called
     through ``eval``: :func:`integrate_ramp3d` reads it once when it
@@ -152,10 +152,10 @@ def bind_eval(name, w, c):
 
 
 def bind_flow(k, mu, name, w, c, normal):
-    def rhs(_s, y):
+    def flow(y):
         y1, y2, y3 = y
 {field}{flow}        return o1, o2, o3
-    return rhs
+    return flow
 
 
 """
@@ -175,11 +175,11 @@ def _malformed(name: str, n) -> ContractViolationError:
 
 
 def _compile(source: str | None) -> dict:
-    """``bind_eval``, ``bind_flow`` and the RK4 step factory ``rk4`` of a
+    """``bind_eval``, ``bind_flow`` and the RK4 run factory ``rk4`` of a
     field, from its component source (``None``: a call of its ``eval``,
     and ``bind_eval`` goes unused).
 
-    Compiled once per source, on first use, like :func:`ode._rk4_step`;
+    Compiled once per source, on first use, like :func:`ode._rk4_run`;
     ``k``, ``mu``, the field's name, the blend weight and ``eval`` are
     arguments of the factories.
     """
@@ -194,10 +194,10 @@ def _compile(source: str | None) -> dict:
 
     text = _FIELD_TEMPLATE.format(field=textwrap.indent(block.format(point="y"), " " * 8),
                                   flow=textwrap.indent(_flow("o1, o2, o3"), " " * 8))
-    tail = (_RENORMALIZE + stage("t1", "x0, x1, x2", "e0, e1, e2")
-            + "return [x0, x1, x2], (e0, e1, e2)")
-    text += _rk4_source(3, "k, mu, name, w, c, normal, drift, h, hh, h6", stage, tail)
-    namespace = {"sqrt": math.sqrt, "singular": _singular, "malformed": _malformed}
+    text += _rk4_source(3, "k, mu, name, w, c, normal, drift, h, hh, h6", stage,
+                        _RENORMALIZE)
+    namespace = {"sqrt": math.sqrt, "singular": _singular, "malformed": _malformed,
+                 "SingularFieldError": SingularFieldError}
     exec(compile(text, "<tangent field>", "exec"), namespace)
     _compiled[source] = namespace
     return namespace
@@ -245,30 +245,23 @@ def _bind(spec: FrictionSpec, tangent_field: TangentField) -> tuple:
                               tangent_field.eval)
 
 
-def flow(spec: FrictionSpec, tangent_field: TangentField) -> Callable:
-    """The flow as an RK4 stage ``rhs(s, y)``, returning three floats.
-
-    Compiled from the field's component source with ``k = -(g / v**2)``,
-    ``mu`` and the field bound once, when the flow is made; a field whose
-    ``eval`` is not a built-in one has it called instead.  Each call computes, component
-    by component in Python floats, the IEEE operations, in their order, of
-    the array expression ``-(g / v**2) * (e3_tangential(y) + (y3 / mu) *
-    N(y))``: ``k * (e3T_i + q * n_i)`` with ``q = y3 / mu`` and ``e3T =
-    (0 - y3*y1, 0 - y3*y2, 1 - y3*y3)``, so it matches that expression bit
-    for bit.  The built-in fields normalise with the sum of squares in that
-    order, so a stage involves no BLAS call and gives the same bits on
-    every host.
-    """
-    compiled, args = _bind(spec, tangent_field)
-    return compiled["bind_flow"](*args)
-
-
 def field_x(spec: FrictionSpec, tangent_field: TangentField, y) -> tuple:
     """Flow direction of the motion-direction curve at ``y`` (three floats).
 
-    One evaluation of :func:`flow`, so the formula exists once.
+    Compiled from the field's component source, as the RK4 run of
+    :func:`integrate_ramp3d` is, with ``k = -(g / v**2)``, ``mu`` and the
+    field bound; a field whose ``eval`` is not a built-in one has it
+    called instead.  It computes, component by component in Python floats,
+    the IEEE operations, in their order, of the array expression
+    ``-(g / v**2) * (e3_tangential(y) + (y3 / mu) * N(y))``:
+    ``k * (e3T_i + q * n_i)`` with ``q = y3 / mu`` and ``e3T = (0 - y3*y1,
+    0 - y3*y2, 1 - y3*y3)``, so it matches that expression bit for bit.
+    The built-in fields normalise with the sum of squares in that order, so
+    an evaluation involves no BLAS call and gives the same bits on every
+    host.
     """
-    return flow(spec, tangent_field)(0.0, y)
+    compiled, args = _bind(spec, tangent_field)
+    return compiled["bind_flow"](*args)(y)
 
 
 def lambda_3d(spec: FrictionSpec, y) -> np.ndarray:
@@ -353,11 +346,11 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
     """Integrate the hemisphere flow from ``y0`` over ``[0, s_max]``.
 
     Fixed-step RK4 with renormalization onto the sphere after every step;
-    the accumulated drift is recorded.  Each step is one call of straight-line
-    code compiled per field kind from :func:`ode._rk4_source`, with the four
-    flow evaluations, the renormalization and the slope at the new sample
-    written out (a field whose ``eval`` is not a built-in one is called
-    through it), through the loop of :func:`ode.integrate_fixed`.  A field
+    the accumulated drift is recorded.  The whole integration is one call
+    of code compiled per field kind from :func:`ode._rk4_source`, whose
+    loop writes out each step's four flow evaluations, the renormalization
+    and the slope at the new sample, and stores the samples (a field whose
+    ``eval`` is not a built-in one is called through it).  A field
     whose ``eval`` returns other than three values raises
     :class:`ContractViolationError`.  If the trajectory enters a field's
     singular set the run stops early with the partial curve and a reason
@@ -388,8 +381,8 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
     ts, h = _grid(0.0, s_max, step)
     drift = [0.0, 0.0]  # total and max of |norm - 1| before each renormalisation
     compiled, args = _bind(spec, tangent_field)
-    rk4 = compiled["rk4"](*args, drift, h, 0.5 * h, h / 6.0)
-    _, gamma, dgamma, stop_reason = _run(rk4, compiled["bind_flow"](*args), y0, ts)
+    run = compiled["rk4"](*args, drift, h, 0.5 * h, h / 6.0)
+    _, gamma, dgamma, stop_reason = _run(run, y0, ts)
     drift_total, drift_max = drift
     # ts[-1] is pinned to s_max, which can differ from h * n in the last bit
     s = h * np.arange(gamma.shape[0])
@@ -428,6 +421,8 @@ class RampSurface3D:
 def _ruling_grid(r_extent: tuple[float, float], n_r: int) -> np.ndarray:
     # grid across the strip that contains r = 0 exactly
     r_min, r_max = float(r_extent[0]), float(r_extent[1])
+    if not (math.isfinite(r_min) and math.isfinite(r_max)):
+        raise ParameterError(f"r_extent must be finite, got {r_extent!r}")
     if not (r_min <= 0.0 <= r_max) or r_min == r_max:
         raise ParameterError(
             f"r_extent must straddle 0 with r_min < r_max, got {r_extent!r}")

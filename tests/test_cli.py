@@ -157,6 +157,18 @@ def test_bad_step_exits_2(capsys, tmp_path, command, step):
     assert "step must be positive" in err
 
 
+# " -inf": argparse would read a bare "-inf" as an option
+@pytest.mark.parametrize("r_extent", [("0", "inf"), (" -inf", "1")])
+def test_generate3d_infinite_r_extent_exits_2(capsys, tmp_path, r_extent):
+    out = tmp_path / "x"
+    code, _, err = run(capsys, "generate3d", "--mu", "0.5", "--v", "5",
+                       "--field", "upslope", "--y0", "0.8", "0", "-0.6",
+                       "--smax", "0.5", "--r-extent", *r_extent, "--out", str(out))
+    assert code == 2
+    assert "r_extent must be finite" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_command_2d(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, stdout, _ = run(capsys, "verify", "--mu", "0.5", "--v", "5",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rampforge import (builtin_field, build_surface, integrate_ramp3d,
                        lower_ramp, sample_ramp, simulate,
                        verify_2d, verify_scaling, upper_ramp)
-from rampforge.exporters import (dumps_json, fmt, report_to_dict,
+from rampforge.exporters import (dumps_json, report_to_dict,
                                  scaling_to_dict, trace_summary, write_curve2d_csv,
                                  write_curve2d_json, write_curve2d_svg,
                                  write_curve3d_csv, write_frames_csv,
@@ -23,12 +23,6 @@ from rampforge.params import spec_to_dict
 def small_curve(fig_spec):
     return integrate_ramp3d(fig_spec, builtin_field("upslope"),
                             [1.0, 0.0, 0.0], 0.5, step=0.05)
-
-
-def test_fmt_round_trips():
-    for x in (0.1, 1.0 / 3.0, 1e-300, -math.pi, 12345.678901234567):
-        assert float(fmt(x)) == x
-    assert fmt(2.0) == "2.0"
 
 
 def test_dumps_json_is_deterministic(fig_spec):

@@ -203,28 +203,6 @@ def test_integrate_fixed_keeps_the_rhs_own_value_error(dim, bad_call):
     assert str(info.value) == "math domain error"
 
 
-def test_integrate_fixed_names_a_wrong_size_post_step():
-    with pytest.raises(ParameterError, match="post_step must return 3 values"):
-        integrate_fixed(lambda t, u: [-c for c in u], (1.0, 0.5, 0.25), 0, 1, 0.1,
-                        post_step=lambda y: y[:2])
-
-
-@pytest.mark.parametrize("size", [2, 4])
-@pytest.mark.parametrize("bad_step", [1, 5, 10])
-def test_integrate_fixed_names_post_step_at_any_step(size, bad_step):
-    # ten steps; step 10 is the last, caught by the element count
-    steps = [0]
-
-    def post_step(y):
-        steps[0] += 1
-        return (y + [0.0])[:size] if steps[0] == bad_step else y
-
-    with pytest.raises(ParameterError, match="post_step must return 3 values"):
-        integrate_fixed(lambda t, u: [-c for c in u], (1.0, 0.5, 0.25), 0.0, 1.0, 0.1,
-                        post_step=post_step)
-    assert steps[0] == bad_step
-
-
 def test_integrate_fixed_rejects_an_empty_state():
     with pytest.raises(ParameterError):
         integrate_fixed(lambda _t, u: u, (), 0.0, 1.0, 0.1)

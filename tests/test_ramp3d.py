@@ -206,23 +206,31 @@ def test_integrate_stops_early_at_singularity(fig_spec):
     assert np.all(curve.gamma[:, 2] >= -0.3 - 1e-6)
 
 
-def test_integrate_drops_sample_whose_slope_is_unknown(fig_spec):
-    # the field fails on the first stage of step 10 (call 1 is the start
-    # check, then four calls per step), so the slope at sample 10 is never
-    # known and sample 10 must not be kept with an unset dgamma row
+@pytest.mark.parametrize("bad_call", [
+    pytest.param(2 + 4 * 9 + 1, id="b"), pytest.param(2 + 4 * 9 + 2, id="c"),
+    pytest.param(2 + 4 * 9 + 3, id="d"), pytest.param(2 + 4 * 10, id="slope")])
+def test_integrate_drops_sample_whose_slope_is_unknown(fig_spec, bad_call):
+    # the field fails at stage b, c or d of step 10 or at the slope of
+    # sample 10 that ends it (call 1 is the start check, call 2 the slope
+    # at the start, then four calls per step), so the slope at sample 10 is
+    # never known and sample 10 must not be kept with an unset dgamma row
     base = builtin_field("horizontal")
     calls = [0]
 
     def eval_failing_once(y):
         calls[0] += 1
-        if calls[0] == 2 + 4 * 10:
+        if calls[0] == bad_call:
             raise SingularFieldError("singular here", point=y)
         return base(y)
 
     tf = TangentField(name="horizontal", eval=eval_failing_once)
     curve = integrate_ramp3d(fig_spec, tf, [0.8, 0.0, -0.6], 1.0)
-    assert curve.stopped_early
+    assert curve.stopped_early and calls[0] == bad_call
+    assert curve.s.shape == (10,)
     assert curve.gamma.shape == curve.dgamma.shape == (10, 3)
+    full = integrate_ramp3d(fig_spec, base, [0.8, 0.0, -0.6], 1.0)
+    for name in ("s", "gamma", "dgamma"):
+        assert np.array_equal(getattr(curve, name), getattr(full, name)[:10])
     expect = np.stack([field_x(fig_spec, base, y) for y in curve.gamma])
     assert np.array_equal(curve.dgamma, expect)
     assert verify_3d(fig_spec, curve).verdict is Verdict.VALID
@@ -323,19 +331,18 @@ def test_compiled_fields_match_their_eval_call_path(mu, v, y0, weight):
 @pytest.mark.parametrize("kind", [("upslope",), ("horizontal",), ("blend", 0.37)])
 def test_compiled_step_raises_at_the_stage_point(fig_spec, kind):
     # no built-in run from the hemisphere reaches the pole, so drive one
-    # compiled step from within SINGULAR_TOL of it: with a zero slope the
-    # second stage evaluates the field at the start itself.  A renamed copy
-    # runs the same inline code and raises, as its eval would, with the
-    # built-in name
+    # compiled run from within SINGULAR_TOL of it: its slope at the start
+    # evaluates the field there.  A renamed copy runs the same inline code
+    # and raises, as its eval would, with the built-in name
     tf = builtin_field(*kind)
     drift = [0.0, 0.0]
     h = 1e-3
     compiled, args = ramp3d._bind(fig_spec, dataclasses.replace(tf, name="renamed"))
     assert compiled is ramp3d._compile(ramp3d._SOURCES[kind[0]])
-    step = compiled["rk4"](*args, drift, h, 0.5 * h, h / 6.0)
+    run = compiled["rk4"](*args, drift, h, 0.5 * h, h / 6.0)
     near = [3e-9, 4e-9, -1.0]
     with pytest.raises(SingularFieldError) as info:
-        step(0.0, h, near, (0.0, 0.0, 0.0))
+        run([0.0, h], near, np.empty((2, 3)), np.empty((2, 3)))
     assert info.value.point == near
     assert str(info.value) == f"field {tf.name!r} is singular at {near}"
     assert drift == [0.0, 0.0]
@@ -527,6 +534,15 @@ def test_build_surface_validation(fig_spec):
         build_surface(curve, curve.field, r_extent=(0.5, -0.5))
     with pytest.raises(ParameterError):
         build_surface(curve, curve.field, resolution=(0, 4))
+
+
+@pytest.mark.parametrize("r_extent", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+def test_build_surface_rejects_non_finite_extent(fig_spec, r_extent):
+    # an infinite end used to give nan/inf vertices or an uncaught ValueError
+    curve = integrate_ramp3d(fig_spec, builtin_field("upslope"),
+                             [1.0, 0.0, 0.0], 0.5, step=0.01)
+    with pytest.raises(ParameterError, match="r_extent must be finite"):
+        build_surface(curve, curve.field, r_extent=r_extent)
 
 
 def test_scale_ramp_2d(fig_spec):

@@ -129,3 +129,24 @@ def test_bench_record_gain_needs_no_more_failures(failed, expect):
     entry = module.record("t", parent, change, benchmark)["workloads"]["sweep3d-trace0"]
     assert entry["change_better_pairs"]["jobs_per_s"] == 10
     assert entry["verdicts"]["jobs_per_s"] == expect
+
+
+def test_output_digests_names_each_differing_output(tmp_path):
+    # one run writes the digests; a second, compared with a copy that has
+    # one digest changed, names exactly that output and exits 1
+    script = [sys.executable, str(ROOT / "scripts" / "output_digests.py")]
+    out = tmp_path / "digests.json"
+    proc = subprocess.run([*script, "--out", str(out)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    digests = json.loads(out.read_text())
+    assert {"generate3d", "simulate3d blend:0.37 jsonl"} <= set(digests)
+    assert all(d is not None for outputs in digests.values() for d in outputs.values())
+    digests["simulate3d upslope csv"]["frames.csv"] = "0" * 64
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps(digests))
+    proc = subprocess.run([*script, "--compare", str(changed)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if line.startswith("differs")] == [
+        "differs: simulate3d upslope csv: frames.csv"]
