@@ -1,0 +1,105 @@
+"""Min-of-N in-process times of the layers the benchmark's jobs spend in.
+
+    python3 scripts/layer_times.py --repeat 7
+
+Times, each as the best of ``--repeat`` calls in this process after one
+warm-up call, in milliseconds:
+
+- ``ode.integrate_theta``: the tangent-angle RK4 over 6/a from the apex;
+- ``ramp3d.integrate_ramp3d <field>``: the hemisphere RK4 over 5/a from
+  ``(0.8, 0, -0.6)``, for each built-in field;
+- ``exporters.<writer>``: each writer of a ``planar2d`` job, on the lower
+  branch sampled at 1000 rows and a 2 s ``simulate`` at 500 fps.
+
+The spans, rows and frame rate are those of ``bench/workloads.py``, scaled
+by ``--size`` (the benchmark's job size); the spec is mu=0.5, v=5, g=9.81,
+m=1.  Prints JSON with the times, the Python and numpy versions and the core
+count.  Untraced and in one process, so it shows a layer's own cost, for
+example the field step of each built-in field, which a traced benchmark run
+does not time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import numpy as np  # noqa: E402
+import workloads  # noqa: E402
+from rampforge import (builtin_field, exporters, integrate_ramp3d,  # noqa: E402
+                       integrate_theta, make_ramp, planar, sim, spec_from_mu,
+                       theta_closed_form)
+
+FIELDS = [("horizontal",), ("upslope",), ("blend", 0.5)]
+Y0 = (0.8, 0.0, -0.6)
+
+
+def best_ms(call, repeat: int) -> float:
+    call()  # warm-up: compiles the generated runs on first use
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return 1e3 * best
+
+
+def layer_times(repeat: int, size: float, workdir: Path) -> dict:
+    spec = spec_from_mu(0.5, v=5.0)
+    theta0 = float(theta_closed_form(spec, 0.0))
+    theta_span = (0.0, size * workloads.THETA_SPAN_FACTOR / spec.a)
+    ms = {"ode.integrate_theta": best_ms(lambda: integrate_theta(spec, theta0, theta_span),
+                                         repeat)}
+    s_max = size * workloads.SWEEP_SPAN_FACTOR / spec.a
+    for kind in FIELDS:
+        field = builtin_field(*kind)
+        ms[f"ramp3d.integrate_ramp3d {field.name}"] = best_ms(
+            lambda: integrate_ramp3d(spec, field, Y0, s_max), repeat)
+
+    ramp = make_ramp(spec, "lower")
+    rows = max(2, int(workloads.PLANAR_SAMPLES * size))
+    data = planar.sample_ramp(spec, ramp, np.linspace(0.0, planar.default_span(spec), rows))
+    frames = sim.simulate(spec, ramp, workloads.PLANAR_T_SPAN,
+                          fps=workloads.PLANAR_FPS * size)
+    writers = {
+        "write_curve2d_csv": lambda: exporters.write_curve2d_csv(workdir / "curve.csv", data),
+        "write_curve2d_json": lambda: exporters.write_curve2d_json(
+            workdir / "curve.json", spec, data, extra={"branch": ramp.branch.value}),
+        "write_curve2d_svg": lambda: exporters.write_curve2d_svg(
+            workdir / "curve.svg", data["x"], data["y"]),
+        "write_frames_csv": lambda: exporters.write_frames_csv(workdir / "frames.csv", frames),
+        "write_frames_jsonl": lambda: exporters.write_frames_jsonl(
+            workdir / "frames.jsonl", frames),
+    }
+    for name, write in writers.items():
+        ms[f"exporters.{name}"] = best_ms(write, repeat)
+    return ms
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeat", type=int, default=7, help="timed calls per layer")
+    parser.add_argument("--size", type=float, default=1.0,
+                        help="scale of spans, rows and frame rate (benchmark job size)")
+    args = parser.parse_args(argv)
+    if args.repeat < 1 or not args.size > 0.0:
+        parser.error("--repeat must be at least 1 and --size positive")
+    with tempfile.TemporaryDirectory() as workdir:
+        ms = layer_times(args.repeat, args.size, Path(workdir))
+    print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
+                      "nproc": os.cpu_count(), "repeat": args.repeat, "size": args.size,
+                      "ms": ms}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

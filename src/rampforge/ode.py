@@ -184,6 +184,12 @@ def _rk4_source(dim: int, params: str, stage: Callable, project: str) -> str:
     a comma-separated list).  ``project`` runs on each new state before its
     slope is taken.  ``params`` are the names every source reads besides
     builtins and its module's globals, which must hold ``SingularFieldError``.
+
+    Three kinds of run are compiled from it: :func:`integrate_fixed` calls
+    its ``rhs`` in each stage, :func:`integrate_theta` writes the
+    tangent-angle equation in (both through :func:`_rk4_run`), and
+    :func:`ramp3d.integrate_ramp3d` writes in the hemisphere flow of its
+    field with the renormalisation as ``project``.
     """
     def row(term, sep=", "):  # term for each component
         return sep.join(term.format(i=i) for i in range(dim))
@@ -205,27 +211,36 @@ def _rk4_source(dim: int, params: str, stage: Callable, project: str) -> str:
         store_next=block(store, 16))
 
 
+_CALL_RHS = "rhs, h, hh, h6", "{out}, = rhs({t}, [{point}])"
+# the tangent-angle equation: theta_ode_rhs's operations, in its order, in
+# Python floats with math.sin
+_THETA = "a, delta, h, hh, h6", "{out} = -a * sin({point} + delta)"
 _rk4_runs: dict = {}
 
 
-def _rk4_run(dim: int) -> Callable:
-    """``rk4(rhs, h, hh, h6)``: the RK4 run of :func:`integrate_fixed`.
+def _rk4_run(dim: int, params: str, stage: str) -> Callable:
+    """``rk4(params)`` of a ``dim``-component run whose stage source is
+    ``stage`` formatted with ``t``, ``point`` and ``out`` (:func:`_rk4_source`).
 
-    Each stage is a call ``rhs(t, point)`` whose result is unpacked into
-    ``dim`` floats.  Written out component by component, unpacked into
+    :data:`_CALL_RHS` is the run of :func:`integrate_fixed`: each stage is
+    a call ``rhs(t, point)`` whose result is unpacked into ``dim`` floats.
+    :data:`_THETA` is the run of :func:`integrate_theta`, the equation
+    written inline.  Written out component by component, unpacked into
     locals, because a comprehension per stage costs several times the
     arithmetic on Pythons that do not inline them.  Compiled once per
-    ``dim``, on first use, the way :mod:`dataclasses` builds ``__init__``.
+    ``(dim, params, stage)``, on first use, the way :mod:`dataclasses`
+    builds ``__init__``.
     """
+    key = dim, params, stage
     try:
-        return _rk4_runs[dim]
+        return _rk4_runs[key]
     except KeyError:
         pass
-    source = _rk4_source(dim, "rhs, h, hh, h6",
-                         lambda t, point, out: f"{out}, = rhs({t}, [{point}])", "")
-    namespace = {"SingularFieldError": SingularFieldError}
+    source = _rk4_source(dim, params, lambda t, point, out: stage.format(
+        t=t, point=point, out=out), "")
+    namespace = {"SingularFieldError": SingularFieldError, "sin": math.sin}
     exec(compile(source, f"<rk4 run, {dim} components>", "exec"), namespace)
-    rk4 = _rk4_runs[dim] = namespace["rk4"]
+    rk4 = _rk4_runs[key] = namespace["rk4"]
     return rk4
 
 
@@ -255,53 +270,64 @@ def _grid(t0: float, t1: float, step: float) -> tuple[np.ndarray, float]:
     return ts, h
 
 
+def _start(y0) -> list:
+    # the initial state as a list of finite Python floats
+    y = [float(c) for c in y0]
+    if not y:
+        raise ParameterError("y0 must hold at least one value")
+    if not all(map(math.isfinite, y)):
+        raise ParameterError(f"initial state must be finite, got {y!r}")
+    return y
+
+
 def _run(run: Callable, y: list, ts: np.ndarray):
     """Integrate from ``y`` at ``ts[0]`` with one call of a compiled ``run``
     (:func:`_rk4_source`).  Returns what :func:`integrate_fixed` returns."""
     ys = np.empty((ts.shape[0], len(y)))
     dys = np.empty_like(ys)
-    try:
-        # Python floats: cheaper per-step arithmetic than numpy scalars
-        rows, stop = run(ts.tolist(), y, ys, dys)
-    except ValueError as exc:
-        if _raised_in(exc, run.__code__):  # a slope that does not unpack
-            raise ParameterError(
-                f"rhs must return {len(y)} values, as many as y0 has") from None
-        raise
+    # Python floats: cheaper per-step arithmetic than numpy scalars
+    rows, stop = run(ts.tolist(), y, ys, dys)
     return ts[:rows], ys[:rows], dys[:rows], stop
 
 
 def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float):
     """Classical RK4 on a uniform grid over ``[t0, t1]``.
 
-    The state is a sequence of ``d`` floats; a scalar equation passes a
-    1-tuple.  ``rhs(t, y)`` gets the state as a list of floats and must
-    return ``d`` floats (a tuple, a list or a ``(d,)`` array).  The whole
-    integration is one call of code generated for ``d`` components
+    The state is a sequence of ``d`` finite floats; a scalar equation
+    passes a 1-tuple.  ``rhs(t, y)`` gets the state as a list of floats and
+    must return ``d`` floats (a tuple, a list or a ``(d,)`` array).  The
+    whole integration is one call of code generated for ``d`` components
     (:func:`_rk4_run`), which unpacks the state and each slope into floats
     and computes, component by component, the IEEE operations, in their
     order, of the array expressions ``y + 0.5*h*k1`` ... ``y + (h/6)*(k1 +
     2k2 + 2k3 + k4)``; it calls ``rhs`` at the start, once per stage and at
-    each new sample.  :func:`ramp3d.integrate_ramp3d` runs the same
-    template with the hemisphere flow written in.
+    each new sample.  The same template (:func:`_rk4_source`) runs with
+    the stage written in instead of called: the tangent-angle equation in
+    :func:`integrate_theta` and the hemisphere flow in
+    :func:`ramp3d.integrate_ramp3d`.
 
     The grid has the fewest steps of equal width no larger than ``step``;
     ``t[-1]`` is pinned to ``t1``.  Returns ``(t, y, dy, stop)``: ``t`` of
     shape ``(n+1,)``, ``y`` and ``dy`` C-contiguous float64 tables of shape
     ``(n+1, d)``, allocated once, where ``dy[i] = rhs(t[i], y[i])`` is the
     slope at each sample and the first stage of the step from it.  An
-    ``rhs`` that returns another number of values than ``d`` raises
-    :class:`ParameterError`; any other error of ``rhs``, a ``ValueError``
-    included, propagates unchanged.  If ``rhs`` raises
-    :class:`SingularFieldError`, the samples whose slope is known are
-    returned with its message as ``stop``; otherwise ``stop`` is ``None``.
-    A singular start raises.
+    empty or non-finite ``y0`` and an ``rhs`` that returns another number
+    of values than ``d`` raise :class:`ParameterError`; any other error of
+    ``rhs``, a ``ValueError`` included, propagates unchanged.  If ``rhs``
+    raises :class:`SingularFieldError`, the samples whose slope is known
+    are returned with its message as ``stop``; otherwise ``stop`` is
+    ``None``.  A singular start raises.
     """
     ts, h = _grid(t0, t1, step)
-    y = [float(c) for c in y0]
-    if not y:
-        raise ParameterError("y0 must hold at least one value")
-    return _run(_rk4_run(len(y))(rhs, h, 0.5 * h, h / 6.0), y, ts)
+    y = _start(y0)
+    run = _rk4_run(len(y), *_CALL_RHS)(rhs, h, 0.5 * h, h / 6.0)
+    try:
+        return _run(run, y, ts)
+    except ValueError as exc:
+        if _raised_in(exc, run.__code__):  # a slope that does not unpack
+            raise ParameterError(
+                f"rhs must return {len(y)} values, as many as y0 has") from None
+        raise
 
 
 def integrate_theta(spec: FrictionSpec, theta0: float, s_span: tuple[float, float],
@@ -310,15 +336,16 @@ def integrate_theta(spec: FrictionSpec, theta0: float, s_span: tuple[float, floa
 
     Independent oracle for :func:`theta_closed_form`: starting from
     ``theta0 = theta_closed_form(spec, c)`` it reproduces the closed form
-    shifted by ``c``.
+    shifted by ``c``.  One call of the RK4 run of :func:`integrate_fixed`
+    with the equation written inline as ``-a * sin(theta + delta)``: the
+    operations of :func:`theta_ode_rhs`, in its order, in Python floats
+    with :func:`math.sin`, so the samples equal that run with such an
+    ``rhs`` bit for bit.  A non-finite ``theta0`` raises
+    :class:`ParameterError`.
     """
     if step is None:
         step = DEFAULT_STEP_FACTOR / spec.a
-
-    a, delta = spec.a, spec.delta
-
-    def rhs(_s, th):  # theta_ode_rhs in Python floats
-        return (-a * math.sin(th[0] + delta),)
-
-    ss, ths, _, _ = integrate_fixed(rhs, (float(theta0),), s_span[0], s_span[1], step)
+    ss, h = _grid(s_span[0], s_span[1], step)
+    run = _rk4_run(1, *_THETA)(spec.a, spec.delta, h, 0.5 * h, h / 6.0)
+    ss, ths, _, _ = _run(run, _start((theta0,)), ss)
     return ThetaTrace(s=ss, theta=ths[:, 0])

@@ -91,31 +91,33 @@ class TangentField:
 # Component source: each built-in field once, as w / |w| for its defining
 # vector w in the components y1, y2, y3 of a unit direction.  A source sets
 # n1, n2, n3 and reads `name` (a blend also `w` and `c = 1 - w`); the code
-# it is compiled into fills in the `{point}` it raises at.  Python float
-# arithmetic is IEEE, in the order the language fixes, with no fused
-# multiply-add and no run-time kernel choice, so the bits are the same on
-# every host.
-_E3T = ("0.0 - y3 * y1", "0.0 - y3 * y2", "1.0 - y3 * y3")  # e3_tangential(y)
+# it is compiled into fills in the `{point}` it raises at.  A source that
+# reads e3T (upslope, blend) starts with `_E3T`, which sets e1, e2, e3; the
+# flow reads those names, and puts `_E3T` before a source that lacks it.
+# Python float arithmetic is IEEE, in the order the language fixes, with no
+# fused multiply-add and no run-time kernel choice, so the bits are the same
+# on every host.
+_E3T = "e1, e2, e3 = 0.0 - y3 * y1, 0.0 - y3 * y2, 1.0 - y3 * y3\n"  # e3_tangential(y)
 _NORM = "sqrt({0} * {0} + {1} * {1} + {2} * {2})"  # every norm of the flow
 
 
-def _unit(w: tuple, out: str) -> str:
-    # set {out}1..3 to w / |w|, or raise within SINGULAR_TOL of |w| = 0
-    return (f"w1, w2, w3 = {', '.join(w)}\n"
-            f"r = {_NORM.format('w1', 'w2', 'w3')}\n"
+def _unit(w: str, out: str) -> str:
+    # set {out}1..3 to {w}1..3 / |w|, or raise within SINGULAR_TOL of |w| = 0
+    return (f"r = {_NORM.format(w + '1', w + '2', w + '3')}\n"
             f"if r < {SINGULAR_TOL!r}:\n"
             f"    raise singular(name, {{point}})\n"
-            f"{out}1, {out}2, {out}3 = w1 / r, w2 / r, w3 / r\n")
+            f"{out}1, {out}2, {out}3 = {w}1 / r, {w}2 / r, {w}3 / r\n")
 
 
-_HORIZONTAL_W = ("y2", "-y1", "0.0")  # y x e3
+_HORIZONTAL_W = "w1, w2, w3 = y2, -y1, 0.0\n"  # y x e3
 _SOURCES = {
-    "upslope": _unit(_E3T, "n"),
-    "horizontal": _unit(_HORIZONTAL_W, "n"),
+    "upslope": _E3T + _unit("e", "n"),
+    "horizontal": _HORIZONTAL_W + _unit("w", "n"),
     # w * upslope + (1 - w) * horizontal, renormalised; a singular part
     # raises with the blend's name
-    "blend": (_unit(_E3T, "u") + _unit(_HORIZONTAL_W, "h")
-              + _unit(("w * u1 + c * h1", "w * u2 + c * h2", "w * u3 + c * h3"), "n")),
+    "blend": (_E3T + _unit("e", "u") + _HORIZONTAL_W + _unit("w", "h")
+              + "w1, w2, w3 = w * u1 + c * h1, w * u2 + c * h2, w * u3 + c * h3\n"
+              + _unit("w", "n")),
 }
 # the field block of any other field: a call of its eval
 _CALL_EVAL = """\
@@ -130,7 +132,7 @@ except ValueError:
 def _flow(out: str) -> str:
     # set the names `out` to -(g / v**2) * (e3T(y) + (y3 / mu) * N(y))
     return (f"q = y3 / mu\n{out} = " + ", ".join(
-        f"k * ({e} + q * n{i})" for i, e in enumerate(_E3T, 1)) + "\n")
+        f"k * (e{i} + q * n{i})" for i in (1, 2, 3)) + "\n")
 
 
 # the state after an RK4 step back onto the sphere, its drift recorded
@@ -154,7 +156,7 @@ def bind_eval(name, w, c):
 def bind_flow(k, mu, name, w, c, normal):
     def flow(y):
         y1, y2, y3 = y
-{field}{flow}        return o1, o2, o3
+{flow}        return o1, o2, o3
     return flow
 
 
@@ -188,12 +190,14 @@ def _compile(source: str | None) -> dict:
     except KeyError:
         pass
     block = _CALL_EVAL if source is None else source
+    flow_block = block if block.startswith(_E3T) else _E3T + block  # e3T once
 
     def stage(_t: str, point: str, out: str) -> str:
-        return f"y1, y2, y3 = {point}\n{block.format(point='[y1, y2, y3]')}{_flow(out)}"
+        return f"y1, y2, y3 = {point}\n{flow_block.format(point='[y1, y2, y3]')}{_flow(out)}"
 
-    text = _FIELD_TEMPLATE.format(field=textwrap.indent(block.format(point="y"), " " * 8),
-                                  flow=textwrap.indent(_flow("o1, o2, o3"), " " * 8))
+    text = _FIELD_TEMPLATE.format(
+        field=textwrap.indent(block.format(point="y"), " " * 8),
+        flow=textwrap.indent(flow_block.format(point="y") + _flow("o1, o2, o3"), " " * 8))
     text += _rk4_source(3, "k, mu, name, w, c, normal, drift, h, hh, h6", stage,
                         _RENORMALIZE)
     namespace = {"sqrt": math.sqrt, "singular": _singular, "malformed": _malformed,

@@ -19,17 +19,19 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError
+from .errors import ContractViolationError, ParameterError, SingularFieldError
 from .ode import hermite, integrate_fixed
 from .params import FrictionSpec, make_spec
 from .planar import Ramp2D, default_span, normal_force_2d, tangent_angle_orbit_position
-from .ramp3d import E3, RampSurface3D, SpaceCurve3D, lambda_3d, scale_ramp
+from .ramp3d import (E3, RampSurface3D, SpaceCurve3D, e3_tangential, lambda_3d,
+                     scale_ramp)
 
 TOL_RESIDUAL_2D = 1e-8   # N, closed-form geometry
 TOL_RESIDUAL_3D = 1e-6   # N, integrated geometry
 TOL_LAMBDA = 1e-10       # N, slack on the sign condition
 TOL_FEASIBILITY = 1e-9   # N, slack on the sign of a required normal force
 MOTION_GRID = 2048       # RK4 steps of a constant-speed parameter history
+TOL_UPSLOPE = 1e-12      # a field this close to e3T/|e3T| is the upslope field
 _UNIT_TANGENT_TOL = 1e-8
 
 
@@ -192,15 +194,31 @@ def verify_3d(spec: FrictionSpec, curve: SpaceCurve3D,
                          "stopped_early": curve.stopped_early})
 
 
+def _is_upslope(curve: SpaceCurve3D) -> bool:
+    # the curve's field equals e3T/|e3T| at its first, middle and last samples
+    for y in curve.gamma[[0, curve.gamma.shape[0] // 2, -1]]:
+        try:
+            n = curve.field.eval(y.tolist())
+        except SingularFieldError:
+            return False
+        w = e3_tangential(y)
+        if not np.all(np.abs(np.subtract(n, w / np.linalg.norm(w))) <= TOL_UPSLOPE):
+            return False
+    return True
+
+
 def planar_reduction_check(spec: FrictionSpec, curve: SpaceCurve3D) -> dict:
     """Compare an upslope-field space curve against the planar closed form.
 
     Upslope trajectories never leave the vertical plane through the start
     direction, so the integrated curve must coincide with the closed-form
-    planar solution embedded in that plane.  Returns ``{"applicable": False}``
-    for other fields; otherwise reports the largest position deviation.
+    planar solution embedded in that plane.  The check applies when the
+    curve's field is the upslope field ``e3T/|e3T|`` at the curve's first,
+    middle and last samples, to ``TOL_UPSLOPE``, whatever the field's name;
+    otherwise it returns ``{"applicable": False}``.  If it applies, it
+    reports the largest position deviation.
     """
-    if curve.field.name != "upslope":
+    if not _is_upslope(curve):
         return {"applicable": False, "reason": f"field {curve.field.name!r} "
                 "has no planar closed form"}
     y0 = curve.gamma[0]

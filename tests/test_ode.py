@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rampforge import (ParameterError, SingularFieldError, integrate_fixed,
-                       integrate_theta, lambda_from_theta, make_spec,
+                       integrate_theta, lambda_from_theta, make_spec, spec_from_mu,
                        theta_closed_form, theta_closed_form_derivative,
                        theta_ode_rhs)
 from rampforge.ode import hermite
@@ -32,6 +32,31 @@ def test_integrate_fixed_rejects_non_finite_span(span):
 def test_integrate_theta_rejects_non_finite_span(fig_spec, end):
     with pytest.raises(ParameterError):
         integrate_theta(fig_spec, 0.1, (0.0, end))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_integrate_theta_rejects_a_non_finite_start(fig_spec, value):
+    with pytest.raises(ParameterError):
+        integrate_theta(fig_spec, value, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("index", [0, 2])
+def test_integrate_fixed_rejects_a_non_finite_start(value, index):
+    y0 = [1.0, 0.5, 0.25]
+    y0[index] = value
+    with pytest.raises(ParameterError):
+        integrate_fixed(lambda _t, u: [-c for c in u], y0, 0.0, 1.0, 0.1)
+
+
+def test_integrate_theta_keeps_the_domain_error_of_an_overflowing_step():
+    # one step of 1e308 overflows the stage to inf, and sin(inf) fails by
+    # itself: that is not a wrong-size rhs (the explicit step keeps it to
+    # one step; the default one would need about 2e8)
+    with pytest.raises(ValueError) as info:
+        integrate_theta(spec_from_mu(0.5, v=0.01), 0.1, (0.0, 1e308), step=1e308)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "math domain error"
 
 
 def test_default_step_tracks_length_scale(fig_spec):

@@ -6,6 +6,8 @@ the bits of the plain array formulation below, step for step; its norm is
 the same sum of squares in elementwise IEEE operations, with no BLAS call.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,23 @@ def test_theta_matches_array_rk4(spec, start):
     trace = integrate_theta(spec, theta0, (0.0, 6.0 / spec.a), step=h)
     assert trace.theta.shape == (n + 1,)
     assert np.array_equal(trace.theta, theta)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("start", [0.0, 0.9])
+@pytest.mark.parametrize("step", [None, 0.15])  # the default step; a coarse one, times 1/a
+def test_theta_matches_the_rhs_call_path(spec, start, step):
+    # the inline run against integrate_fixed calling the equation as a
+    # Python-float rhs
+    a, delta = spec.a, spec.delta
+    theta0 = float(theta_closed_form(spec, start / a))
+    h = None if step is None else step / a
+    trace = integrate_theta(spec, theta0, (0.0, 6.0 / a), step=h)
+    s, theta, _, stop = integrate_fixed(lambda _s, th: (-a * math.sin(th[0] + delta),),
+                                        (theta0,), 0.0, 6.0 / a, 1e-3 / a if h is None else h)
+    assert stop is None and trace.s.shape == (s.shape[0],)
+    assert np.array_equal(trace.s, s)
+    assert np.array_equal(trace.theta, theta[:, 0])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5])

@@ -29,6 +29,22 @@ def test_script_runs(tmp_path, script, args):
     assert proc.stdout
 
 
+def test_layer_times_reports_each_layer(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "layer_times.py"), "--repeat", "1",
+         "--size", "0.01"], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["python"] and out["numpy"] and out["repeat"] == 1
+    assert set(out["ms"]) == {
+        "ode.integrate_theta", "ramp3d.integrate_ramp3d horizontal",
+        "ramp3d.integrate_ramp3d upslope", "ramp3d.integrate_ramp3d blend:0.5",
+        *(f"exporters.write_{name}" for name in (
+            "curve2d_csv", "curve2d_json", "curve2d_svg", "frames_csv", "frames_jsonl"))}
+    assert all(ms > 0.0 for ms in out["ms"].values())
+    assert not list(tmp_path.iterdir())  # the writers wrote into a temporary directory
+
+
 def _bench_run(commit, jobs_per_s, raw_jobs_per_s, tail_percentile=90.0, failed=0):
     return {"args": {"workload": "sweep3d", "seed": 1, "seconds": 30.0, "trace": 0},
            "environment": {"commit": commit, "python": "3.11.7", "numpy": "2.4.6",

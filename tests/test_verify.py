@@ -176,6 +176,26 @@ def test_planar_reduction_applicability(fig_spec):
     assert not planar_reduction_check(fig_spec, hor)["applicable"]
 
 
+def test_planar_reduction_ignores_a_field_named_upslope(fig_spec):
+    # a horizontal field under the upslope name has no planar closed form
+    field = replace(builtin_field("horizontal"), name="upslope")
+    curve = integrate_ramp3d(fig_spec, field, [1.0, 0.0, 0.0], 2.0 / fig_spec.a)
+    assert planar_reduction_check(fig_spec, curve) == {
+        "applicable": False, "reason": "field 'upslope' has no planar closed form"}
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_planar_reduction_applies_to_an_upslope_field_of_any_name(fig_spec, wrap):
+    # renamed, and with its eval wrapped as a counting tracer wraps it
+    up = builtin_field("upslope")
+    field = replace(up, name="steepest ascent",
+                    eval=(lambda y: up.eval(y)) if wrap else up.eval)
+    curve = integrate_ramp3d(fig_spec, field, [0.6, 0.0, -0.8], 2.0 / fig_spec.a)
+    result = planar_reduction_check(fig_spec, curve)
+    assert result["applicable"]
+    assert result["max_deviation"] < 1e-9
+
+
 def test_planar_reduction_matches_tilted_start(fig_spec):
     y0 = np.array([0.6, 0.0, -0.8])
     curve = integrate_ramp3d(fig_spec, builtin_field("upslope"), y0,
