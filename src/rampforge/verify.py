@@ -202,7 +202,8 @@ def _is_upslope(curve: SpaceCurve3D) -> bool:
         except SingularFieldError:
             return False
         w = e3_tangential(y)
-        if not np.all(np.abs(np.subtract(n, w / np.linalg.norm(w))) <= TOL_UPSLOPE):
+        r = float(np.linalg.norm(w))  # 0 at the south pole, where no unit e3T exists
+        if not (r > 0.0 and np.all(np.abs(np.subtract(n, w / r)) <= TOL_UPSLOPE)):
             return False
     return True
 

@@ -6,7 +6,7 @@ import pytest
 
 from rampforge import (Branch, ContractViolationError, Feasibility, Motion,
                        ParameterError, PlanarCurve, Ramp2D, SpaceCurve3D,
-                       Verdict, build_surface, builtin_field, integrate_ramp3d,
+                       TangentField, Verdict, build_surface, builtin_field, integrate_ramp3d,
                        lower_ramp, make_ramp, normal_sign_diagnostic,
                        planar_reduction_check, scale_ramp, spec_from_mu,
                        upper_ramp, verify_2d, verify_3d, verify_scaling)
@@ -182,6 +182,14 @@ def test_planar_reduction_ignores_a_field_named_upslope(fig_spec):
     curve = integrate_ramp3d(fig_spec, field, [1.0, 0.0, 0.0], 2.0 / fig_spec.a)
     assert planar_reduction_check(fig_spec, curve) == {
         "applicable": False, "reason": "field 'upslope' has no planar closed form"}
+
+
+def test_planar_reduction_of_a_field_regular_at_the_pole(fig_spec):
+    # a start at the south pole, where e3T vanishes, with a field that is
+    # tangent and finite there: not the upslope field, and no 0/0 warning
+    field = TangentField("upslope", eval=lambda _y: (1.0, 0.0, 0.0))
+    curve = integrate_ramp3d(fig_spec, field, [0.0, 0.0, -1.0], 0.1 / fig_spec.a)
+    assert not planar_reduction_check(fig_spec, curve)["applicable"]
 
 
 @pytest.mark.parametrize("wrap", [False, True])
