@@ -14,7 +14,9 @@ the closed form so each can check the other.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 import textwrap
 from dataclasses import dataclass
 from typing import Callable
@@ -168,7 +170,7 @@ def rk4({params}):
 """
 
 
-def _rk4_source(dim: int, params: str, stage: Callable, project: str) -> str:
+def _rk4_source(dim: int, params: str, stage: str, project: str) -> str:
     """Source of ``rk4(params)``, which returns ``run(times, y, ys, dys)``:
     a whole RK4 integration, each step straight-line code.
 
@@ -179,82 +181,85 @@ def _rk4_source(dim: int, params: str, stage: Callable, project: str) -> str:
     message of the :class:`SingularFieldError` that ended the loop, or
     ``None``.  Only the loop is in the ``try``, so a singular start raises.
     The state lives in the locals ``x0, x1, ...``, its slope in ``a0, a1,
-    ...``; ``stage(t, point, out)`` returns the source that sets the names
-    ``out`` to the slope at the components ``point`` and time ``t`` (each
-    a comma-separated list).  ``project`` runs on each new state before its
-    slope is taken.  ``params`` are the names every source reads besides
-    builtins and its module's globals, which must hold ``SingularFieldError``.
+    ...``; ``stage`` is a format string of the source that sets the names
+    ``{out}`` to the slope at the components ``{point}`` and time ``{t}``
+    (each a comma-separated list).  ``project`` runs on each new state
+    before its slope is taken.  ``params`` are the names every source
+    reads besides builtins and the globals :func:`_compile` sets.
 
-    Three kinds of run are compiled from it: :func:`integrate_fixed` calls
-    its ``rhs`` in each stage, :func:`integrate_theta` writes the
-    tangent-angle equation in (both through :func:`_rk4_run`), and
-    :func:`ramp3d.integrate_ramp3d` writes in the hemisphere flow of its
-    field with the renormalisation as ``project``.
+    Every run is compiled from it by :func:`_rk4_run`: :func:`integrate_fixed`
+    calls its ``rhs`` in each stage (:data:`_CALL_RHS`),
+    :func:`integrate_theta` writes the tangent-angle equation in
+    (:data:`_THETA`), and :func:`ramp3d.integrate_ramp3d` writes in the
+    hemisphere flow of its field with the renormalisation as ``project``.
     """
     def row(term, sep=", "):  # term for each component
         return sep.join(term.format(i=i) for i in range(dim))
 
-    def block(text, depth):
+    def block(t, point, out, depth):
+        text = stage.format(t=t, point=row(point), out=row(out))
         return textwrap.indent(text.rstrip("\n"), " " * depth)
 
     store = row("yv[j + {i}] = x{i}\ndv[j + {i}] = a{i}", "\n").replace("[j + 0]", "[j]")
     return _RK4_TEMPLATE.format(
         params=params, dim=dim, x=row("x{i}"),
-        start=block(stage("t", row("x{i}"), row("a{i}")), 8),
-        store=block(store, 8),
-        b=block(stage("t + hh", row("x{i} + hh * a{i}"), row("b{i}")), 16),
-        c=block(stage("t + hh", row("x{i} + hh * b{i}"), row("c{i}")), 16),
-        d=block(stage("t + h", row("x{i} + h * c{i}"), row("d{i}")), 16),
+        start=block("t", "x{i}", "a{i}", 8),
+        store=textwrap.indent(store, " " * 8),
+        b=block("t + hh", "x{i} + hh * a{i}", "b{i}", 16),
+        c=block("t + hh", "x{i} + hh * b{i}", "c{i}", 16),
+        d=block("t + h", "x{i} + h * c{i}", "d{i}", 16),
         out=row("x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"),
-        project=block(project, 16),
-        slope=block(stage("t1", row("x{i}"), row("a{i}")), 16),
-        store_next=block(store, 16))
+        project=textwrap.indent(project.rstrip("\n"), " " * 16),
+        slope=block("t1", "x{i}", "a{i}", 16),
+        store_next=textwrap.indent(store, " " * 16))
 
 
-_CALL_RHS = "rhs, h, hh, h6", "{out}, = rhs({t}, [{point}])"
+# a call of integrate_fixed's rhs; `y` is the run's start state, as long
+# as every slope must be
+_CALL_RHS = "rhs, h, hh, h6", """\
+slope = rhs({t}, [{point}])
+try:
+    {out}, = slope
+except ValueError:
+    raise ParameterError(f"rhs must return {{len(y)}} values, as many as y0 has") from None
+"""
 # the tangent-angle equation: theta_ode_rhs's operations, in its order, in
 # Python floats with math.sin
 _THETA = "a, delta, h, hh, h6", "{out} = -a * sin({point} + delta)"
-_rk4_runs: dict = {}
 
 
-def _rk4_run(dim: int, params: str, stage: str) -> Callable:
-    """``rk4(params)`` of a ``dim``-component run whose stage source is
-    ``stage`` formatted with ``t``, ``point`` and ``out`` (:func:`_rk4_source`).
+def _compile(source: str, **names) -> dict:
+    """Run generated ``source`` and return its namespace: the package's one
+    ``exec``.  Its globals are :class:`SingularFieldError`,
+    :class:`ParameterError`, :func:`math.sin`, :func:`math.sqrt` and
+    ``names``."""
+    namespace = {"SingularFieldError": SingularFieldError, "ParameterError": ParameterError,
+                 "sin": math.sin, "sqrt": math.sqrt, **names}
+    exec(compile(source, "<rampforge generated>", "exec"), namespace)
+    return namespace
+
+
+@functools.cache
+def _rk4_run(dim: int, params: str, stage: str, project: str = "", **names) -> Callable:
+    """``rk4(params)`` of :func:`_rk4_source`, compiled with the globals
+    ``names`` once per argument list, on first use, the way
+    :mod:`dataclasses` builds ``__init__``.
 
     :data:`_CALL_RHS` is the run of :func:`integrate_fixed`: each stage is
-    a call ``rhs(t, point)`` whose result is unpacked into ``dim`` floats.
+    a call ``rhs(t, point)`` whose result is unpacked into ``dim`` floats,
+    and a result of another size raises :class:`ParameterError`.
     :data:`_THETA` is the run of :func:`integrate_theta`, the equation
     written inline.  Written out component by component, unpacked into
     locals, because a comprehension per stage costs several times the
-    arithmetic on Pythons that do not inline them.  Compiled once per
-    ``(dim, params, stage)``, on first use, the way :mod:`dataclasses`
-    builds ``__init__``.
+    arithmetic on Pythons that do not inline them.
     """
-    key = dim, params, stage
-    try:
-        return _rk4_runs[key]
-    except KeyError:
-        pass
-    source = _rk4_source(dim, params, lambda t, point, out: stage.format(
-        t=t, point=point, out=out), "")
-    namespace = {"SingularFieldError": SingularFieldError, "sin": math.sin}
-    exec(compile(source, f"<rk4 run, {dim} components>", "exec"), namespace)
-    rk4 = _rk4_runs[key] = namespace["rk4"]
-    return rk4
-
-
-def _raised_in(exc: BaseException, code) -> bool:
-    # whether the innermost frame of exc's traceback runs `code`
-    tb = exc.__traceback__
-    while tb.tb_next is not None:
-        tb = tb.tb_next
-    return tb.tb_frame.f_code is code
+    return _compile(_rk4_source(dim, params, stage, project), **names)["rk4"]
 
 
 def _grid(t0: float, t1: float, step: float) -> tuple[np.ndarray, float]:
     """The uniform grid over ``[t0, t1]`` with the fewest steps no wider
-    than ``step``, and its width; ``t[-1]`` is pinned to ``t1``."""
+    than ``step``, and its width; ``t[-1]`` is pinned to ``t1``.  A step
+    count that does not fit an array index raises :class:`ParameterError`."""
     t0, t1 = float(t0), float(t1)
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ParameterError(f"integration span must be finite, got ({t0!r}, {t1!r})")
@@ -263,7 +268,10 @@ def _grid(t0: float, t1: float, step: float) -> tuple[np.ndarray, float]:
         raise ParameterError("integration span must have t1 > t0")
     if not (math.isfinite(step) and step > 0.0):
         raise ParameterError(f"step must be positive, got {step!r}")
-    n = max(1, math.ceil(span / step - 1e-12))
+    steps = span / step - 1e-12
+    if not steps < sys.maxsize:  # an infinite count included
+        raise ParameterError(f"step {step!r} leaves too many steps over a span of {span!r}")
+    n = max(1, math.ceil(steps))
     h = span / n
     ts = t0 + h * np.arange(n + 1)
     ts[-1] = t1
@@ -301,10 +309,11 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float):
     and computes, component by component, the IEEE operations, in their
     order, of the array expressions ``y + 0.5*h*k1`` ... ``y + (h/6)*(k1 +
     2k2 + 2k3 + k4)``; it calls ``rhs`` at the start, once per stage and at
-    each new sample.  The same template (:func:`_rk4_source`) runs with
-    the stage written in instead of called: the tangent-angle equation in
-    :func:`integrate_theta` and the hemisphere flow in
-    :func:`ramp3d.integrate_ramp3d`.
+    each new sample, and only the unpacking of what ``rhs`` returns is
+    guarded.  The same template (:func:`_rk4_source`), through the same
+    :func:`_rk4_run`, runs with the stage written in instead of called:
+    the tangent-angle equation in :func:`integrate_theta` and the
+    hemisphere flow in :func:`ramp3d.integrate_ramp3d`.
 
     The grid has the fewest steps of equal width no larger than ``step``;
     ``t[-1]`` is pinned to ``t1``.  Returns ``(t, y, dy, stop)``: ``t`` of
@@ -312,22 +321,16 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float):
     ``(n+1, d)``, allocated once, where ``dy[i] = rhs(t[i], y[i])`` is the
     slope at each sample and the first stage of the step from it.  An
     empty or non-finite ``y0`` and an ``rhs`` that returns another number
-    of values than ``d`` raise :class:`ParameterError`; any other error of
-    ``rhs``, a ``ValueError`` included, propagates unchanged.  If ``rhs``
-    raises :class:`SingularFieldError`, the samples whose slope is known
-    are returned with its message as ``stop``; otherwise ``stop`` is
-    ``None``.  A singular start raises.
+    of values than ``d`` raise :class:`ParameterError`, as does a step
+    count that does not fit an array index; any other error of ``rhs``, a
+    ``ValueError`` included, propagates unchanged.  If ``rhs`` raises
+    :class:`SingularFieldError`, the samples whose slope is known are
+    returned with its message as ``stop``; otherwise ``stop`` is ``None``.
+    A singular start raises.
     """
     ts, h = _grid(t0, t1, step)
     y = _start(y0)
-    run = _rk4_run(len(y), *_CALL_RHS)(rhs, h, 0.5 * h, h / 6.0)
-    try:
-        return _run(run, y, ts)
-    except ValueError as exc:
-        if _raised_in(exc, run.__code__):  # a slope that does not unpack
-            raise ParameterError(
-                f"rhs must return {len(y)} values, as many as y0 has") from None
-        raise
+    return _run(_rk4_run(len(y), *_CALL_RHS)(rhs, h, 0.5 * h, h / 6.0), y, ts)
 
 
 def integrate_theta(spec: FrictionSpec, theta0: float, s_span: tuple[float, float],

@@ -15,6 +15,7 @@ from.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import textwrap
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, SingularFieldError
-from .ode import DEFAULT_STEP_FACTOR, _grid, _rk4_source, _run, hermite
+from .ode import DEFAULT_STEP_FACTOR, _compile, _grid, _rk4_run, _run, hermite
 from .params import FrictionSpec
 from .planar import PlanarCurve, Ramp2D
 
@@ -72,12 +73,12 @@ class TangentField:
     diagnostics.
 
     The ``eval`` of a :func:`builtin_field` is compiled from the field's
-    component source, and so are its :func:`field_x` and its RK4 run, which
-    run the field inline.  A field with any other ``eval``, such as a
-    built-in one rebuilt around a wrapper of its ``eval``, is called
-    through ``eval``: :func:`integrate_ramp3d` reads it once when it
-    starts, once per RK4 stage and once per sample, ``4n + 2`` calls for
-    ``n`` steps.
+    component source, and so is its RK4 run, which runs the field inline;
+    :func:`field_x` is a one-sample call of that run.  A field with any
+    other ``eval``, such as a built-in one rebuilt around a wrapper of its
+    ``eval``, is called through ``eval``: :func:`integrate_ramp3d` reads it
+    once when it starts, once per RK4 stage and once per sample, ``4n + 2``
+    calls for ``n`` steps, and :func:`field_x` calls it once.
     """
 
     name: str
@@ -127,13 +128,18 @@ try:
 except ValueError:
     raise malformed(name, n) from None
 """
+# the flow of a stage: -(g / v**2) * (e3T(y) + (y3 / mu) * N(y)), into `out`
+_FLOW = "q = y3 / mu\n{out} = k * (e1 + q * n1), k * (e2 + q * n2), k * (e3 + q * n3)\n"
 
 
-def _flow(out: str) -> str:
-    # set the names `out` to -(g / v**2) * (e3T(y) + (y3 / mu) * N(y))
-    return (f"q = y3 / mu\n{out} = " + ", ".join(
-        f"k * (e{i} + q * n{i})" for i in (1, 2, 3)) + "\n")
+def _stage(block: str) -> str:
+    # the RK4 stage (ode._rk4_source) of a field block: the flow at `point`
+    if not block.startswith(_E3T):
+        block = _E3T + block  # e3T once
+    return f"y1, y2, y3 = {{point}}\n{block.format(point='[y1, y2, y3]')}{_FLOW}"
 
+
+_CALL_EVAL_STAGE = _stage(_CALL_EVAL)
 
 # the state after an RK4 step back onto the sphere, its drift recorded
 _RENORMALIZE = f"""\
@@ -145,25 +151,15 @@ if err > drift[1]:  # a NaN drift is skipped, as max() skips it
 x0, x1, x2 = x0 / r, x1 / r, x2 / r
 """
 
-_FIELD_TEMPLATE = """\
+_EVAL_TEMPLATE = """\
 def bind_eval(name, w, c):
     def eval(y):
         y1, y2, y3 = y
 {field}        return n1, n2, n3
     return eval
-
-
-def bind_flow(k, mu, name, w, c, normal):
-    def flow(y):
-        y1, y2, y3 = y
-{flow}        return o1, o2, o3
-    return flow
-
-
 """
-_compiled: dict = {}
-# each compiled built-in eval -> (its component source, the name it raises
-# with, its blend weight)
+# each compiled built-in eval -> (the RK4 stage of its component source,
+# the name it raises with, its blend weight)
 _builtin_evals: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -176,35 +172,13 @@ def _malformed(name: str, n) -> ContractViolationError:
     return ContractViolationError(f"field {name!r} must return 3 values, got {n!r}")
 
 
-def _compile(source: str | None) -> dict:
-    """``bind_eval``, ``bind_flow`` and the RK4 run factory ``rk4`` of a
-    field, from its component source (``None``: a call of its ``eval``,
-    and ``bind_eval`` goes unused).
-
-    Compiled once per source, on first use, like :func:`ode._rk4_run`;
-    ``k``, ``mu``, the field's name, the blend weight and ``eval`` are
-    arguments of the factories.
-    """
-    try:
-        return _compiled[source]
-    except KeyError:
-        pass
-    block = _CALL_EVAL if source is None else source
-    flow_block = block if block.startswith(_E3T) else _E3T + block  # e3T once
-
-    def stage(_t: str, point: str, out: str) -> str:
-        return f"y1, y2, y3 = {point}\n{flow_block.format(point='[y1, y2, y3]')}{_flow(out)}"
-
-    text = _FIELD_TEMPLATE.format(
-        field=textwrap.indent(block.format(point="y"), " " * 8),
-        flow=textwrap.indent(flow_block.format(point="y") + _flow("o1, o2, o3"), " " * 8))
-    text += _rk4_source(3, "k, mu, name, w, c, normal, drift, h, hh, h6", stage,
-                        _RENORMALIZE)
-    namespace = {"sqrt": math.sqrt, "singular": _singular, "malformed": _malformed,
-                 "SingularFieldError": SingularFieldError}
-    exec(compile(text, "<tangent field>", "exec"), namespace)
-    _compiled[source] = namespace
-    return namespace
+@functools.cache
+def _bind_eval(source: str) -> Callable:
+    """``bind_eval(name, w, c)``, which returns the ``eval`` of a built-in
+    field, compiled from its component source once per source, on first
+    use, like :func:`ode._rk4_run`."""
+    field = textwrap.indent(source.format(point="y"), " " * 8)
+    return _compile(_EVAL_TEMPLATE.format(field=field), singular=_singular)["bind_eval"]
 
 
 def builtin_field(kind: str, weight: float | None = None) -> TangentField:
@@ -229,43 +203,51 @@ def builtin_field(kind: str, weight: float | None = None) -> TangentField:
         w = float(weight)
         name = f"blend:{w!r}"
     source = _SOURCES[kind]
-    field_eval = _compile(source)["bind_eval"](name, w, 1.0 - w)
-    _builtin_evals[field_eval] = source, name, w
+    field_eval = _bind_eval(source)(name, w, 1.0 - w)
+    _builtin_evals[field_eval] = _stage(source), name, w
     return TangentField(name=name, eval=field_eval, singular_set="south pole (0, 0, -1)")
 
 
-def _bind(spec: FrictionSpec, tangent_field: TangentField) -> tuple:
-    """The compiled factories of a field and their arguments, in order.
+def _bind(spec: FrictionSpec, tangent_field: TangentField, drift: list,
+          h: float) -> Callable:
+    """The compiled RK4 ``run`` of a field (:func:`ode._rk4_source`),
+    bound to ``spec``, the field, the drift record ``drift`` and the step
+    ``h``.
 
     Inline from the component source when the field's ``eval`` is a
     built-in one, raising with that ``eval``'s own name as a call of it
-    would; any other ``eval`` is called in the field block.
+    would; any other ``eval`` is called in each stage.
     """
     try:
-        source, name, w = _builtin_evals[tangent_field.eval]
+        stage, name, w = _builtin_evals[tangent_field.eval]
     except (KeyError, TypeError):  # TypeError: an eval with no hash or weak reference
-        source, name, w = None, tangent_field.name, 0.0
-    return _compile(source), (-(spec.g / (spec.v * spec.v)), spec.mu, name, w, 1.0 - w,
-                              tangent_field.eval)
+        stage, name, w = _CALL_EVAL_STAGE, tangent_field.name, 0.0
+    rk4 = _rk4_run(3, "k, mu, name, w, c, normal, drift, h, hh, h6", stage, _RENORMALIZE,
+                   singular=_singular, malformed=_malformed)
+    return rk4(-(spec.g / (spec.v * spec.v)), spec.mu, name, w, 1.0 - w,
+               tangent_field.eval, drift, h, 0.5 * h, h / 6.0)
 
 
 def field_x(spec: FrictionSpec, tangent_field: TangentField, y) -> tuple:
     """Flow direction of the motion-direction curve at ``y`` (three floats).
 
-    Compiled from the field's component source, as the RK4 run of
-    :func:`integrate_ramp3d` is, with ``k = -(g / v**2)``, ``mu`` and the
-    field bound; a field whose ``eval`` is not a built-in one has it
-    called instead.  It computes, component by component in Python floats,
-    the IEEE operations, in their order, of the array expression
+    The slope of a one-sample run of the field's compiled RK4 run, the
+    one :func:`integrate_ramp3d` takes: its start stage is the flow, with
+    the field inline for a built-in ``eval`` and any other ``eval`` called
+    once.  It computes, component by component in Python floats, the IEEE
+    operations, in their order, of the array expression
     ``-(g / v**2) * (e3_tangential(y) + (y3 / mu) * N(y))``:
-    ``k * (e3T_i + q * n_i)`` with ``q = y3 / mu`` and ``e3T = (0 - y3*y1,
-    0 - y3*y2, 1 - y3*y3)``, so it matches that expression bit for bit.
-    The built-in fields normalise with the sum of squares in that order, so
-    an evaluation involves no BLAS call and gives the same bits on every
-    host.
+    ``k * (e3T_i + q * n_i)`` with ``k = -(g / v**2)``, ``q = y3 / mu`` and
+    ``e3T = (0 - y3*y1, 0 - y3*y2, 1 - y3*y3)``, so it matches that
+    expression bit for bit.  The built-in fields normalise with the sum of
+    squares in that order, so an evaluation involves no BLAS call and gives
+    the same bits on every host.  A singular ``y`` raises
+    :class:`SingularFieldError`, and an ``eval`` that returns other than
+    three values :class:`ContractViolationError`.
     """
-    compiled, args = _bind(spec, tangent_field)
-    return compiled["bind_flow"](*args)(y)
+    ys, dys = np.empty((1, 3)), np.empty((1, 3))
+    _bind(spec, tangent_field, [0.0, 0.0], 0.0)([0.0], [float(c) for c in y], ys, dys)
+    return tuple(dys[0].tolist())
 
 
 def lambda_3d(spec: FrictionSpec, y) -> np.ndarray:
@@ -351,14 +333,16 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
 
     Fixed-step RK4 with renormalization onto the sphere after every step;
     the accumulated drift is recorded.  The whole integration is one call
-    of code compiled per field kind from :func:`ode._rk4_source`, whose
-    loop writes out each step's four flow evaluations, the renormalization
-    and the slope at the new sample, and stores the samples (a field whose
-    ``eval`` is not a built-in one is called through it).  A field
-    whose ``eval`` returns other than three values raises
-    :class:`ContractViolationError`.  If the trajectory enters a field's
-    singular set the run stops early with the partial curve and a reason
-    instead of raising, except when the start itself is singular.
+    of the run :func:`ode._rk4_run` compiles once per field kind from
+    :func:`ode._rk4_source`, with the field's flow as its stage: its loop
+    writes out each step's four flow evaluations, the renormalization and
+    the slope at the new sample, and stores the samples (a field whose
+    ``eval`` is not a built-in one is called through it).  A field whose
+    ``eval`` returns other than three values raises
+    :class:`ContractViolationError`, and a step count that does not fit an
+    array index :class:`ParameterError`.  If the trajectory enters a
+    field's singular set the run stops early with the partial curve and a
+    reason instead of raising, except when the start itself is singular.
 
     Parameters
     ----------
@@ -384,9 +368,7 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
 
     ts, h = _grid(0.0, s_max, step)
     drift = [0.0, 0.0]  # total and max of |norm - 1| before each renormalisation
-    compiled, args = _bind(spec, tangent_field)
-    run = compiled["rk4"](*args, drift, h, 0.5 * h, h / 6.0)
-    _, gamma, dgamma, stop_reason = _run(run, y0, ts)
+    _, gamma, dgamma, stop_reason = _run(_bind(spec, tangent_field, drift, h), y0, ts)
     drift_total, drift_max = drift
     # ts[-1] is pinned to s_max, which can differ from h * n in the last bit
     s = h * np.arange(gamma.shape[0])

@@ -9,6 +9,7 @@ friction, plus the Newton residual as a self-check column.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,10 @@ def _frame_times(t_span: tuple[float, float], fps: float) -> np.ndarray:
         raise ParameterError(f"need 0 <= t0 <= t1, got {t_span!r}")
     if math.isinf(t1):
         raise ParameterError(f"t_span must be finite, got {t_span!r}")
-    count = int(math.floor((t1 - t0) * fps + _COUNT_EPS)) + 1
+    frames = (t1 - t0) * fps + _COUNT_EPS
+    if not frames < sys.maxsize:  # an infinite count included
+        raise ParameterError(f"t_span {t_span!r} at {fps!r} fps leaves too many frames")
+    count = math.floor(frames) + 1
     return t0 + np.arange(count) / fps
 
 
@@ -62,7 +66,8 @@ def simulate(spec: FrictionSpec, geometry, t_span: tuple[float, float],
     """Sample a block sliding on ``geometry`` at frame rate ``fps``.
 
     ``geometry`` is a :class:`Ramp2D` or :class:`SpaceCurve3D`.  Frames land
-    at ``t0 + k / fps``; the count is ``floor(span * fps) + 1``.  Requests
+    at ``t0 + k / fps``; the count is ``floor(span * fps) + 1``, and one
+    that does not fit an array index raises :class:`ParameterError`.  Requests
     running past the end of the geometry (the integrated span of a space
     curve) are truncated and flagged rather than extrapolated.
     """

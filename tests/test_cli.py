@@ -147,14 +147,17 @@ def test_singular_start_exits_2(capsys, tmp_path):
     assert "singular" in err
 
 
-@pytest.mark.parametrize("step", ["0", "nan"])
+@pytest.mark.parametrize("step, message", [
+    ("0", "step must be positive"), ("nan", "step must be positive"),
+    ("1e-300", "leaves too many steps"), ("1e-320", "leaves too many steps")],
+    ids=["0", "nan", "1e-300", "1e-320"])
 @pytest.mark.parametrize("command", ["generate3d", "verify"])
-def test_bad_step_exits_2(capsys, tmp_path, command, step):
+def test_bad_step_exits_2(capsys, tmp_path, command, step, message):
     code, _, err = run(capsys, command, "--mu", "0.5", "--v", "5",
                        "--field", "horizontal", "--y0", "0.8", "0", "-0.6",
                        "--step", step, "--out", str(tmp_path / "x"))
     assert code == 2
-    assert "step must be positive" in err
+    assert message in err
 
 
 # " -inf": argparse would read a bare "-inf" as an option
@@ -232,6 +235,14 @@ def test_simulate_infinite_t_span_exits_2(capsys, t_span):
                        "--branch", "lower", "--t-span", *t_span, "--fps", "10")
     assert code == 2
     assert "t_span must be finite" in err
+
+
+def test_simulate_too_many_frames_exits_2(capsys):
+    # 3e301 frames: no array index holds the count
+    code, _, err = run(capsys, "simulate", "--mu", "0.5", "--v", "5",
+                       "--branch", "lower", "--t-span", "0", "1e300")
+    assert code == 2
+    assert "leaves too many frames" in err
 
 
 def test_simulate_all_truncated_jsonl_is_empty(tmp_path, capsys):

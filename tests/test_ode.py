@@ -16,7 +16,8 @@ angles = st.floats(min_value=0.02, max_value=math.pi / 4 - 0.02)
 
 
 def test_integrate_fixed_rejects_bad_step():
-    for step in (0.0, -1.0, math.inf, math.nan):
+    # 1e-300 and 1e-320: step counts no array index holds, 1e-320 an infinite one
+    for step in (0.0, -1.0, math.inf, math.nan, 1e-300, 1e-320):
         with pytest.raises(ParameterError):
             integrate_fixed(lambda _t, u: u, (1.0,), 0.0, 1.0, step)
 

@@ -111,6 +111,34 @@ def test_field_x_formula(fig_spec, rng):
                 assert np.array_equal(field_x(spec, tf, y), expect)
 
 
+def _ring(y):
+    # the horizontal field written by hand, singular on the axis
+    rho = math.hypot(y[0], y[1])
+    if rho < ramp3d.SINGULAR_TOL:
+        raise SingularFieldError(f"field 'ring' is singular at {y}", point=y)
+    return y[1] / rho, -y[0] / rho, 0.0
+
+
+@pytest.mark.parametrize("tf", [builtin_field("upslope"), builtin_field("horizontal"),
+                                builtin_field("blend", 0.37),
+                                TangentField("ring", eval=_ring)], ids=lambda tf: tf.name)
+def test_field_x_raises_near_the_pole(fig_spec, tf):
+    # within SINGULAR_TOL of the south pole every field here is singular
+    near = [3e-9, 4e-9, -1.0]
+    with pytest.raises(SingularFieldError) as info:
+        field_x(fig_spec, tf, near)
+    assert info.value.point == near
+    assert str(info.value) == f"field {tf.name!r} is singular at {near}"
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_field_x_names_a_field_of_the_wrong_size(fig_spec, size):
+    base = builtin_field("horizontal")
+    tf = TangentField("lopsided", eval=lambda y: (list(base(y)) + [0.0])[:size])
+    with pytest.raises(ContractViolationError, match="field 'lopsided' must return 3 values"):
+        field_x(fig_spec, tf, [0.8, 0.0, -0.6])
+
+
 def test_builtin_fields_normalize_their_defining_vector(rng):
     # each field is w / |w| of its defining vector, with |w| the sum of
     # squares in this order, rounded as elementwise IEEE operations
@@ -337,9 +365,8 @@ def test_compiled_step_raises_at_the_stage_point(fig_spec, kind):
     tf = builtin_field(*kind)
     drift = [0.0, 0.0]
     h = 1e-3
-    compiled, args = ramp3d._bind(fig_spec, dataclasses.replace(tf, name="renamed"))
-    assert compiled is ramp3d._compile(ramp3d._SOURCES[kind[0]])
-    run = compiled["rk4"](*args, drift, h, 0.5 * h, h / 6.0)
+    run = ramp3d._bind(fig_spec, dataclasses.replace(tf, name="renamed"), drift, h)
+    assert run.__code__ is ramp3d._bind(fig_spec, tf, [0.0, 0.0], h).__code__
     near = [3e-9, 4e-9, -1.0]
     with pytest.raises(SingularFieldError) as info:
         run([0.0, h], near, np.empty((2, 3)), np.empty((2, 3)))
