@@ -256,10 +256,18 @@ def _rk4_run(dim: int, params: str, stage: str, project: str = "", **names) -> C
     return _compile(_rk4_source(dim, params, stage, project), **names)["rk4"]
 
 
+def _bounded(count: float, message: str) -> float:
+    """``count``, if numpy can index in bytes a float64 array of ``count + 1``
+    values, rounded either way; else :class:`ParameterError` with ``message``."""
+    if not count < sys.maxsize // 8 - 1:
+        raise ParameterError(message)
+    return count
+
+
 def _grid(t0: float, t1: float, step: float) -> tuple[np.ndarray, float]:
     """The uniform grid over ``[t0, t1]`` with the fewest steps no wider
     than ``step``, and its width; ``t[-1]`` is pinned to ``t1``.  A step
-    count that does not fit an array index raises :class:`ParameterError`."""
+    count whose grid numpy cannot index raises :class:`ParameterError`."""
     t0, t1 = float(t0), float(t1)
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ParameterError(f"integration span must be finite, got ({t0!r}, {t1!r})")
@@ -268,9 +276,8 @@ def _grid(t0: float, t1: float, step: float) -> tuple[np.ndarray, float]:
         raise ParameterError("integration span must have t1 > t0")
     if not (math.isfinite(step) and step > 0.0):
         raise ParameterError(f"step must be positive, got {step!r}")
-    steps = span / step - 1e-12
-    if not steps < sys.maxsize:  # an infinite count included
-        raise ParameterError(f"step {step!r} leaves too many steps over a span of {span!r}")
+    steps = _bounded(span / step - 1e-12,
+                     f"step {step!r} leaves too many steps over a span of {span!r}")
     n = max(1, math.ceil(steps))
     h = span / n
     ts = t0 + h * np.arange(n + 1)
@@ -322,7 +329,7 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float):
     slope at each sample and the first stage of the step from it.  An
     empty or non-finite ``y0`` and an ``rhs`` that returns another number
     of values than ``d`` raise :class:`ParameterError`, as does a step
-    count that does not fit an array index; any other error of ``rhs``, a
+    count whose grid numpy cannot index; any other error of ``rhs``, a
     ``ValueError`` included, propagates unchanged.  If ``rhs`` raises
     :class:`SingularFieldError`, the samples whose slope is known are
     returned with its message as ``stop``; otherwise ``stop`` is ``None``.

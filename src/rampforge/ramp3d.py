@@ -140,6 +140,7 @@ def _stage(block: str) -> str:
 
 
 _CALL_EVAL_STAGE = _stage(_CALL_EVAL)
+_FLOW_PARAMS = "k, mu, name, w, c, normal, drift, h, hh, h6"  # of each field's rk4
 
 # the state after an RK4 step back onto the sphere, its drift recorded
 _RENORMALIZE = f"""\
@@ -222,8 +223,8 @@ def _bind(spec: FrictionSpec, tangent_field: TangentField, drift: list,
         stage, name, w = _builtin_evals[tangent_field.eval]
     except (KeyError, TypeError):  # TypeError: an eval with no hash or weak reference
         stage, name, w = _CALL_EVAL_STAGE, tangent_field.name, 0.0
-    rk4 = _rk4_run(3, "k, mu, name, w, c, normal, drift, h, hh, h6", stage, _RENORMALIZE,
-                   singular=_singular, malformed=_malformed)
+    rk4 = _rk4_run(3, _FLOW_PARAMS, stage, _RENORMALIZE, singular=_singular,
+                   malformed=_malformed)
     return rk4(-(spec.g / (spec.v * spec.v)), spec.mu, name, w, 1.0 - w,
                tangent_field.eval, drift, h, 0.5 * h, h / 6.0)
 
@@ -339,8 +340,8 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
     the slope at the new sample, and stores the samples (a field whose
     ``eval`` is not a built-in one is called through it).  A field whose
     ``eval`` returns other than three values raises
-    :class:`ContractViolationError`, and a step count that does not fit an
-    array index :class:`ParameterError`.  If the trajectory enters a
+    :class:`ContractViolationError`, and a step count whose grid numpy
+    cannot index :class:`ParameterError`.  If the trajectory enters a
     field's singular set the run stops early with the partial curve and a
     reason instead of raising, except when the start itself is singular.
 

@@ -9,13 +9,12 @@ friction, plus the Newton residual as a self-check column.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
-from .ode import hermite
+from .ode import _bounded, hermite
 from .params import FrictionSpec
 from .planar import Ramp2D
 from .ramp3d import SpaceCurve3D, lambda_3d
@@ -54,9 +53,8 @@ def _frame_times(t_span: tuple[float, float], fps: float) -> np.ndarray:
         raise ParameterError(f"need 0 <= t0 <= t1, got {t_span!r}")
     if math.isinf(t1):
         raise ParameterError(f"t_span must be finite, got {t_span!r}")
-    frames = (t1 - t0) * fps + _COUNT_EPS
-    if not frames < sys.maxsize:  # an infinite count included
-        raise ParameterError(f"t_span {t_span!r} at {fps!r} fps leaves too many frames")
+    frames = _bounded((t1 - t0) * fps + _COUNT_EPS,
+                      f"t_span {t_span!r} at {fps!r} fps leaves too many frames")
     count = math.floor(frames) + 1
     return t0 + np.arange(count) / fps
 
@@ -67,7 +65,7 @@ def simulate(spec: FrictionSpec, geometry, t_span: tuple[float, float],
 
     ``geometry`` is a :class:`Ramp2D` or :class:`SpaceCurve3D`.  Frames land
     at ``t0 + k / fps``; the count is ``floor(span * fps) + 1``, and one
-    that does not fit an array index raises :class:`ParameterError`.  Requests
+    whose times numpy cannot index raises :class:`ParameterError`.  Requests
     running past the end of the geometry (the integrated span of a space
     curve) are truncated and flagged rather than extrapolated.
     """

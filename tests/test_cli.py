@@ -149,8 +149,11 @@ def test_singular_start_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("step, message", [
     ("0", "step must be positive"), ("nan", "step must be positive"),
-    ("1e-300", "leaves too many steps"), ("1e-320", "leaves too many steps")],
-    ids=["0", "nan", "1e-300", "1e-320"])
+    # 1e-18: about 5.7e18 steps over the default span, an int64 count whose
+    # float64 grid numpy cannot index in bytes
+    ("1e-18", "leaves too many steps"), ("1e-300", "leaves too many steps"),
+    ("1e-320", "leaves too many steps")],
+    ids=["0", "nan", "1e-18", "1e-300", "1e-320"])
 @pytest.mark.parametrize("command", ["generate3d", "verify"])
 def test_bad_step_exits_2(capsys, tmp_path, command, step, message):
     code, _, err = run(capsys, command, "--mu", "0.5", "--v", "5",
@@ -237,10 +240,12 @@ def test_simulate_infinite_t_span_exits_2(capsys, t_span):
     assert "t_span must be finite" in err
 
 
-def test_simulate_too_many_frames_exits_2(capsys):
-    # 3e301 frames: no array index holds the count
+@pytest.mark.parametrize("t1", ["1e17", "1e300"])
+def test_simulate_too_many_frames_exits_2(capsys, t1):
+    # 3e18 and 3e301 frames: 3e18 fits an int64 but not numpy's byte
+    # limit, 3e301 neither
     code, _, err = run(capsys, "simulate", "--mu", "0.5", "--v", "5",
-                       "--branch", "lower", "--t-span", "0", "1e300")
+                       "--branch", "lower", "--t-span", "0", t1)
     assert code == 2
     assert "leaves too many frames" in err
 

@@ -16,8 +16,9 @@ angles = st.floats(min_value=0.02, max_value=math.pi / 4 - 0.02)
 
 
 def test_integrate_fixed_rejects_bad_step():
-    # 1e-300 and 1e-320: step counts no array index holds, 1e-320 an infinite one
-    for step in (0.0, -1.0, math.inf, math.nan, 1e-300, 1e-320):
+    # 2e-19, 1e-300 and 1e-320: grids numpy cannot index, 2e-19 one whose
+    # step count fits an int64 but whose bytes do not, 1e-320 an infinite one
+    for step in (0.0, -1.0, math.inf, math.nan, 2e-19, 1e-300, 1e-320):
         with pytest.raises(ParameterError):
             integrate_fixed(lambda _t, u: u, (1.0,), 0.0, 1.0, step)
 

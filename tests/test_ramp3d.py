@@ -17,7 +17,7 @@ from rampforge import (ContractViolationError, ParameterError,
                        e3_tangential, field_x, hemisphere_point,
                        integrate_ramp3d, lambda_3d, lower_ramp, scale_ramp,
                        simulate, spec_from_mu, verify_3d)
-from rampforge import ramp3d
+from rampforge import ode, ramp3d
 from rampforge.ode import horizontal_closed_form
 
 # directions strictly inside the south hemisphere, away from the pole
@@ -366,7 +366,14 @@ def test_compiled_step_raises_at_the_stage_point(fig_spec, kind):
     drift = [0.0, 0.0]
     h = 1e-3
     run = ramp3d._bind(fig_spec, dataclasses.replace(tf, name="renamed"), drift, h)
-    assert run.__code__ is ramp3d._bind(fig_spec, tf, [0.0, 0.0], h).__code__
+    # the run compiled from the field's own component source, not reached
+    # through _bind; rk4's arguments do not change the code of its run
+    inline = ode._rk4_run(3, ramp3d._FLOW_PARAMS, ramp3d._stage(ramp3d._SOURCES[kind[0]]),
+                          ramp3d._RENORMALIZE, singular=ramp3d._singular,
+                          malformed=ramp3d._malformed)
+    assert run.__code__ is inline(*[0.0] * 10).__code__
+    wrapped = dataclasses.replace(tf, eval=lambda y, f=tf.eval: f(y))
+    assert run.__code__ is not ramp3d._bind(fig_spec, wrapped, [0.0, 0.0], h).__code__
     near = [3e-9, 4e-9, -1.0]
     with pytest.raises(SingularFieldError) as info:
         run([0.0, h], near, np.empty((2, 3)), np.empty((2, 3)))
