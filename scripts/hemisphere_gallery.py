@@ -48,8 +48,7 @@ def main() -> None:
         y0 = start if name == "upslope" else tilted
         curve = integrate_ramp3d(spec, field, y0, smax)
         report = verify_3d(spec, curve)
-        surface = build_surface(curve, field,
-                                r_extent=(-args.width / 2, args.width / 2))
+        surface = build_surface(curve, r_extent=(-args.width / 2, args.width / 2))
         stem = name.replace(":", "_")
         write_obj(args.out / f"{stem}.obj", surface)
         write_curve3d_csv(args.out / f"{stem}.csv", curve, spec)

@@ -156,7 +156,7 @@ def cmd_generate3d(args: argparse.Namespace) -> int:
     if not args.out:
         raise ParameterError("--out base path is required", code="config")
     curve = _integrate_from_args(spec, args)
-    surface = build_surface(curve, curve.field, r_extent=tuple(args.r_extent),
+    surface = build_surface(curve, r_extent=tuple(args.r_extent),
                             resolution=_parse_mesh(args.mesh))
     report = verify_3d(spec, curve)
     reduction = planar_reduction_check(spec, curve)

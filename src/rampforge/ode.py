@@ -220,7 +220,7 @@ _CALL_RHS = "rhs, h, hh, h6", """\
 slope = rhs({t}, [{point}])
 try:
     {out}, = slope
-except ValueError:
+except (TypeError, ValueError):  # TypeError: slope is not iterable
     raise ParameterError(f"rhs must return {{len(y)}} values, as many as y0 has") from None
 """
 # the tangent-angle equation: theta_ode_rhs's operations, in its order, in

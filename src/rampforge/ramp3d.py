@@ -8,9 +8,10 @@ the constant-speed condition forces the direction to evolve along
 
 with normal force per unit mass ``lambda(y) = -(g / mu) * y3``.  Integrating
 the flow once gives the direction curve ``gamma``; integrating ``gamma``
-again gives the space curve ``alpha`` the block travels, and sweeping the
-ruling ``alpha' x N`` along it gives a developable strip to build the ramp
-from.
+again gives the space curve ``alpha`` the block travels.  Sweeping the
+ruling ``alpha' x N`` along it gives a sheet that contains the trajectory
+and touches the block with normal ``N``; it is not developable for every
+field (not for ``horizontal`` or ``blend``), and that is not checked.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ _CALL_EVAL = """\
 n = normal({point})
 try:
     n1, n2, n3 = n
-except ValueError:
+except (TypeError, ValueError):  # TypeError: n is not iterable
     raise malformed(name, n) from None
 """
 # the flow of a stage: -(g / v**2) * (e3T(y) + (y3 / mu) * N(y)), into `out`
@@ -385,7 +386,7 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
 
 @dataclass(frozen=True)
 class RampSurface3D:
-    """Ruled strip swept along a space curve.
+    """Ruled sheet swept along a space curve.
 
     Vertices are laid out row-major in ``(s, r)``: ``vertices[i, j]`` sits at
     parameter ``(s_grid[i], r_grid[j])``.  ``vertex_normals[i]`` is the
@@ -423,14 +424,13 @@ def _ruling_grid(r_extent: tuple[float, float], n_r: int) -> np.ndarray:
                            np.linspace(0.0, r_max, n_r - n_neg + 1)])
 
 
-def build_surface(curve: SpaceCurve3D, tangent_field: TangentField,
-                  r_extent: tuple[float, float] = (-0.5, 0.5),
+def build_surface(curve: SpaceCurve3D, r_extent: tuple[float, float] = (-0.5, 0.5),
                   resolution: tuple[int, int] = (200, 16)) -> RampSurface3D:
-    """Sweep the ruling ``gamma x N(gamma)`` along the curve.
+    """Sweep the ruling ``gamma x N(gamma)`` along the curve, ``N`` its own field.
 
     The ruling is orthogonal to both the motion direction and the contact
-    normal, so the strip contains the trajectory (its ``r = 0`` row) and
-    touches the block along it with normal ``N``.
+    normal, so the sheet contains the trajectory (its ``r = 0`` row) and
+    touches the block along it with normal ``N``.  Developability is not checked.
     """
     n_s, n_r = int(resolution[0]), int(resolution[1])
     if n_s < 1 or n_r < 1:
@@ -441,7 +441,7 @@ def build_surface(curve: SpaceCurve3D, tangent_field: TangentField,
     positions = curve.position(s_grid)
     tangents = curve.tangent(s_grid)
     tangents = tangents / np.linalg.norm(tangents, axis=-1, keepdims=True)
-    normals = np.array([tangent_field.eval(t) for t in tangents.tolist()])
+    normals = np.array([curve.field.eval(t) for t in tangents.tolist()])
     ruling = np.cross(tangents, normals)
     ruling = ruling / np.linalg.norm(ruling, axis=-1, keepdims=True)
 

@@ -17,8 +17,8 @@ from .errors import ParameterError
 from .ode import _bounded, hermite
 from .params import FrictionSpec
 from .planar import Ramp2D
-from .ramp3d import SpaceCurve3D, lambda_3d
-from .verify import _force_balance, _planar_balance
+from .ramp3d import SpaceCurve3D
+from .verify import _planar_balance, _spatial_balance
 
 _COUNT_EPS = 1e-9  # guards floor() against span*fps landing just under an integer
 
@@ -67,7 +67,8 @@ def simulate(spec: FrictionSpec, geometry, t_span: tuple[float, float],
     at ``t0 + k / fps``; the count is ``floor(span * fps) + 1``, and one
     whose times numpy cannot index raises :class:`ParameterError`.  Requests
     running past the end of the geometry (the integrated span of a space
-    curve) are truncated and flagged rather than extrapolated.
+    curve) are truncated and flagged rather than extrapolated.  A space
+    curve's Hermite samples go through :func:`verify.verify_3d`'s kernel.
     """
     t = _frame_times(t_span, fps)
     if isinstance(geometry, Ramp2D):
@@ -102,10 +103,8 @@ def simulate(spec: FrictionSpec, geometry, t_span: tuple[float, float],
             position = geometry.position(s)
             gamma, dgamma = hermite(geometry.s, geometry.gamma, geometry.dgamma, s)
             velocity = spec.v * gamma
-            lam = lambda_3d(spec, gamma)
-            normals = np.array([geometry.field.eval(y) for y in gamma.tolist()])
-            forces = _force_balance(
-                spec, lam, normals, velocity, spec.m * spec.v * spec.v * dgamma,
+            _normals, _lam, forces = _spatial_balance(
+                spec, geometry.field, gamma, dgamma, velocity,
                 speed=np.linalg.norm(velocity, axis=-1, keepdims=True))
         for name, column in zip(frames.dtype.names, (t, position, velocity, *forces)):
             frames[name] = column

@@ -23,8 +23,8 @@ from .errors import ContractViolationError, ParameterError, SingularFieldError
 from .ode import hermite, integrate_fixed
 from .params import FrictionSpec, make_spec
 from .planar import Ramp2D, default_span, normal_force_2d, tangent_angle_orbit_position
-from .ramp3d import (E3, RampSurface3D, SpaceCurve3D, e3_tangential, lambda_3d,
-                     scale_ramp)
+from .ramp3d import (E3, RampSurface3D, SpaceCurve3D, TangentField, e3_tangential,
+                     lambda_3d, scale_ramp)
 
 TOL_RESIDUAL_2D = 1e-8   # N, closed-form geometry
 TOL_RESIDUAL_3D = 1e-6   # N, integrated geometry
@@ -89,6 +89,16 @@ def _force_balance(spec: FrictionSpec, lam: np.ndarray, normals: np.ndarray,
     normal = lam[:, None] * normals
     friction = -spec.mu * lam[:, None] * direction / speed
     return gravity, normal, friction, gravity + normal + friction - inertia
+
+
+def _spatial_balance(spec: FrictionSpec, tangent_field: TangentField, gamma: np.ndarray,
+                     dgamma: np.ndarray, direction: np.ndarray, speed=1.0):
+    """Normals, normal force and force columns at directions ``gamma`` with
+    arc-length slopes ``dgamma``; friction opposes ``direction / speed``."""
+    normals = np.array([tangent_field.eval(y) for y in gamma.tolist()])
+    lam = lambda_3d(spec, gamma)
+    return normals, lam, _force_balance(spec, lam, normals, direction,
+                                        spec.m * spec.v * spec.v * dgamma, speed)
 
 
 def _planar_balance(spec: FrictionSpec, ramp: Ramp2D, t: np.ndarray):
@@ -169,11 +179,11 @@ def verify_3d(spec: FrictionSpec, curve: SpaceCurve3D,
               n_samples: int = 400) -> ForceBalanceReport:
     """Check the force balance along an integrated space curve.
 
-    The acceleration term uses the derivative samples recorded at
-    integration time, while the force side is rebuilt fresh from the stored
-    direction samples.  Corrupting either side (rescaled directions, dilated
-    curve verified at the original speed) breaks the match.  The contact
-    normals come from the curve's own field.
+    At the stored nodes, the acceleration term uses the derivative samples
+    recorded at integration time, and the force side is rebuilt fresh from
+    the stored directions and the curve's own field, in the kernel that
+    :func:`sim.simulate` shares.  Corrupting either side (rescaled directions,
+    dilated curve verified at the original speed) breaks the match.
     """
     _require_samples(n_samples)
     if curve.s.shape[0] < 2:
@@ -182,10 +192,8 @@ def verify_3d(spec: FrictionSpec, curve: SpaceCurve3D,
     idx = np.unique(np.round(np.linspace(0, curve.s.shape[0] - 1, count)).astype(int))
 
     gamma = curve.gamma[idx]
-    normals = np.array([curve.field.eval(y) for y in gamma.tolist()])
-    lam = lambda_3d(spec, gamma)
-    forces = _force_balance(spec, lam, normals, gamma,
-                            spec.m * spec.v * spec.v * curve.dgamma[idx])
+    normals, lam, forces = _spatial_balance(spec, curve.field, gamma,
+                                            curve.dgamma[idx], gamma)
     return _report(curve.s[idx] / spec.v, lam, forces[-1], normals, gamma,
                    TOL_RESIDUAL_3D,
                    meta={"dimension": "3d", "field": curve.field.name,
@@ -236,25 +244,25 @@ def planar_reduction_check(spec: FrictionSpec, curve: SpaceCurve3D) -> dict:
 
 @dataclass(frozen=True)
 class Motion:
-    """Reparametrization ``t -> h(t)`` of a ramp curve with its derivatives."""
+    """Reparametrization ``t -> h(t)`` of a ramp curve: ``path(t)`` is ``(h, h', h'')``."""
 
-    h: Callable[[np.ndarray], np.ndarray]
-    h_dot: Callable[[np.ndarray], np.ndarray]
-    h_ddot: Callable[[np.ndarray], np.ndarray]
+    path: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     @staticmethod
     def static(param: float) -> "Motion":
         """Block parked at a fixed curve parameter."""
-        return Motion(h=lambda t: np.full_like(np.asarray(t, dtype=float), param),
-                      h_dot=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                      h_ddot=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+        def path(t):
+            t = np.asarray(t, dtype=float)
+            return np.full_like(t, param), np.zeros_like(t), np.zeros_like(t)
+        return Motion(path)
 
     @staticmethod
     def constant_rate(rate: float, start: float = 0.0) -> "Motion":
         """Curve parameter advancing linearly in time."""
-        return Motion(h=lambda t: start + rate * np.asarray(t, dtype=float),
-                      h_dot=lambda t: np.full_like(np.asarray(t, dtype=float), rate),
-                      h_ddot=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+        def path(t):
+            t = np.asarray(t, dtype=float)
+            return start + rate * t, np.full_like(t, rate), np.zeros_like(t)
+        return Motion(path)
 
     @staticmethod
     def constant_speed(ramp: Ramp2D, speed: float, start: float,
@@ -264,38 +272,31 @@ class Motion:
         The parameter history solves ``h' = speed / |curve'(h)|``; it is
         integrated once over ``t_span`` in ``MOTION_GRID`` RK4 steps and read
         through :func:`ode.hermite`, so a time outside ``t_span`` raises
-        :class:`ParameterError`.  Both derivatives are evaluated from the
-        curve analytically.
+        :class:`ParameterError`.  ``path`` reads it, ``curve.tangent`` and
+        ``curve.second_derivative`` once each; the derivatives are analytic.
         """
         if not math.isfinite(start):
             raise ParameterError(f"start must be finite, got {start!r}")
         curve = ramp.curve
 
-        def speed_of(u):
-            return np.linalg.norm(curve.tangent(np.asarray(u, dtype=float)), axis=-1)
-
         def rhs(_t, u):
-            return (speed / speed_of(u[0]),)
+            g1 = curve.tangent(np.asarray(u[0], dtype=float))
+            return (speed / np.linalg.norm(g1, axis=-1),)
 
         t0, t1 = float(t_span[0]), float(t_span[1])
         ts, hs, dhs, _ = integrate_fixed(rhs, (float(start),), t0, t1,
                                          (t1 - t0) / MOTION_GRID)
         hs, dhs = hs[:, 0], dhs[:, 0]
 
-        def h(t):
-            return hermite(ts, hs, dhs, t)[0]
-
-        def h_dot(t):
-            return speed / speed_of(h(t))
-
-        def h_ddot(t):
-            u = h(t)
-            g1 = curve.tangent(u)
-            g2 = curve.second_derivative(u)
+        def path(t):
+            h = hermite(ts, hs, dhs, t)[0]
+            g1 = curve.tangent(h)
+            g2 = curve.second_derivative(h)
             norm2 = np.einsum("...i,...i->...", g1, g1)
-            return -speed * speed * np.einsum("...i,...i->...", g1, g2) / (norm2 * norm2)
+            h_ddot = -speed * speed * np.einsum("...i,...i->...", g1, g2) / (norm2 * norm2)
+            return h, speed / np.linalg.norm(g1, axis=-1), h_ddot
 
-        return Motion(h=h, h_dot=h_dot, h_ddot=h_ddot)
+        return Motion(path)
 
 
 @dataclass(frozen=True)
@@ -332,9 +333,7 @@ def normal_sign_diagnostic(ramp: Ramp2D, force, mass: float, motion: Motion,
         raise ParameterError(f"t_span must be finite with t0 < t1, got {t_span!r}")
     _require_samples(n_samples)
     t = np.linspace(t0, t1, n_samples)
-    u = np.asarray(motion.h(t), dtype=float)
-    du = np.asarray(motion.h_dot(t), dtype=float)
-    ddu = np.asarray(motion.h_ddot(t), dtype=float)
+    u, du, ddu = (np.asarray(c, dtype=float) for c in motion.path(t))
 
     g1 = ramp.curve.tangent(u)
     g2 = ramp.curve.second_derivative(u)

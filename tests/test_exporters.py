@@ -80,8 +80,7 @@ def test_curve3d_csv(tmp_path, fig_spec, small_curve):
 
 
 def test_obj_mesh_structure(tmp_path, fig_spec, small_curve):
-    surface = build_surface(small_curve, small_curve.field,
-                            r_extent=(-0.2, 0.2), resolution=(6, 4))
+    surface = build_surface(small_curve, r_extent=(-0.2, 0.2), resolution=(6, 4))
     path = tmp_path / "strip.obj"
     write_obj(path, surface)
     lines = path.read_text().splitlines()
@@ -101,8 +100,7 @@ def test_obj_mesh_structure(tmp_path, fig_spec, small_curve):
 
 
 def test_obj_face_winding_matches_contact_normal(tmp_path, fig_spec, small_curve):
-    surface = build_surface(small_curve, small_curve.field,
-                            r_extent=(-0.2, 0.2), resolution=(4, 2))
+    surface = build_surface(small_curve, r_extent=(-0.2, 0.2), resolution=(4, 2))
     path = tmp_path / "strip.obj"
     write_obj(path, surface)
     verts = []

@@ -194,18 +194,20 @@ def test_integrate_fixed_rejects_a_wrong_number_of_components(size, after):
         integrate_fixed(rhs, (1.0, 0.5, 0.25), 0.0, 1.0, 0.1)
 
 
-@pytest.mark.parametrize("size", [2, 4, 0])
-@pytest.mark.parametrize("bad_call", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("size", [2, 4, 0, None])
+@pytest.mark.parametrize("bad_call", [1, 2, 3, 4, 5, 6])
 def test_integrate_fixed_rejects_a_wrong_size_at_any_stage(size, bad_call):
     # call 1 is the start slope; calls 2, 3 and 4 are the second, third and
     # fourth stage of step 1, call 5 the slope at sample 1 and call 6 the
-    # second stage of step 2
+    # second stage of step 2.  Size None returns a bare float
     calls = [0]
 
     def rhs(_t, u):
         calls[0] += 1
         k = [-c for c in u]
-        return (k + [0.0, 0.0])[:size] if calls[0] == bad_call else k
+        if calls[0] != bad_call:
+            return k
+        return -u[0] if size is None else (k + [0.0, 0.0])[:size]
 
     with pytest.raises(ParameterError, match="rhs must return 3 values"):
         integrate_fixed(rhs, (1.0, 0.5, 0.25), 0.0, 1.0, 0.1)

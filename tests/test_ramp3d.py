@@ -131,10 +131,12 @@ def test_field_x_raises_near_the_pole(fig_spec, tf):
     assert str(info.value) == f"field {tf.name!r} is singular at {near}"
 
 
-@pytest.mark.parametrize("size", [2, 4])
+@pytest.mark.parametrize("size", [2, 4, None])
 def test_field_x_names_a_field_of_the_wrong_size(fig_spec, size):
+    # size None: a bare float, which cannot be unpacked at all
     base = builtin_field("horizontal")
-    tf = TangentField("lopsided", eval=lambda y: (list(base(y)) + [0.0])[:size])
+    tf = TangentField("lopsided", eval=lambda y: (
+        1.0 if size is None else (list(base(y)) + [0.0])[:size]))
     with pytest.raises(ContractViolationError, match="field 'lopsided' must return 3 values"):
         field_x(fig_spec, tf, [0.8, 0.0, -0.6])
 
@@ -317,18 +319,21 @@ def test_unhashable_eval_is_called(fig_spec):
     assert level.calls == 4 * (curve.s.shape[0] - 1) + 2
 
 
-@pytest.mark.parametrize("size", [2, 4])
+@pytest.mark.parametrize("size", [2, 4, None])
 @pytest.mark.parametrize("from_call", [1, 7])
 def test_field_of_the_wrong_size_is_named(fig_spec, size, from_call):
     # call 1 is the start check, call 7 a stage of step 2; a wrong size used
-    # to surface as an anonymous unpacking or numpy shape error
+    # to surface as an anonymous unpacking or numpy shape error, and a bare
+    # float (size None) as an unpacking TypeError
     base = builtin_field("horizontal")
     calls = [0]
 
     def lopsided(y):
         calls[0] += 1
         n = list(base(y))
-        return (n + [0.0])[:size] if calls[0] >= from_call else n
+        if calls[0] < from_call:
+            return n
+        return 1.0 if size is None else (n + [0.0])[:size]
 
     tf = TangentField(name="lopsided", eval=lopsided)
     with pytest.raises(ContractViolationError, match="field 'lopsided' must return 3 values"):
@@ -498,7 +503,7 @@ def test_single_sample_curve_raises_parameter_error(fig_spec):
     tf = TangentField(name="horizontal", eval=eval_failing_third)
     curve = integrate_ramp3d(fig_spec, tf, [0.8, 0.0, -0.6], 1.0)
     assert curve.stopped_early and curve.s.shape == (1,)
-    for use in (lambda: build_surface(curve, base),
+    for use in (lambda: build_surface(curve),
                 lambda: simulate(fig_spec, curve, (0.0, 1.0)),
                 lambda: curve.position(0.0), lambda: curve.tangent(0.0),
                 lambda: curve.derivative(0.0), lambda: verify_3d(fig_spec, curve)):
@@ -544,8 +549,7 @@ def test_tangent_derivative_consistency(fig_spec):
 def test_build_surface_layout(fig_spec):
     curve = integrate_ramp3d(fig_spec, builtin_field("upslope"),
                              [1.0, 0.0, 0.0], 1.0, step=0.01)
-    surface = build_surface(curve, curve.field, r_extent=(-0.4, 0.2),
-                            resolution=(30, 8))
+    surface = build_surface(curve, r_extent=(-0.4, 0.2), resolution=(30, 8))
     assert surface.resolution == (30, 8)
     assert surface.vertices.shape == (31, 9, 3)
     assert surface.vertex_normals.shape == (31, 3)
@@ -565,9 +569,9 @@ def test_build_surface_validation(fig_spec):
     curve = integrate_ramp3d(fig_spec, builtin_field("upslope"),
                              [1.0, 0.0, 0.0], 0.5, step=0.01)
     with pytest.raises(ParameterError):
-        build_surface(curve, curve.field, r_extent=(0.5, -0.5))
+        build_surface(curve, r_extent=(0.5, -0.5))
     with pytest.raises(ParameterError):
-        build_surface(curve, curve.field, resolution=(0, 4))
+        build_surface(curve, resolution=(0, 4))
 
 
 @pytest.mark.parametrize("r_extent", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
@@ -576,7 +580,7 @@ def test_build_surface_rejects_non_finite_extent(fig_spec, r_extent):
     curve = integrate_ramp3d(fig_spec, builtin_field("upslope"),
                              [1.0, 0.0, 0.0], 0.5, step=0.01)
     with pytest.raises(ParameterError, match="r_extent must be finite"):
-        build_surface(curve, curve.field, r_extent=r_extent)
+        build_surface(curve, r_extent=r_extent)
 
 
 def test_scale_ramp_2d(fig_spec):
@@ -619,7 +623,7 @@ def test_scale_ramp_3d(fig_spec):
     assert np.allclose(big.position(2.0 * curve.s[::5]),
                        2.0 * curve.position(curve.s[::5]), atol=1e-12)
 
-    surface = build_surface(curve, curve.field, resolution=(10, 4))
+    surface = build_surface(curve, resolution=(10, 4))
     big_surface = scale_ramp(surface, 3.0)
     assert np.allclose(big_surface.vertices, 3.0 * surface.vertices)
     assert np.allclose(big_surface.vertex_normals, surface.vertex_normals)

@@ -295,8 +295,8 @@ def test_constant_speed_motion_on_parabola():
     ramp = parabola_ramp()
     motion = Motion.constant_speed(ramp, 2.0, start=-1.5, t_span=(0.0, 3.0))
     t = np.linspace(0.0, 3.0, 50)
-    u = motion.h(t)
-    velocity = motion.h_dot(t)[:, None] * ramp.curve.tangent(u)
+    u, du, _ = motion.path(t)
+    velocity = du[:, None] * ramp.curve.tangent(u)
     assert np.max(np.abs(np.linalg.norm(velocity, axis=-1) - 2.0)) < 1e-6
     # friction-free consistency: residual tangential force must match mu=0
     # at constant speed the required tangential push is the weight component
@@ -310,7 +310,24 @@ def test_constant_speed_motion_rejects_times_outside_its_span():
     motion = Motion.constant_speed(parabola_ramp(), 2.0, start=-1.5, t_span=(0.0, 1.0))
     for t in (math.nan, 1.5, -0.5, [0.5, math.nan]):
         with pytest.raises(ParameterError, match="outside the integrated span"):
-            motion.h(t)
+            motion.path(t)
+
+
+def test_constant_speed_motion_is_read_once_per_diagnostic():
+    # the diagnostic reads the curve's tangent once itself, and the motion
+    # reads it once for h_dot and h_ddot together
+    ramp = parabola_ramp()
+    calls = [0]
+
+    def tangent(t):
+        calls[0] += 1
+        return ramp.curve.tangent(t)
+
+    counted = replace(ramp, curve=replace(ramp.curve, tangent=tangent))
+    motion = Motion.constant_speed(counted, 2.0, start=-1.5, t_span=(0.0, 1.0))
+    calls[0] = 0
+    normal_sign_diagnostic(counted, np.array([0.0, -9.81]), 1.0, motion, t_span=(0.0, 1.0))
+    assert calls[0] == 2
 
 
 def test_constant_speed_rejects_non_finite_start(fig_spec):
@@ -335,7 +352,7 @@ def test_verify_scaling_3d(fig_spec):
     result = verify_scaling(fig_spec, curve, 0.25)
     assert result.both_valid
 
-    surface = build_surface(curve, curve.field, resolution=(10, 4))
+    surface = build_surface(curve, resolution=(10, 4))
     assert verify_scaling(fig_spec, surface, 4.0, n_samples=100).both_valid
 
 
