@@ -1,4 +1,5 @@
-"""sha256 digests of the CLI's outputs, to check a change keeps them byte for byte.
+"""sha256 digests of the CLI's outputs and of the generated code, to check a
+change keeps them byte for byte.
 
     python scripts/output_digests.py --out digests.json
     python scripts/output_digests.py --compare digests.json
@@ -8,14 +9,21 @@ Runs the benchmark's pinned CLI cycle (``bench/workloads.py`` at its
 ``simulate`` of each built-in field from ``--y0 0.8 0 -0.6`` in CSV and
 JSONL.  Each command runs as its own process, against the sources under
 ``src/``, in a fresh temporary directory.  The digests cover each
-command's stdout and every file it writes.  ``--out`` writes them as JSON;
-``--compare`` checks them against such a file, names each output that
-differs and exits 1 if any does.
+command's stdout and every file it writes.
+
+In this process, the same sources then compile each generated text once,
+and the text that ``rampforge.ode._compile`` passes to ``compile`` is
+digested under ``generated <run>``: each built-in field's ``eval`` and RK4
+run, the run that calls a custom ``eval``, the tangent-angle run and
+``integrate_fixed``'s run for d = 1, 2 and 3.  ``--out`` writes all
+digests as JSON; ``--compare`` checks them against such a file, names each
+output that differs and exits 1 if any does.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import tempfile
@@ -53,6 +61,43 @@ def digests() -> dict:
     return result
 
 
+def generated() -> dict:
+    """sha256 of the text each generating call compiles, ``None`` if it
+    compiled none, by wrapping the ``compile`` that ``ode._compile`` calls."""
+    from rampforge import (TangentField, builtin_field, field_x, integrate_fixed,
+                           integrate_ramp3d, integrate_theta, ode, spec_from_mu)
+
+    texts, result = [], {}
+
+    def recording(source, *args):
+        texts.append(source)
+        return compile(source, *args)
+
+    def record(name, call, *args):
+        start = len(texts)
+        value = call(*args)
+        new = "\0".join(texts[start:]).encode()
+        result[f"generated {name}"] = {
+            "source": hashlib.sha256(new).hexdigest() if len(texts) > start else None}
+        return value
+
+    spec, y0 = spec_from_mu(0.5, v=5.0), [0.8, 0.0, -0.6]
+    ode.compile = recording
+    try:
+        for args in (("upslope",), ("horizontal",), ("blend", 0.37)):
+            field = record(f"{args[0]} eval", builtin_field, *args)
+            record(f"{args[0]} run", integrate_ramp3d, spec, field, y0, 0.01)
+        custom = TangentField("custom", eval=lambda y: field.eval(y))
+        record("eval-call run", field_x, spec, custom, y0)
+        record("theta run", integrate_theta, spec, 0.5, (0.0, 0.01))
+        for d in (1, 2, 3):
+            record(f"integrate_fixed d={d}", integrate_fixed,
+                   lambda t, y: y, [1.0] * d, 0.0, 1.0, 0.5)
+    finally:
+        del ode.compile
+    return result
+
+
 def differences(want: dict, got: dict) -> list[str]:
     """``command: output`` for each output whose digest differs or is missing."""
     return [f"{name}: {output}" for name in sorted(set(want) | set(got))
@@ -67,11 +112,11 @@ def main(argv=None) -> int:
     action.add_argument("--compare", type=Path,
                         help="compare the digests with this JSON file")
     args = parser.parse_args(argv)
-    got = digests()
+    got = {**digests(), **generated()}
     if args.out:
         args.out.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
         print(f"wrote {sum(map(len, got.values()))} digests of {len(got)} commands "
-              f"to {args.out}")
+              f"and generated texts to {args.out}")
         return 0
     differ = differences(json.loads(args.compare.read_text()), got)
     for line in differ:

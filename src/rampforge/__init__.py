@@ -10,10 +10,10 @@ decompositions.  All geometry is parameterized by a :class:`FrictionSpec`.
 from .errors import (ContractViolationError, ParameterError, RampError,
                      SingularFieldError)
 from .ode import (DEFAULT_STEP_FACTOR, ThetaTrace, integrate_fixed,
-                  integrate_theta, lambda_from_theta, theta_closed_form,
+                  integrate_theta, theta_closed_form,
                   theta_closed_form_derivative, theta_ode_rhs)
-from .params import (DELTA_MAX, FrictionSpec, dump_spec, load_spec, make_spec,
-                     spec_from_dict, spec_from_mu, spec_to_dict)
+from .params import (DELTA_MAX, FrictionSpec, make_spec, spec_from_mu,
+                     spec_to_dict)
 from .planar import (Branch, PlanarCurve, Ramp2D, alpha, alpha_rotated,
                      alpha_rotated_second_derivative, alpha_rotated_tangent,
                      alpha_second_derivative, alpha_tangent, apex_param,
@@ -61,7 +61,6 @@ __all__ = [
     "builtin_field",
     "cumulative_simpson",
     "default_span",
-    "dump_spec",
     "e3_tangential",
     "field_x",
     "hemisphere_point",
@@ -69,8 +68,6 @@ __all__ = [
     "integrate_ramp3d",
     "integrate_theta",
     "lambda_3d",
-    "lambda_from_theta",
-    "load_spec",
     "lower_ramp",
     "make_ramp",
     "make_spec",
@@ -81,7 +78,6 @@ __all__ = [
     "sample_ramp",
     "scale_ramp",
     "simulate",
-    "spec_from_dict",
     "spec_from_mu",
     "spec_to_dict",
     "tangent_angle_orbit_position",

@@ -13,7 +13,9 @@ class ParameterError(RampError, ValueError):
     ``code`` distinguishes the failure class so callers can react without
     parsing the message: ``"angle_range"`` for friction angles outside the
     admissible interval, ``"magnitude"`` for nonpositive or nonfinite
-    magnitudes, ``"config"`` for malformed run configuration.
+    magnitudes, ``"hemisphere"`` for a direction that is not a finite unit
+    vector on the closed south hemisphere, ``"config"`` for malformed run
+    configuration.
     """
 
     def __init__(self, message: str, code: str = "magnitude"):

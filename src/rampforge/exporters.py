@@ -28,7 +28,6 @@ from .verify import ForceBalanceReport, ScalingVerification
 
 CURVE2D_HEADER = "s,x,y,tx,ty,nx,ny,lambda"
 CURVE3D_HEADER = "s,x,y,z,tx,ty,tz,lambda"
-PROFILE_HEADER = "t,residual,lambda"
 SVG_WIDTH = 800.0  # px; the height follows the curve's aspect ratio
 
 
@@ -171,14 +170,6 @@ def write_obj(path: str | Path, surface: RampSurface3D) -> None:
     _write_lines(path, lines)
 
 
-def write_obj_polyline(path: str | Path, points: np.ndarray) -> None:
-    """OBJ polyline (``l`` element) through the given points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    lines = ["# trajectory polyline", *_obj_points("v", points)]
-    lines.append("l " + " ".join(str(i + 1) for i in range(points.shape[0])))
-    _write_lines(path, lines)
-
-
 def report_to_dict(report: ForceBalanceReport, include_profiles: bool = True) -> dict:
     payload = {
         "verdict": report.verdict.value,
@@ -210,12 +201,6 @@ def scaling_to_dict(result: ScalingVerification, include_profiles: bool = False)
             "report": report_to_dict(result.gravity_report, include_profiles),
         },
     }
-
-
-def write_profile_csv(path: str | Path, report: ForceBalanceReport) -> None:
-    """Columns ``t,residual,lambda`` for plotting a verification profile."""
-    _write_csv(path, PROFILE_HEADER,
-               [report.t, report.residual_norm, report.lambda_profile])
 
 
 def write_frames_jsonl(path: str | Path, trace: MotionTrace) -> None:

@@ -89,16 +89,6 @@ def theta_ode_rhs(spec: FrictionSpec, theta) -> np.ndarray:
     return -spec.a * np.sin(np.asarray(theta, dtype=float) + spec.delta)
 
 
-def lambda_from_theta(spec: FrictionSpec, theta) -> np.ndarray:
-    """Normal force magnitude ``-m g cot(delta) sin(theta)`` along a solution.
-
-    This is signed with respect to the quarter-turn normal convention of the
-    unsplit curve; it is negative uphill of the apex, where the physical ramp
-    branch flips the normal.  Callers pick the side (see the verify module).
-    """
-    return -(spec.m * spec.g / spec.mu) * np.sin(np.asarray(theta, dtype=float))
-
-
 @dataclass(frozen=True)
 class ThetaTrace:
     """Dense integrator output: ``theta[i]`` at parameter ``s[i]``."""

@@ -8,17 +8,12 @@ from the inverse length scale ``a = g / (v**2 * sin(delta))``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from .errors import ParameterError
 
 DELTA_MAX = math.pi / 4  # keeps mu = tan(delta) below 1
-
-# Relative mismatch of stored derived fields tolerated when loading JSON.
-_DERIVED_MISMATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -103,40 +98,3 @@ def spec_to_dict(spec: FrictionSpec) -> dict:
     """Flat JSON-ready mapping, derived fields included for readability."""
     return asdict(spec)
 
-
-def spec_from_dict(data: dict) -> FrictionSpec:
-    """Rebuild a spec from its mapping form.
-
-    Derived fields (``mu``, ``a``) are recomputed from the primary ones; a
-    relative mismatch beyond 1e-9 against the stored values is rejected so a
-    hand-edited file cannot silently describe inconsistent physics.
-    """
-    try:
-        delta = data["delta"]
-        g = data["g"]
-        v = data["v"]
-        m = data["m"]
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"spec mapping is missing field {exc}", code="config") from exc
-    spec = make_spec(delta, g=g, v=v, m=m)
-    for name in ("mu", "a"):
-        if name in data:
-            stored = float(data[name])
-            fresh = getattr(spec, name)
-            if abs(stored - fresh) > _DERIVED_MISMATCH_TOL * max(1.0, abs(fresh)):
-                raise ParameterError(
-                    f"stored {name}={stored!r} disagrees with recomputed {fresh!r}",
-                    code="config")
-    return spec
-
-
-def dump_spec(spec: FrictionSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(spec_to_dict(spec), indent=2, sort_keys=True) + "\n")
-
-
-def load_spec(path: str | Path) -> FrictionSpec:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"spec file {path} is not valid JSON: {exc}", code="config") from exc
-    return spec_from_dict(data)

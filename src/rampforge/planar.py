@@ -15,7 +15,7 @@ away from the apex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -60,7 +60,6 @@ class Ramp2D:
     curve: PlanarCurve
     normal: Callable[[np.ndarray], np.ndarray]
     branch: Branch
-    metadata: dict = field(default_factory=dict)
 
 
 def _sech(t: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import logging
 import math
 import textwrap
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -68,10 +68,10 @@ class TangentField:
     """Unit tangent field on the hemisphere: ``eval(y)`` with ``N.y = 0``.
 
     ``eval`` takes a unit direction as a list of three floats and returns
-    three floats (a tuple; a list or a ``(3,)`` array also works).  It must
-    raise :class:`SingularFieldError` within ``SINGULAR_TOL`` of the field's
-    singular set.  ``singular_set`` is a human-readable description used in
-    diagnostics.
+    three real numbers (a tuple of floats; a list, a ``(3,)`` array or ints
+    also work).  It must raise :class:`SingularFieldError` within
+    ``SINGULAR_TOL`` of the field's singular set.  ``singular_set`` is a
+    human-readable description used in diagnostics.
 
     The ``eval`` of a :func:`builtin_field` is compiled from the field's
     component source, and so is its RK4 run, which runs the field inline;
@@ -121,12 +121,14 @@ _SOURCES = {
               + "w1, w2, w3 = w * u1 + c * h1, w * u2 + c * h2, w * u3 + c * h3\n"
               + _unit("w", "n")),
 }
-# the field block of any other field: a call of its eval
+# the field block of any other field: a call of its eval, each value read as
+# the float of the same value (`* 1.0` refuses a string, float() a complex)
 _CALL_EVAL = """\
 n = normal({point})
 try:
     n1, n2, n3 = n
-except (TypeError, ValueError):  # TypeError: n is not iterable
+    n1, n2, n3 = float(n1 * 1.0), float(n2 * 1.0), float(n3 * 1.0)
+except (TypeError, ValueError):  # TypeError: n is not iterable, or not numbers
     raise malformed(name, n) from None
 """
 # the flow of a stage: -(g / v**2) * (e3T(y) + (y3 / mu) * N(y)), into `out`
@@ -171,7 +173,8 @@ def _singular(name: str, y) -> SingularFieldError:
 
 
 def _malformed(name: str, n) -> ContractViolationError:
-    return ContractViolationError(f"field {name!r} must return 3 values, got {n!r}")
+    return ContractViolationError(
+        f"field {name!r} must return 3 values, each a real number, got {n!r}")
 
 
 @functools.cache
@@ -245,7 +248,7 @@ def field_x(spec: FrictionSpec, tangent_field: TangentField, y) -> tuple:
     squares in that order, so an evaluation involves no BLAS call and gives
     the same bits on every host.  A singular ``y`` raises
     :class:`SingularFieldError`, and an ``eval`` that returns other than
-    three values :class:`ContractViolationError`.
+    three real numbers :class:`ContractViolationError`.
     """
     ys, dys = np.empty((1, 3)), np.empty((1, 3))
     _bind(spec, tangent_field, [0.0, 0.0], 0.0)([0.0], [float(c) for c in y], ys, dys)
@@ -302,7 +305,6 @@ class SpaceCurve3D:
     norm_drift_total: float
     norm_drift_max: float
     stop_reason: str | None = None
-    metadata: dict = field(default_factory=dict)
 
     @property
     def s_end(self) -> float:
@@ -324,10 +326,6 @@ class SpaceCurve3D:
         """Cubic Hermite interpolation of ``gamma`` (slope ``dgamma``)."""
         return hermite(self.s, self.gamma, self.dgamma, s)[0]
 
-    def derivative(self, s) -> np.ndarray:
-        """Slope of the :meth:`tangent` cubic; ``dgamma`` on the nodes."""
-        return hermite(self.s, self.gamma, self.dgamma, s)[1]
-
 
 def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
                      s_max: float, step: float | None = None) -> SpaceCurve3D:
@@ -340,7 +338,7 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
     writes out each step's four flow evaluations, the renormalization and
     the slope at the new sample, and stores the samples (a field whose
     ``eval`` is not a built-in one is called through it).  A field whose
-    ``eval`` returns other than three values raises
+    ``eval`` returns other than three real numbers raises
     :class:`ContractViolationError`, and a step count whose grid numpy
     cannot index :class:`ParameterError`.  If the trajectory enters a
     field's singular set the run stops early with the partial curve and a
@@ -361,8 +359,12 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
         step = DEFAULT_STEP_FACTOR / spec.a
 
     n0 = tangent_field.eval(y0)  # singular start raises here
-    if np.shape(n0) != (3,):
-        raise _malformed(tangent_field.name, n0)
+    try:  # read as the run reads it (_CALL_EVAL)
+        if np.shape(n0) != (3,):
+            raise ValueError
+        n0 = [float(c * 1.0) for c in n0]
+    except (TypeError, ValueError):
+        raise _malformed(tangent_field.name, n0) from None
     if not (abs(float(np.linalg.norm(n0)) - 1.0) <= FIELD_CHECK_TOL
             and abs(float(np.dot(n0, y0))) <= FIELD_CHECK_TOL):
         raise ContractViolationError(
@@ -399,7 +401,6 @@ class RampSurface3D:
     vertices: np.ndarray
     vertex_normals: np.ndarray
     ruling: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     @property
     def resolution(self) -> tuple[int, int]:
@@ -469,19 +470,7 @@ def _scale_ramp2d(ramp: Ramp2D, kappa: float) -> Ramp2D:
     curve = PlanarCurve(position=position, tangent=tangent,
                         second_derivative=second_derivative,
                         domain=(kappa * lo, kappa * hi))
-    return Ramp2D(curve=curve, normal=normal, branch=ramp.branch,
-                  metadata=_scale_notes(ramp.metadata, kappa))
-
-
-def _scale_notes(metadata: dict, kappa: float) -> dict:
-    # the accumulated dilation and the two reinterpretations under which the
-    # dilated geometry stays valid
-    meta = dict(metadata)
-    total = kappa * meta.get("scaled_by", 1.0)
-    meta["scaled_by"] = total
-    meta["equivalent_specs"] = {"speed_factor": math.sqrt(total),
-                                "gravity_factor": 1.0 / total}
-    return meta
+    return Ramp2D(curve=curve, normal=normal, branch=ramp.branch)
 
 
 def scale_ramp(geometry, kappa: float):
@@ -489,9 +478,9 @@ def scale_ramp(geometry, kappa: float):
 
     The dilated geometry is again a constant-speed ramp for speed
     ``sqrt(kappa) * v`` at unchanged gravity, or equivalently for unchanged
-    speed at gravity ``g / kappa``; both reinterpretations are recorded in
-    the metadata.  Accepts :class:`Ramp2D`, :class:`SpaceCurve3D` and
-    :class:`RampSurface3D`.
+    speed at gravity ``g / kappa``; :func:`verify.verify_scaling` builds
+    both specs and checks the dilated geometry against each.  Accepts
+    :class:`Ramp2D`, :class:`SpaceCurve3D` and :class:`RampSurface3D`.
     """
     kappa = float(kappa)
     if not (math.isfinite(kappa) and kappa > 0.0):
@@ -500,15 +489,13 @@ def scale_ramp(geometry, kappa: float):
         return _scale_ramp2d(geometry, kappa)
     if isinstance(geometry, SpaceCurve3D):
         return replace(geometry, s=kappa * geometry.s, alpha=kappa * geometry.alpha,
-                       dgamma=geometry.dgamma / kappa,
-                       metadata=_scale_notes(geometry.metadata, kappa))
+                       dgamma=geometry.dgamma / kappa)
     if isinstance(geometry, RampSurface3D):
         return RampSurface3D(base=scale_ramp(geometry.base, kappa),
                              s_grid=kappa * geometry.s_grid,
                              r_grid=kappa * geometry.r_grid,
                              vertices=kappa * geometry.vertices,
                              vertex_normals=geometry.vertex_normals,
-                             ruling=geometry.ruling,
-                             metadata=_scale_notes(geometry.metadata, kappa))
+                             ruling=geometry.ruling)
     raise ParameterError(f"cannot scale object of type {type(geometry).__name__}",
                          code="config")

@@ -183,7 +183,9 @@ def verify_3d(spec: FrictionSpec, curve: SpaceCurve3D,
     recorded at integration time, and the force side is rebuilt fresh from
     the stored directions and the curve's own field, in the kernel that
     :func:`sim.simulate` shares.  Corrupting either side (rescaled directions,
-    dilated curve verified at the original speed) breaks the match.
+    dilated curve verified at the original speed) breaks the match.  Only
+    those nodes are read, never ``alpha`` or the curve between nodes, so
+    neither a coarse step nor a wrong ``alpha`` changes the verdict.
     """
     _require_samples(n_samples)
     if curve.s.shape[0] < 2:

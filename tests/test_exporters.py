@@ -14,8 +14,7 @@ from rampforge.exporters import (dumps_json, report_to_dict,
                                  scaling_to_dict, trace_summary, write_curve2d_csv,
                                  write_curve2d_json, write_curve2d_svg,
                                  write_curve3d_csv, write_frames_csv,
-                                 write_frames_jsonl, write_json, write_obj,
-                                 write_obj_polyline, write_profile_csv)
+                                 write_frames_jsonl, write_json, write_obj)
 from rampforge.params import spec_to_dict
 
 
@@ -116,15 +115,6 @@ def test_obj_face_winding_matches_contact_normal(tmp_path, fig_spec, small_curve
     assert float(face_normal @ surface.vertex_normals[0]) > 0.9
 
 
-def test_obj_polyline(tmp_path):
-    pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.5], [2.0, 1.0, 0.25]])
-    path = tmp_path / "line.obj"
-    write_obj_polyline(path, pts)
-    lines = path.read_text().splitlines()
-    assert sum(1 for l in lines if l.startswith("v ")) == 3
-    assert lines[-1] == "l 1 2 3"
-
-
 def test_report_profiles_toggle(fig_spec):
     report = verify_2d(fig_spec, lower_ramp(fig_spec), n_samples=8)
     full = report_to_dict(report)
@@ -143,15 +133,6 @@ def test_scaling_to_dict_shape(fig_spec):
         math.sqrt(6.0) * fig_spec.v)
     assert payload["gravity_reinterpretation"]["spec"]["g"] == pytest.approx(
         fig_spec.g / 6.0)
-
-
-def test_profile_csv(tmp_path, fig_spec):
-    report = verify_2d(fig_spec, lower_ramp(fig_spec), n_samples=12)
-    path = tmp_path / "profile.csv"
-    write_profile_csv(path, report)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,residual,lambda"
-    assert len(lines) == 13
 
 
 def test_frames_jsonl(tmp_path, fig_spec):

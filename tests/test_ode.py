@@ -6,11 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rampforge import (ParameterError, SingularFieldError, integrate_fixed,
-                       integrate_theta, lambda_from_theta, make_spec, spec_from_mu,
+                       integrate_theta, make_spec, spec_from_mu,
                        theta_closed_form, theta_closed_form_derivative,
                        theta_ode_rhs)
 from rampforge.ode import hermite
-from conftest import LAMBDA_INF_REF
 
 angles = st.floats(min_value=0.02, max_value=math.pi / 4 - 0.02)
 
@@ -94,14 +93,6 @@ def test_closed_form_solves_the_ode(delta, t):
     residual = (theta_closed_form_derivative(spec, s)
                 - theta_ode_rhs(spec, theta_closed_form(spec, s)))
     assert abs(residual) < 1e-12
-
-
-def test_lambda_from_theta_signs(fig_spec):
-    assert lambda_from_theta(fig_spec, 0.0) == 0.0
-    # straight-incline limit theta = -delta gives the resting value m g cos(delta)
-    assert lambda_from_theta(fig_spec, -fig_spec.delta) == pytest.approx(
-        LAMBDA_INF_REF, rel=1e-12)
-    assert lambda_from_theta(fig_spec, 0.3) < 0.0  # upward tangent: unattainable
 
 
 def test_integrate_fixed_exponential():

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rampforge import (DELTA_MAX, ParameterError, dump_spec, load_spec,
-                       make_spec, spec_from_dict, spec_from_mu, spec_to_dict)
+from rampforge import DELTA_MAX, ParameterError, make_spec, spec_from_mu
 
 angles = st.floats(min_value=1e-3, max_value=DELTA_MAX - 1e-3)
 positives = st.floats(min_value=1e-3, max_value=1e3)
@@ -56,46 +55,6 @@ def test_magnitudes_rejected(kwargs):
 def test_spec_is_frozen(fig_spec):
     with pytest.raises(dataclasses.FrozenInstanceError):
         fig_spec.v = 10.0
-
-
-def test_dict_roundtrip(fig_spec):
-    data = spec_to_dict(fig_spec)
-    back = spec_from_dict(data)
-    assert back.delta == fig_spec.delta
-    assert back.a == pytest.approx(fig_spec.a, rel=1e-14)
-    assert back.mu == pytest.approx(fig_spec.mu, rel=1e-14)
-
-
-def test_dict_missing_field_rejected(fig_spec):
-    data = spec_to_dict(fig_spec)
-    del data["v"]
-    with pytest.raises(ParameterError) as err:
-        spec_from_dict(data)
-    assert err.value.code == "config"
-
-
-def test_dict_inconsistent_derived_rejected(fig_spec):
-    data = spec_to_dict(fig_spec)
-    data["a"] = data["a"] * 1.5  # hand-edited file with wrong derived value
-    with pytest.raises(ParameterError) as err:
-        spec_from_dict(data)
-    assert err.value.code == "config"
-
-
-def test_file_roundtrip(tmp_path, fig_spec):
-    path = tmp_path / "spec.json"
-    dump_spec(fig_spec, path)
-    back = load_spec(path)
-    assert back.delta == fig_spec.delta
-    assert back.v == fig_spec.v
-
-
-def test_corrupt_file_rejected(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(ParameterError) as err:
-        load_spec(path)
-    assert err.value.code == "config"
 
 
 @given(delta=angles, g=positives, v=positives, m=positives)

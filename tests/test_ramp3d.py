@@ -341,6 +341,27 @@ def test_field_of_the_wrong_size_is_named(fig_spec, size, from_call):
     assert calls[0] == from_call
 
 
+@pytest.mark.parametrize("bad", ["abc", (1.0, 2.0, None), ("0.6", "0", "0.8"), (1j, 0.0, 0.0)],
+                         ids=["str", "none", "strings", "complex"])
+def test_field_of_non_numbers_is_named(fig_spec, bad):
+    # three values that are not real numbers used to escape as a bare
+    # TypeError, or from the start check's numpy norm as a ValueError; call
+    # 1 is the start check, call 10 the slope at the end of step 2
+    base = builtin_field("horizontal")
+    for from_call in (1, 10):
+        calls = [0]
+
+        def odd(y):
+            calls[0] += 1
+            return base(y) if calls[0] < from_call else bad
+
+        with pytest.raises(ContractViolationError, match="field 'odd' must return 3 values"):
+            integrate_ramp3d(fig_spec, TangentField("odd", eval=odd), [0.8, 0.0, -0.6], 1.0)
+        assert calls[0] == from_call
+    with pytest.raises(ContractViolationError, match="field 'odd' must return 3 values"):
+        field_x(fig_spec, TangentField("odd", eval=lambda y: bad), [0.8, 0.0, -0.6])
+
+
 @settings(max_examples=20, deadline=None)
 @given(mu=st.floats(min_value=0.05, max_value=0.95),
        v=st.floats(min_value=0.5, max_value=20.0), y0=interior,
@@ -506,7 +527,8 @@ def test_single_sample_curve_raises_parameter_error(fig_spec):
     for use in (lambda: build_surface(curve),
                 lambda: simulate(fig_spec, curve, (0.0, 1.0)),
                 lambda: curve.position(0.0), lambda: curve.tangent(0.0),
-                lambda: curve.derivative(0.0), lambda: verify_3d(fig_spec, curve)):
+                lambda: ode.hermite(curve.s, curve.gamma, curve.dgamma, 0.0)[1],
+                lambda: verify_3d(fig_spec, curve)):
         with pytest.raises(ParameterError, match="fewer than 2 samples"):
             use()
 
@@ -522,7 +544,7 @@ def test_interpolants_match_grid_and_midpoints(fig_spec):
     norms = np.linalg.norm(curve.tangent(mid[::11]), axis=-1)
     assert np.max(np.abs(norms - 1.0)) < 1e-10
     # derivative interpolant reproduces the flow equation between nodes
-    d = curve.derivative(mid[::11])
+    d = ode.hermite(curve.s, curve.gamma, curve.dgamma, mid[::11])[1]
     expect = np.stack([field_x(fig_spec, curve.field, y)
                        for y in curve.tangent(mid[::11])])
     assert np.max(np.linalg.norm(d - expect, axis=-1)) < 1e-8
@@ -543,7 +565,8 @@ def test_tangent_derivative_consistency(fig_spec):
     s = np.linspace(0.1, 1.9, 23) / fig_spec.a
     h = 1e-6
     num = (curve.tangent(s + h) - curve.tangent(s - h)) / (2.0 * h)
-    assert np.max(np.linalg.norm(num - curve.derivative(s), axis=-1)) < 1e-8
+    slope = ode.hermite(curve.s, curve.gamma, curve.dgamma, s)[1]
+    assert np.max(np.linalg.norm(num - slope, axis=-1)) < 1e-8
 
 
 def test_build_surface_layout(fig_spec):
@@ -594,9 +617,6 @@ def test_scale_ramp_2d(fig_spec):
     assert np.allclose(big.curve.second_derivative(4.0 * s),
                        ramp.curve.second_derivative(s) / 4.0, atol=1e-12)
     assert np.allclose(big.normal(4.0 * s), ramp.normal(s), atol=1e-12)
-    assert big.metadata["scaled_by"] == 4.0
-    assert big.metadata["equivalent_specs"]["speed_factor"] == 2.0
-    assert big.metadata["equivalent_specs"]["gravity_factor"] == 0.25
 
 
 def test_scale_ramp_2d_matches_rebuilt_spec():

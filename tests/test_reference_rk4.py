@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from rampforge import (builtin_field, e3_tangential, integrate_fixed,
-                       integrate_ramp3d, integrate_theta, spec_from_mu,
-                       theta_closed_form, theta_ode_rhs)
+from rampforge import (TangentField, builtin_field, e3_tangential,
+                       integrate_fixed, integrate_ramp3d, integrate_theta,
+                       spec_from_mu, theta_closed_form, theta_ode_rhs)
 
 
 def _array_rk4(f, y0, h, n, renormalize=False):
@@ -84,6 +84,27 @@ def test_ramp3d_matches_array_rk4(kind, spec, y0):
     assert curve.norm_drift_total == drift_total
     assert curve.norm_drift_max == drift_max
     assert drift_max > 0.0  # the renormalization was exercised
+
+
+@pytest.mark.parametrize("form", [lambda n: n, lambda n: n.tolist(),
+                                  lambda n: (float(n[0]), float(n[1]), 0)],
+                         ids=["array", "list", "int"])
+def test_eval_call_path_matches_array_rk4(form):
+    # a custom eval is called in each stage and its values read as floats:
+    # a (3,) array, a list, or the int 0 for the horizontal field's third
+    # component (0.0 exactly) keep the bits of the array formulation
+    spec, n, h, y0 = SPECS[0], 40, 0.05, [0.8, 0.0, -0.6]
+    reference = REFERENCE_FIELDS[("horizontal",)]
+
+    def flow(y):
+        return -(spec.g / (spec.v * spec.v)) * (
+            e3_tangential(y) + (y[2] / spec.mu) * reference(y))
+
+    gamma, dgamma, _, _ = _array_rk4(flow, y0, h, n, renormalize=True)
+    custom = TangentField("horizontal", eval=lambda y: form(reference(y)))
+    curve = integrate_ramp3d(spec, custom, y0, n * h, step=h)
+    assert np.array_equal(curve.gamma, gamma)
+    assert np.array_equal(curve.dgamma, dgamma)
 
 
 @pytest.mark.parametrize("spec", SPECS)

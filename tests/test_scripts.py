@@ -157,6 +157,10 @@ def test_output_digests_names_each_differing_output(tmp_path):
     assert proc.returncode == 0, proc.stderr
     digests = json.loads(out.read_text())
     assert {"generate3d", "simulate3d blend:0.37 jsonl"} <= set(digests)
+    assert {f"generated {run}" for run in (
+        "upslope eval", "upslope run", "horizontal eval", "horizontal run", "blend eval",
+        "blend run", "eval-call run", "theta run", "integrate_fixed d=1",
+        "integrate_fixed d=2", "integrate_fixed d=3")} <= set(digests)
     assert all(d is not None for outputs in digests.values() for d in outputs.values())
     digests["simulate3d upslope csv"]["frames.csv"] = "0" * 64
     changed = tmp_path / "changed.json"

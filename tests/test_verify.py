@@ -30,8 +30,7 @@ def unit_circle_ramp(inward: bool) -> Ramp2D:
     return Ramp2D(curve=PlanarCurve(position=position, tangent=tangent,
                                     second_derivative=second,
                                     domain=(-math.tau, math.tau)),
-                  normal=lambda t: sign * position(t), branch=Branch.LOWER,
-                  metadata={"shape": "unit circle"})
+                  normal=lambda t: sign * position(t), branch=Branch.LOWER)
 
 
 def parabola_ramp() -> Ramp2D:
@@ -59,8 +58,7 @@ def parabola_ramp() -> Ramp2D:
     return Ramp2D(curve=PlanarCurve(position=position, tangent=tangent,
                                     second_derivative=second,
                                     domain=(-math.inf, math.inf)),
-                  normal=normal, branch=Branch.LOWER,
-                  metadata={"shape": "parabola"})
+                  normal=normal, branch=Branch.LOWER)
 
 
 def test_verify_2d_valid_on_both_branches(fig_spec):
