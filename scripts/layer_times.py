@@ -9,7 +9,14 @@ warm-up call, in milliseconds:
 - ``ramp3d.integrate_ramp3d <field>``: the hemisphere RK4 over 5/a from
   ``(0.8, 0, -0.6)``, for each built-in field;
 - ``exporters.<writer>``: each writer of a ``planar2d`` job, on the lower
-  branch sampled at 1000 rows and a 2 s ``simulate`` at 500 fps.
+  branch sampled at 1000 rows and a 2 s ``simulate`` at 500 fps;
+- ``exporters.write_curve2d csv+json`` and ``exporters.write_frames
+  csv+jsonl``: the two writers a job calls on one table, in its order,
+  which share one formatting of the table.
+
+The exporters remember the last table they formatted, so the cache is
+cleared before every timed writer call: each time is a job's first write
+of its table.
 
 The spans, rows and frame rate are those of ``bench/workloads.py``, scaled
 by ``--size`` (the benchmark's job size); the spec is mu=0.5, v=5, g=9.81,
@@ -43,10 +50,11 @@ FIELDS = [("horizontal",), ("upslope",), ("blend", 0.5)]
 Y0 = (0.8, 0.0, -0.6)
 
 
-def best_ms(call, repeat: int) -> float:
+def best_ms(call, repeat: int, setup=lambda: None) -> float:
     call()  # warm-up: compiles the generated runs on first use
     best = float("inf")
     for _ in range(repeat):
+        setup()
         start = time.perf_counter()
         call()
         best = min(best, time.perf_counter() - start)
@@ -80,8 +88,12 @@ def layer_times(repeat: int, size: float, workdir: Path) -> dict:
         "write_frames_jsonl": lambda: exporters.write_frames_jsonl(
             workdir / "frames.jsonl", frames),
     }
+    writers["write_curve2d csv+json"] = lambda: (writers["write_curve2d_csv"](),
+                                                 writers["write_curve2d_json"]())
+    writers["write_frames csv+jsonl"] = lambda: (writers["write_frames_csv"](),
+                                                 writers["write_frames_jsonl"]())
     for name, write in writers.items():
-        ms[f"exporters.{name}"] = best_ms(write, repeat)
+        ms[f"exporters.{name}"] = best_ms(write, repeat, exporters._formatted.cache_clear)
     return ms
 
 

@@ -15,8 +15,14 @@ In this process, the same sources then compile each generated text once,
 and the text that ``rampforge.ode._compile`` passes to ``compile`` is
 digested under ``generated <run>``: each built-in field's ``eval`` and RK4
 run, the run that calls a custom ``eval``, the tangent-angle run and
-``integrate_fixed``'s run for d = 1, 2 and 3.  ``--out`` writes all
-digests as JSON; ``--compare`` checks them against such a file, names each
+``integrate_fixed``'s run for d = 1, 2 and 3.  Last, this process writes
+one table in two formats, one after the other, as a ``planar2d`` job
+does, and digests each file under ``written <table>``: the lower branch
+sampled at ``planar2d``'s 1000 rows as CSV then JSON, and the frames of a
+2D ``simulate`` (``planar2d``'s 2 s at 500 fps), of that trace with NaN,
+the infinities and -0.0 written in, and of a 3D ``simulate`` on the
+horizontal field, each as CSV then JSONL.  ``--out`` writes all digests as
+JSON; ``--compare`` checks them against such a file, names each
 output that differs and exits 1 if any does.
 """
 
@@ -27,6 +33,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,6 +105,39 @@ def generated() -> dict:
     return result
 
 
+def written() -> dict:
+    """sha256 of each file of one table written in two formats in a row."""
+    from rampforge import (builtin_field, exporters, integrate_ramp3d, lower_ramp, planar,
+                           sample_ramp, simulate, spec_from_mu)
+
+    spec = spec_from_mu(0.5, v=5.0)
+    ramp = lower_ramp(spec)
+    data = sample_ramp(spec, ramp, np.linspace(0.0, planar.default_span(spec),
+                                               workloads.PLANAR_SAMPLES))
+    plane = simulate(spec, ramp, workloads.PLANAR_T_SPAN, fps=workloads.PLANAR_FPS)
+    frames = plane.frames.copy()
+    frames["t"][1] = np.nan
+    frames["position"][2] = [np.inf, -np.inf]
+    frames["residual"][3] = [-0.0, 5e-324]
+    curve = integrate_ramp3d(spec, builtin_field("horizontal"), [0.8, 0.0, -0.6], 2.0 / spec.a)
+    writes = {"curve2d": [("curve.csv", exporters.write_curve2d_csv, (data,)),
+                          ("curve.json", exporters.write_curve2d_json,
+                           (spec, data, {"branch": ramp.branch.value}))]}
+    for name, trace in (("frames2d", plane), ("frames2d special", replace(plane, frames=frames)),
+                        ("frames3d", simulate(spec, curve, (0.0, 1.0), fps=500.0))):
+        writes[name] = [("frames.csv", exporters.write_frames_csv, (trace,)),
+                        ("frames.jsonl", exporters.write_frames_jsonl, (trace,))]
+    result = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, files in writes.items():
+            for fname, write, args in files:
+                path = Path(workdir) / fname
+                write(path, *args)
+                result.setdefault(f"written {name}", {})[fname] = (
+                    hashlib.sha256(path.read_bytes()).hexdigest())
+    return result
+
+
 def differences(want: dict, got: dict) -> list[str]:
     """``command: output`` for each output whose digest differs or is missing."""
     return [f"{name}: {output}" for name in sorted(set(want) | set(got))
@@ -112,11 +152,11 @@ def main(argv=None) -> int:
     action.add_argument("--compare", type=Path,
                         help="compare the digests with this JSON file")
     args = parser.parse_args(argv)
-    got = {**digests(), **generated()}
+    got = {**digests(), **generated(), **written()}
     if args.out:
         args.out.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {sum(map(len, got.values()))} digests of {len(got)} commands "
-              f"and generated texts to {args.out}")
+        print(f"wrote {sum(map(len, got.values()))} digests of {len(got)} commands, "
+              f"generated texts and written tables to {args.out}")
         return 0
     differ = differences(json.loads(args.compare.read_text()), got)
     for line in differ:

@@ -4,19 +4,26 @@ Numbers are serialized with ``repr`` (shortest round-trip, at most 17
 significant digits) except in SVG, where 6 significant digits are plenty for
 figures.  In JSON, NaN and the infinities are written as ``json`` writes them
 (``NaN``, ``Infinity``, ``-Infinity``); the JSON and JSONL writers render their
-text themselves, one ``repr`` per float, and tests pin it byte for byte to
-``json.dumps`` with the same settings.  Nothing here embeds timestamps or
-environment state, so repeated runs produce byte-identical files.  3D
-outputs are identical on any host, because the hemisphere flow is IEEE
-arithmetic in a fixed order.  Outputs built on transcendentals (the 2D
-``theta_closed_form`` path) are identical only for the same numpy build,
-SIMD target and libm.
+text themselves, and tests pin it byte for byte to ``json.dumps`` with the
+same settings.  A float table (curve samples, frames, mesh points) is
+formatted once, one ``repr`` per float, by :func:`_rows`, and every format
+of it is built from those row texts: a job that writes one table as CSV and
+then as JSON or JSONL pays for the ``repr`` pass once.  The cache behind
+:func:`_rows` holds one table, keyed on its exact bytes.  Nothing here
+embeds timestamps or environment state, so repeated runs produce
+byte-identical files.  3D outputs are identical on any host, because the
+hemisphere flow is IEEE arithmetic in a fixed order.  Outputs built on
+transcendentals (the 2D ``theta_closed_form`` path) are identical only for
+the same numpy build, SIMD target and libm.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +47,30 @@ def _write_lines(path: str | Path, lines: list[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n" if lines else "", newline="\n")
 
 
+@functools.lru_cache(maxsize=1)
+def _formatted(dtype: str, shape: tuple, data: bytes) -> tuple[str, ...]:
+    # tolist() gives Python floats, each written as its shortest round-trip repr
+    table = np.frombuffer(data, dtype=dtype).reshape(shape)
+    return tuple([",".join(map(repr, row)) for row in table.tolist()])
+
+
+def _rows(table: np.ndarray) -> tuple[str, ...]:
+    """Each row of the 2D float ``table`` as the ``repr`` of its values
+    joined by ``","``: the table's CSV rows.
+
+    Every writer of a float table builds its text from these rows, and the
+    last table formatted is remembered, so writing one table in two formats
+    formats it once.  The key is the table's dtype, shape and bytes: ``0.0``
+    and ``-0.0``, or NaNs of different bits, never share text, and a table
+    changed in place is formatted again.  Joined rows, not one string per
+    float, keep the remembered table small.
+    """
+    return _formatted(table.dtype.str, table.shape, table.tobytes())
+
+
 def _write_csv(path: str | Path, header: str, columns: list) -> None:
-    # one row per sample; vector columns of shape (n, k) spread over k cells,
-    # and tolist() gives Python floats, each written as its shortest
-    # round-trip repr
-    rows = np.column_stack(columns).tolist()
-    _write_lines(path, [header] + [",".join(map(repr, row)) for row in rows])
+    # one row per sample; vector columns of shape (n, k) spread over k cells
+    _write_lines(path, [header, *_rows(np.column_stack(columns))])
 
 
 # repr's spelling of the non-finite floats -> json's
@@ -55,6 +80,19 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _number(value: float) -> str:
     text = float.__repr__(value)
     return _NONFINITE.get(text, text)
+
+
+def _json_cells(row: str) -> list[str]:
+    # the cells of a row of _rows, spelled as json spells them
+    cells = row.split(",")
+    if "n" in row:  # only nan, inf and -inf spell an n
+        cells = [_NONFINITE.get(c, c) for c in cells]
+    return cells
+
+
+class _Table(tuple):
+    """The :func:`_rows` of a float table, which :func:`_render` writes as
+    the list of float lists the table's ``tolist()`` is."""
 
 
 def _render(value, indent: str) -> str:
@@ -72,7 +110,11 @@ def _render(value, indent: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if set(map(type, value)) == {float}:  # exact floats, so repr is float's
+        if isinstance(value, _Table):  # each row a list of floats, a level deeper
+            cell = sep + "  "
+            body = sep.join(f"[\n{inner}  " + cell.join(_json_cells(row)) + f"\n{inner}]"
+                            for row in value)
+        elif set(map(type, value)) == {float}:  # exact floats, so repr is float's
             body = sep.join(map(repr, value))
             if "n" in body:  # only nan, inf and -inf spell an n
                 body = sep.join(map(_number, value))
@@ -94,9 +136,9 @@ def dumps_json(payload: dict) -> str:
 
 
 def _obj_points(tag: str, points: np.ndarray) -> list[str]:
-    # one "tag x y z" line per point (last axis), each coordinate its repr
-    rows = points.reshape(-1, points.shape[-1]).tolist()
-    return [f"{tag} " + " ".join(map(repr, p)) for p in rows]
+    # one "tag x y z" line per point (last axis)
+    return [f"{tag} " + row.replace(",", " ")
+            for row in _rows(points.reshape(-1, points.shape[-1]))]
 
 
 def write_curve2d_csv(path: str | Path, samples: dict) -> None:
@@ -110,7 +152,7 @@ def write_curve2d_json(path: str | Path, spec: FrictionSpec, samples: dict,
     payload = {
         "spec": spec_to_dict(spec),
         "columns": keys,
-        "samples": np.column_stack([samples[k] for k in keys]).tolist(),
+        "samples": _Table(_rows(np.column_stack([samples[k] for k in keys]))),
     }
     if extra:
         payload.update(extra)
@@ -207,18 +249,20 @@ def write_frames_jsonl(path: str | Path, trace: MotionTrace) -> None:
     """One JSON object per line, one line per frame, keys sorted: the text of
     ``json.dumps(frame_dict, sort_keys=True)``."""
     frames = trace.frames
-    names = sorted(frames.dtype.names)
-    fields = []
-    for name in names:
+    names = frames.dtype.names
+    widths = [math.prod(frames.dtype[name].shape) for name in names]  # 1 for t
+    starts = dict(zip(names, itertools.accumulate([0, *widths])))
+    fields, order = [], []
+    for name, width in sorted(zip(names, widths)):
         shape = frames.dtype[name].shape  # () for t; the width even with no frames
-        cells = ", ".join(["%s"] * math.prod(shape))  # str of a float is its repr
+        cells = ", ".join(["%s"] * width)
         fields.append(f"{json.dumps(name)}: " + (f"[{cells}]" if shape else cells))
+        order += range(starts[name], starts[name] + width)
     template = "{" + ", ".join(fields) + "}"
-    table = np.column_stack([frames[name] for name in names])
-    rows = table.tolist()
-    if not np.isfinite(table).all():
-        rows = [[_number(v) for v in row] for row in rows]
-    _write_lines(path, [template % tuple(row) for row in rows])
+    # the CSV's table, its cells picked in the order of the sorted keys
+    pick = operator.itemgetter(*order)
+    rows = _rows(np.column_stack([frames[name] for name in names]))
+    _write_lines(path, [template % pick(_json_cells(row)) for row in rows])
 
 
 def write_frames_csv(path: str | Path, trace: MotionTrace) -> None:

@@ -173,9 +173,11 @@ def _rk4_source(dim: int, params: str, stage: str, project: str) -> str:
     The state lives in the locals ``x0, x1, ...``, its slope in ``a0, a1,
     ...``; ``stage`` is a format string of the source that sets the names
     ``{out}`` to the slope at the components ``{point}`` and time ``{t}``
-    (each a comma-separated list).  ``project`` runs on each new state
-    before its slope is taken.  ``params`` are the names every source
-    reads besides builtins and the globals :func:`_compile` sets.
+    (each a comma-separated list); ``{floats}`` reads each name of ``{out}``
+    as ``float(name * 1.0)``, which raises :class:`TypeError` for anything
+    but a real number.  ``project`` runs on each new state before its slope
+    is taken.  ``params`` are the names every source reads besides builtins
+    and the globals :func:`_compile` sets.
 
     Every run is compiled from it by :func:`_rk4_run`: :func:`integrate_fixed`
     calls its ``rhs`` in each stage (:data:`_CALL_RHS`),
@@ -187,7 +189,8 @@ def _rk4_source(dim: int, params: str, stage: str, project: str) -> str:
         return sep.join(term.format(i=i) for i in range(dim))
 
     def block(t, point, out, depth):
-        text = stage.format(t=t, point=row(point), out=row(out))
+        text = stage.format(t=t, point=row(point), out=row(out),
+                            floats=row(f"float({out} * 1.0)"))
         return textwrap.indent(text.rstrip("\n"), " " * depth)
 
     store = row("yv[j + {i}] = x{i}\ndv[j + {i}] = a{i}", "\n").replace("[j + 0]", "[j]")
@@ -210,8 +213,10 @@ _CALL_RHS = "rhs, h, hh, h6", """\
 slope = rhs({t}, [{point}])
 try:
     {out}, = slope
-except (TypeError, ValueError):  # TypeError: slope is not iterable
-    raise ParameterError(f"rhs must return {{len(y)}} values, as many as y0 has") from None
+    {out}, = {floats},
+except (TypeError, ValueError):  # TypeError: slope is not iterable, or not numbers
+    raise ParameterError(f"rhs must return {{len(y)}} values, as many as y0 has, "
+                         f"each a real number, got {{slope!r}}") from None
 """
 # the tangent-angle equation: theta_ode_rhs's operations, in its order, in
 # Python floats with math.sin
@@ -237,7 +242,8 @@ def _rk4_run(dim: int, params: str, stage: str, project: str = "", **names) -> C
 
     :data:`_CALL_RHS` is the run of :func:`integrate_fixed`: each stage is
     a call ``rhs(t, point)`` whose result is unpacked into ``dim`` floats,
-    and a result of another size raises :class:`ParameterError`.
+    and a result of another size, or with a value that is not a real
+    number, raises :class:`ParameterError`.
     :data:`_THETA` is the run of :func:`integrate_theta`, the equation
     written inline.  Written out component by component, unpacked into
     locals, because a comprehension per stage costs several times the
@@ -306,10 +312,10 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float):
     and computes, component by component, the IEEE operations, in their
     order, of the array expressions ``y + 0.5*h*k1`` ... ``y + (h/6)*(k1 +
     2k2 + 2k3 + k4)``; it calls ``rhs`` at the start, once per stage and at
-    each new sample, and only the unpacking of what ``rhs`` returns is
-    guarded.  The same template (:func:`_rk4_source`), through the same
-    :func:`_rk4_run`, runs with the stage written in instead of called:
-    the tangent-angle equation in :func:`integrate_theta` and the
+    each new sample, and only the reading of what ``rhs`` returns as
+    floats is guarded.  The same template (:func:`_rk4_source`), through
+    the same :func:`_rk4_run`, runs with the stage written in instead of
+    called: the tangent-angle equation in :func:`integrate_theta` and the
     hemisphere flow in :func:`ramp3d.integrate_ramp3d`.
 
     The grid has the fewest steps of equal width no larger than ``step``;
@@ -318,9 +324,10 @@ def integrate_fixed(rhs: Callable, y0, t0: float, t1: float, step: float):
     ``(n+1, d)``, allocated once, where ``dy[i] = rhs(t[i], y[i])`` is the
     slope at each sample and the first stage of the step from it.  An
     empty or non-finite ``y0`` and an ``rhs`` that returns another number
-    of values than ``d`` raise :class:`ParameterError`, as does a step
-    count whose grid numpy cannot index; any other error of ``rhs``, a
-    ``ValueError`` included, propagates unchanged.  If ``rhs`` raises
+    of values than ``d``, or a value that is not a real number, raise
+    :class:`ParameterError`, as does a step count whose grid numpy cannot
+    index; any other error of ``rhs``, a ``ValueError`` included,
+    propagates unchanged.  If ``rhs`` raises
     :class:`SingularFieldError`, the samples whose slope is known are
     returned with its message as ``stop``; otherwise ``stop`` is ``None``.
     A singular start raises.

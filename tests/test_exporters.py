@@ -1,14 +1,18 @@
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.lib.recfunctions import unstructured_to_structured
 
-from rampforge import (builtin_field, build_surface, integrate_ramp3d,
-                       lower_ramp, sample_ramp, simulate,
+from rampforge import (builtin_field, build_surface, exporters, integrate_ramp3d,
+                       lower_ramp, sample_ramp, simulate, spec_from_mu,
                        verify_2d, verify_scaling, upper_ramp)
 from rampforge.exporters import (dumps_json, report_to_dict,
                                  scaling_to_dict, trace_summary, write_curve2d_csv,
@@ -16,6 +20,7 @@ from rampforge.exporters import (dumps_json, report_to_dict,
                                  write_curve3d_csv, write_frames_csv,
                                  write_frames_jsonl, write_json, write_obj)
 from rampforge.params import spec_to_dict
+from rampforge.sim import FRAME_VECTORS, MotionTrace
 
 
 @pytest.fixture
@@ -233,3 +238,77 @@ def test_curve2d_json_is_json_dumps_byte_for_byte(tmp_path, fig_spec):
                     "samples": np.column_stack([data[k] for k in keys]).tolist(),
                     **(extra or {})}
         assert path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+
+
+# float tables of any value: the non-finite ones, signed zeros and subnormals
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e22, 0.1]
+_CELLS = st.floats() | st.sampled_from(_SPECIAL)
+_CURVE2D_KEYS = ["s", "x", "y", "tx", "ty", "nx", "ny", "lambda"]
+
+
+def _frame_trace(table: np.ndarray, dimension: int) -> MotionTrace:
+    dtype = [("t", float)] + [(name, float, (dimension,)) for name in FRAME_VECTORS]
+    return MotionTrace(unstructured_to_structured(table, np.dtype(dtype)), 30.0,
+                       spec_from_mu(0.5, v=5.0), dimension)
+
+
+def _text(workdir, write: tuple) -> str:
+    # the text that write = (writer, *args) writes
+    path = Path(workdir) / "out"
+    write[0](path, *write[1:])
+    return path.read_text()
+
+
+def _written(workdir, writes: list) -> list[str]:
+    # the text of each write, in the order given, after the writers forget
+    # the table they formatted last
+    exporters._formatted.cache_clear()
+    return [_text(workdir, write) for write in writes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 5), st.just(8)), elements=_CELLS),
+       arrays(np.float64, st.tuples(st.integers(0, 5), st.sampled_from([13, 19])),
+              elements=_CELLS))
+@example(np.array([_SPECIAL, _SPECIAL[::-1]]), np.resize(_SPECIAL, (2, 19)))
+def test_one_table_in_two_formats_is_each_format_alone(samples, frames):
+    curve = dict(zip(_CURVE2D_KEYS, samples.T))
+    trace = _frame_trace(frames, (frames.shape[1] - 1) // 6)  # a time, six vectors
+    spec = spec_from_mu(0.5, v=5.0)
+    texts = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for pair in [((write_curve2d_csv, curve), (write_curve2d_json, spec, curve)),
+                     ((write_frames_csv, trace), (write_frames_jsonl, trace))]:
+            alone = [_written(workdir, [write])[0] for write in pair]
+            for order, expected in ((pair, alone), (pair[::-1], alone[::-1])):
+                assert _written(workdir, order) == expected
+                # (hits, misses): the second format read the rows of the first
+                assert exporters._formatted.cache_info()[:2] == (1, 1)
+            texts += alone
+    curve_csv, curve_json, frames_csv, frames_jsonl = texts
+    # and each is the reference text
+    for csv, table in ((curve_csv, samples), (frames_csv, frames)):
+        assert csv.splitlines()[1:] == [",".join(map(repr, row)) for row in table.tolist()]
+    assert curve_json == json.dumps({"spec": spec_to_dict(spec), "columns": _CURVE2D_KEYS,
+                                     "samples": samples.tolist()},
+                                    indent=2, sort_keys=True) + "\n"
+    assert frames_jsonl == _jsonl_reference(trace)
+
+
+def test_a_table_changed_in_place_is_formatted_again(tmp_path, fig_spec):
+    data = sample_ramp(fig_spec, lower_ramp(fig_spec), np.linspace(0.0, 1.0, 4))
+    trace = simulate(fig_spec, lower_ramp(fig_spec), (0.0, 0.5), fps=8.0)
+    for column, first, second in [
+            (data["s"], (write_curve2d_csv, data), (write_curve2d_json, fig_spec, data)),
+            (trace.frames["t"], (write_frames_csv, trace), (write_frames_jsonl, trace))]:
+        assert column[0] == 0.0 and math.copysign(1.0, column[0]) == 1.0
+        before = _written(tmp_path, [first, second])
+        # each change falls between a write in one format and one in the other
+        column[0] = -0.0
+        after = _text(tmp_path, second)
+        assert after != before[1] and [after] == _written(tmp_path, [second])
+        column[1] = math.nan
+        after = _text(tmp_path, first)
+        assert after != before[0] and [after] == _written(tmp_path, [first])

@@ -205,6 +205,21 @@ def test_integrate_fixed_rejects_a_wrong_size_at_any_stage(size, bad_call):
     assert calls[0] == bad_call
 
 
+@pytest.mark.parametrize("bad", [("1", "2"), (1.0, None), (1j, 0.0)])
+@pytest.mark.parametrize("bad_call", [1, 3])
+def test_integrate_fixed_rejects_values_that_are_not_real_numbers(bad, bad_call):
+    # right in number, wrong in kind, at the start slope or at a later stage
+    calls = [0]
+
+    def rhs(_t, u):
+        calls[0] += 1
+        return bad if calls[0] == bad_call else [-c for c in u]
+
+    with pytest.raises(ParameterError, match="rhs must return 2 values.*real number"):
+        integrate_fixed(rhs, (1.0, 0.5), 0.0, 1.0, 0.1)
+    assert calls[0] == bad_call
+
+
 @pytest.mark.parametrize("dim", [1, 3])
 @pytest.mark.parametrize("bad_call", [1, 3, 5, 11])
 def test_integrate_fixed_keeps_the_rhs_own_value_error(dim, bad_call):

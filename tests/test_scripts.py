@@ -40,7 +40,8 @@ def test_layer_times_reports_each_layer(tmp_path):
         "ode.integrate_theta", "ramp3d.integrate_ramp3d horizontal",
         "ramp3d.integrate_ramp3d upslope", "ramp3d.integrate_ramp3d blend:0.5",
         *(f"exporters.write_{name}" for name in (
-            "curve2d_csv", "curve2d_json", "curve2d_svg", "frames_csv", "frames_jsonl"))}
+            "curve2d_csv", "curve2d_json", "curve2d_svg", "frames_csv", "frames_jsonl",
+            "curve2d csv+json", "frames csv+jsonl"))}
     assert all(ms > 0.0 for ms in out["ms"].values())
     assert not list(tmp_path.iterdir())  # the writers wrote into a temporary directory
 
