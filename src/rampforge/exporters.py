@@ -60,10 +60,10 @@ def _rows(table: np.ndarray) -> tuple[str, ...]:
 
     Every writer of a float table builds its text from these rows, and the
     last table formatted is remembered, so writing one table in two formats
-    formats it once.  The key is the table's dtype, shape and bytes: ``0.0``
-    and ``-0.0``, or NaNs of different bits, never share text, and a table
-    changed in place is formatted again.  Joined rows, not one string per
-    float, keep the remembered table small.
+    formats it once.  The key is the table's dtype, shape and bytes, so
+    ``0.0`` and ``-0.0`` never share an entry, nor do NaNs of different
+    bits, and a table changed in place is formatted again.  Joined rows,
+    not one string per float, keep the remembered table small.
     """
     return _formatted(table.dtype.str, table.shape, table.tobytes())
 
