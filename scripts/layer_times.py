@@ -1,9 +1,9 @@
-"""Min-of-N in-process times of the layers the benchmark's jobs spend in.
+"""Min-of-N in-process CPU times of the layers the benchmark's jobs spend in.
 
     python3 scripts/layer_times.py --repeat 7
 
-Times, each as the best of ``--repeat`` calls in this process after one
-warm-up call, in milliseconds:
+Times, each as the least CPU time (``time.process_time``) of ``--repeat``
+calls in this process after one warm-up call, in milliseconds:
 
 - ``ode.integrate_theta``: the tangent-angle RK4 over 6/a from the apex;
 - ``ramp3d.integrate_ramp3d <field>``: the hemisphere RK4 over 5/a from
@@ -20,10 +20,12 @@ of its table.
 
 The spans, rows and frame rate are those of ``bench/workloads.py``, scaled
 by ``--size`` (the benchmark's job size); the spec is mu=0.5, v=5, g=9.81,
-m=1.  Prints JSON with the times, the Python and numpy versions and the core
-count.  Untraced and in one process, so it shows a layer's own cost, for
-example the field step of each built-in field, which a traced benchmark run
-does not time.
+m=1.  Prints JSON with the times, the clock, the Python and numpy versions
+and the core count.  Untraced and in one process, so it shows a layer's own
+cost, for example the field step of each built-in field, which a traced
+benchmark run does not time.  CPU time, because on a shared 2-core VM the
+best-of-7 wall time of one writer swung 2x between processes on the same
+code; CPU time leaves out the time the process waits for a core.
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ def best_ms(call, repeat: int, setup=lambda: None) -> float:
     best = float("inf")
     for _ in range(repeat):
         setup()
-        start = time.perf_counter()
+        start = time.process_time()
         call()
-        best = min(best, time.perf_counter() - start)
+        best = min(best, time.process_time() - start)
     return 1e3 * best
 
 
@@ -108,8 +110,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         ms = layer_times(args.repeat, args.size, Path(workdir))
     print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
-                      "nproc": os.cpu_count(), "repeat": args.repeat, "size": args.size,
-                      "ms": ms}, indent=1))
+                      "nproc": os.cpu_count(), "clock": "process_time",
+                      "repeat": args.repeat, "size": args.size, "ms": ms}, indent=1))
     return 0
 
 

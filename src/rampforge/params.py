@@ -52,6 +52,17 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
+def _spec(delta: float, mu: float, sin_delta: float, g: float, v: float,
+          m: float) -> FrictionSpec:
+    g, v, m = map(_require_positive, "gvm", (g, v, m))
+    scale = v * v * sin_delta
+    a = g / scale if scale > 0.0 else math.inf  # v * v * sin_delta can underflow to 0
+    if not (0.0 < a < math.inf and 1.0 / a < math.inf):
+        raise ParameterError(f"length scale a = g / (v**2 sin(delta)) must be finite and "
+                             f"positive, with a finite 1/a, got {a!r}", code="magnitude")
+    return FrictionSpec(delta=delta, mu=mu, g=g, v=v, m=m, a=a)
+
+
 def make_spec(delta: float, g: float = 9.81, v: float = 1.0, m: float = 1.0) -> FrictionSpec:
     """Build a spec from the friction angle; derived fields are computed here.
 
@@ -60,18 +71,14 @@ def make_spec(delta: float, g: float = 9.81, v: float = 1.0, m: float = 1.0) -> 
     ParameterError
         code ``"angle_range"`` if ``delta`` is outside ``(0, pi/4)``,
         code ``"magnitude"`` if ``g``, ``v`` or ``m`` is not a positive
-        finite number.
+        finite number, or if ``a`` or ``1/a`` is not.
     """
     delta = float(delta)
     if not math.isfinite(delta) or not 0.0 < delta < DELTA_MAX:
         raise ParameterError(
             f"friction angle must lie strictly inside (0, pi/4), got {delta!r}",
             code="angle_range")
-    g = _require_positive("g", g)
-    v = _require_positive("v", v)
-    m = _require_positive("m", m)
-    return FrictionSpec(delta=delta, mu=math.tan(delta), g=g, v=v, m=m,
-                        a=g / (v * v * math.sin(delta)))
+    return _spec(delta, math.tan(delta), math.sin(delta), g, v, m)
 
 
 def spec_from_mu(mu: float, g: float = 9.81, v: float = 1.0, m: float = 1.0) -> FrictionSpec:
@@ -79,19 +86,14 @@ def spec_from_mu(mu: float, g: float = 9.81, v: float = 1.0, m: float = 1.0) -> 
 
     The given ``mu`` is kept verbatim; ``a`` uses the algebraically equal
     ``sin(delta) = mu / sqrt(1 + mu**2)`` so it round-trips without the ulp
-    drift of ``tan(atan(mu))``.
+    drift of ``tan(atan(mu))``.  Raises as :func:`make_spec` does.
     """
     mu = float(mu)
     if not math.isfinite(mu) or not 0.0 < mu < 1.0:
         raise ParameterError(
             f"friction coefficient must lie strictly inside (0, 1), got {mu!r}",
             code="angle_range")
-    g = _require_positive("g", g)
-    v = _require_positive("v", v)
-    m = _require_positive("m", m)
-    sin_delta = mu / math.hypot(1.0, mu)
-    return FrictionSpec(delta=math.atan(mu), mu=mu, g=g, v=v, m=m,
-                        a=g / (v * v * sin_delta))
+    return _spec(math.atan(mu), mu, mu / math.hypot(1.0, mu), g, v, m)
 
 
 def spec_to_dict(spec: FrictionSpec) -> dict:

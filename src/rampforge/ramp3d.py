@@ -69,7 +69,8 @@ class TangentField:
 
     ``eval`` takes a unit direction as a list of three floats and returns
     three real numbers (a tuple of floats; a list, a ``(3,)`` array or ints
-    also work).  It must raise :class:`SingularFieldError` within
+    also work), or :class:`ContractViolationError` names the field wherever
+    the package reads it.  It must raise :class:`SingularFieldError` within
     ``SINGULAR_TOL`` of the field's singular set.  ``singular_set`` is a
     human-readable description used in diagnostics.
 
@@ -175,6 +176,20 @@ def _singular(name: str, y) -> SingularFieldError:
 def _malformed(name: str, n) -> ContractViolationError:
     return ContractViolationError(
         f"field {name!r} must return 3 values, each a real number, got {n!r}")
+
+
+def _normals(tangent_field: TangentField, rows) -> np.ndarray:
+    """The ``(n, 3)`` float table of the field at ``rows``, each value read
+    as :data:`_CALL_EVAL` reads it; :class:`SingularFieldError` passes through."""
+    table = []
+    for y in rows:
+        n = tangent_field.eval(y)
+        try:  # an array as its list: numpy 1 takes the float of a 1-element array
+            n1, n2, n3 = n.tolist() if type(n) is np.ndarray else n
+            table.append((float(n1 * 1.0), float(n2 * 1.0), float(n3 * 1.0)))
+        except (TypeError, ValueError):  # TypeError: n is not iterable, or not numbers
+            raise _malformed(tangent_field.name, n) from None
+    return np.array(table)
 
 
 @functools.cache
@@ -358,13 +373,7 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
     if step is None:
         step = DEFAULT_STEP_FACTOR / spec.a
 
-    n0 = tangent_field.eval(y0)  # singular start raises here
-    try:  # read as the run reads it (_CALL_EVAL)
-        if np.shape(n0) != (3,):
-            raise ValueError
-        n0 = [float(c * 1.0) for c in n0]
-    except (TypeError, ValueError):
-        raise _malformed(tangent_field.name, n0) from None
+    n0 = _normals(tangent_field, [y0])[0]  # singular start raises here
     if not (abs(float(np.linalg.norm(n0)) - 1.0) <= FIELD_CHECK_TOL
             and abs(float(np.dot(n0, y0))) <= FIELD_CHECK_TOL):
         raise ContractViolationError(
@@ -432,6 +441,7 @@ def build_surface(curve: SpaceCurve3D, r_extent: tuple[float, float] = (-0.5, 0.
     The ruling is orthogonal to both the motion direction and the contact
     normal, so the sheet contains the trajectory (its ``r = 0`` row) and
     touches the block along it with normal ``N``.  Developability is not checked.
+    A field value other than three real numbers raises :class:`ContractViolationError`.
     """
     n_s, n_r = int(resolution[0]), int(resolution[1])
     if n_s < 1 or n_r < 1:
@@ -442,7 +452,7 @@ def build_surface(curve: SpaceCurve3D, r_extent: tuple[float, float] = (-0.5, 0.
     positions = curve.position(s_grid)
     tangents = curve.tangent(s_grid)
     tangents = tangents / np.linalg.norm(tangents, axis=-1, keepdims=True)
-    normals = np.array([curve.field.eval(t) for t in tangents.tolist()])
+    normals = _normals(curve.field, tangents.tolist())
     ruling = np.cross(tangents, normals)
     ruling = ruling / np.linalg.norm(ruling, axis=-1, keepdims=True)
 

@@ -23,15 +23,15 @@ from .errors import ContractViolationError, ParameterError, SingularFieldError
 from .ode import hermite, integrate_fixed
 from .params import FrictionSpec, make_spec
 from .planar import Ramp2D, default_span, normal_force_2d, tangent_angle_orbit_position
-from .ramp3d import (E3, RampSurface3D, SpaceCurve3D, TangentField, e3_tangential,
-                     lambda_3d, scale_ramp)
+from .ramp3d import (E3, RampSurface3D, SpaceCurve3D, TangentField, _normals,
+                     builtin_field, lambda_3d, scale_ramp)
 
 TOL_RESIDUAL_2D = 1e-8   # N, closed-form geometry
 TOL_RESIDUAL_3D = 1e-6   # N, integrated geometry
 TOL_LAMBDA = 1e-10       # N, slack on the sign condition
 TOL_FEASIBILITY = 1e-9   # N, slack on the sign of a required normal force
 MOTION_GRID = 2048       # RK4 steps of a constant-speed parameter history
-TOL_UPSLOPE = 1e-12      # a field this close to e3T/|e3T| is the upslope field
+TOL_UPSLOPE = 1e-12      # a field this close to the upslope field is that field
 _UNIT_TANGENT_TOL = 1e-8
 
 
@@ -95,7 +95,7 @@ def _spatial_balance(spec: FrictionSpec, tangent_field: TangentField, gamma: np.
                      dgamma: np.ndarray, direction: np.ndarray, speed=1.0):
     """Normals, normal force and force columns at directions ``gamma`` with
     arc-length slopes ``dgamma``; friction opposes ``direction / speed``."""
-    normals = np.array([tangent_field.eval(y) for y in gamma.tolist()])
+    normals = _normals(tangent_field, gamma.tolist())
     lam = lambda_3d(spec, gamma)
     return normals, lam, _force_balance(spec, lam, normals, direction,
                                         spec.m * spec.v * spec.v * dgamma, speed)
@@ -205,17 +205,14 @@ def verify_3d(spec: FrictionSpec, curve: SpaceCurve3D,
 
 
 def _is_upslope(curve: SpaceCurve3D) -> bool:
-    # the curve's field equals e3T/|e3T| at its first, middle and last samples
-    for y in curve.gamma[[0, curve.gamma.shape[0] // 2, -1]]:
-        try:
-            n = curve.field.eval(y.tolist())
-        except SingularFieldError:
-            return False
-        w = e3_tangential(y)
-        r = float(np.linalg.norm(w))  # 0 at the south pole, where no unit e3T exists
-        if not (r > 0.0 and np.all(np.abs(np.subtract(n, w / r)) <= TOL_UPSLOPE)):
-            return False
-    return True
+    # the curve's field equals the built-in upslope field at its first,
+    # middle and last samples; that field is singular at the south pole
+    rows = curve.gamma[[0, curve.gamma.shape[0] // 2, -1]].tolist()
+    try:
+        difference = _normals(curve.field, rows) - _normals(builtin_field("upslope"), rows)
+    except SingularFieldError:
+        return False
+    return bool(np.all(np.abs(difference) <= TOL_UPSLOPE))
 
 
 def planar_reduction_check(spec: FrictionSpec, curve: SpaceCurve3D) -> dict:
@@ -227,7 +224,8 @@ def planar_reduction_check(spec: FrictionSpec, curve: SpaceCurve3D) -> dict:
     curve's field is the upslope field ``e3T/|e3T|`` at the curve's first,
     middle and last samples, to ``TOL_UPSLOPE``, whatever the field's name;
     otherwise it returns ``{"applicable": False}``.  If it applies, it
-    reports the largest position deviation.
+    reports the largest position deviation.  A field that returns other
+    than three real numbers there raises :class:`ContractViolationError`.
     """
     if not _is_upslope(curve):
         return {"applicable": False, "reason": f"field {curve.field.name!r} "

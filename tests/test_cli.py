@@ -63,6 +63,17 @@ def test_invalid_parameter_exits_2(capsys):
                "--span", "-3")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [["generate2d"], ["simulate"],
+                                  ["verify", "--branch", "upper"]])
+@pytest.mark.parametrize("v", ["1e160", "1e-160"])
+def test_scale_without_finite_inverse_exits_2(capsys, argv, v):
+    # v = 1e160 gives a = 0 (a ZeroDivisionError traceback), 1e-160 a = inf
+    # (an empty default span)
+    code, _, err = run(capsys, *argv, "--mu", "0.5", "--v", v)
+    assert code == 2
+    assert err.startswith("error: length scale a")
+
+
 def test_unwritable_output_exits_3(capsys, tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "out.csv"
     code, _, err = run(capsys, "generate2d", "--mu", "0.5", "--v", "5",

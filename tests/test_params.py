@@ -52,6 +52,18 @@ def test_magnitudes_rejected(kwargs):
     assert err.value.code == "magnitude"
 
 
+@pytest.mark.parametrize("build", [make_spec, spec_from_mu])
+@pytest.mark.parametrize("kwargs", [{"v": 1e160}, {"g": 5e-324, "v": 1e3},
+                                    {"v": 1e-160}, {"v": 1e-170}, {"g": 1e308, "v": 1e-5}])
+def test_scale_without_finite_inverse_rejected(build, kwargs):
+    # a = g / (v**2 sin(delta)) overflows to inf, underflows to 0, or
+    # divides by a v**2 that underflows; each is an invalid spec, not a
+    # ZeroDivisionError or a zero-length span downstream
+    with pytest.raises(ParameterError, match="length scale a") as err:
+        build(0.5, **kwargs)
+    assert err.value.code == "magnitude"
+
+
 def test_spec_is_frozen(fig_spec):
     with pytest.raises(dataclasses.FrozenInstanceError):
         fig_spec.v = 10.0

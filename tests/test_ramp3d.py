@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
+import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -15,8 +18,9 @@ from rampforge import (ContractViolationError, ParameterError,
                        SingularFieldError, TangentField, Verdict,
                        build_surface, builtin_field, cumulative_simpson,
                        e3_tangential, field_x, hemisphere_point,
-                       integrate_ramp3d, lambda_3d, lower_ramp, scale_ramp,
-                       simulate, spec_from_mu, verify_3d)
+                       integrate_ramp3d, lambda_3d, lower_ramp,
+                       planar_reduction_check, scale_ramp, simulate, spec_from_mu,
+                       verify_3d)
 from rampforge import ode, ramp3d
 from rampforge.ode import horizontal_closed_form
 
@@ -362,6 +366,34 @@ def test_field_of_non_numbers_is_named(fig_spec, bad):
         field_x(fig_spec, TangentField("odd", eval=lambda y: bad), [0.8, 0.0, -0.6])
 
 
+_HORIZONTAL = builtin_field("horizontal")
+# fields that break the contract on every call, each off the horizontal field
+BAD_FIELDS = {
+    "pair": lambda y: _HORIZONTAL(y)[:2],
+    "complex": lambda y: tuple(complex(c) for c in _HORIZONTAL(y)),
+    "strings": lambda y: tuple(repr(c) for c in _HORIZONTAL(y)),
+    "hole": lambda y: (*_HORIZONTAL(y)[:2], None),
+}
+FIELD_READERS = {
+    "verify_3d": verify_3d,
+    "simulate": lambda spec, curve: simulate(spec, curve, (0.0, 0.1)),
+    "build_surface": lambda spec, curve: build_surface(curve, resolution=(8, 2)),
+    "planar_reduction_check": planar_reduction_check,
+}
+
+
+@pytest.mark.parametrize("reader", FIELD_READERS)
+@pytest.mark.parametrize("name", BAD_FIELDS)
+def test_every_reader_of_a_field_holds_the_contract(fig_spec, name, reader):
+    # a curve integrated with a good field, then given a bad one: a complex
+    # field used to read Valid and give complex normals, a pair a surface
+    # (np.cross pads it with 0), the others bare numpy errors
+    curve = integrate_ramp3d(fig_spec, _HORIZONTAL, [0.8, 0.0, -0.6], 1.0 / fig_spec.a)
+    curve = dataclasses.replace(curve, field=TangentField(name, eval=BAD_FIELDS[name]))
+    with pytest.raises(ContractViolationError, match=f"field '{name}' must return 3 values"):
+        FIELD_READERS[reader](fig_spec, curve)
+
+
 @settings(max_examples=20, deadline=None)
 @given(mu=st.floats(min_value=0.05, max_value=0.95),
        v=st.floats(min_value=0.5, max_value=20.0), y0=interior,
@@ -476,6 +508,68 @@ def test_3d_bits_do_not_depend_on_blas_kernel_or_simd_target():
         outputs.append(proc.stdout)
     assert len(outputs[0].splitlines()) == 3
     assert outputs == [outputs[0]] * len(HOST_SETTINGS)
+
+
+# a generated run and its arguments, run with array tables; imports no
+# rampforge and no numpy, and prints the rows, the stop and the gamma digest
+_GENERATED_CHILD = """
+import array, hashlib, json, math, sys
+
+class SingularFieldError(Exception):
+    pass
+
+def singular(name, y):
+    return SingularFieldError(f"field {name!r} is singular at {y}")
+
+with open(sys.argv[1]) as f:
+    job = json.load(f)
+namespace = {"SingularFieldError": SingularFieldError, "ParameterError": ValueError,
+             "sin": math.sin, "sqrt": math.sqrt, "singular": singular, "malformed": None}
+exec(compile(job["source"], "<generated>", "exec"), namespace)
+ys, dys = (array.array("d", bytes(24 * len(job["times"]))) for _ in range(2))
+rows, stop = namespace["rk4"](*job["args"])(job["times"], job["y0"], ys, dys)
+print(json.dumps([rows, stop, hashlib.sha256(ys[:3 * rows].tobytes()).hexdigest()]))
+"""
+
+
+def _other_pythons() -> list[str]:
+    # the python3.10 ... python3.14 on PATH that start, other than this one
+    found = []
+    for minor in range(10, 15):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None:
+            continue
+        try:
+            proc = subprocess.run([exe, "-I", "-c", "import sys; print(sys.version)"],
+                                  capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if proc.returncode == 0 and proc.stdout.strip() != sys.version:
+            found.append(exe)
+    return found
+
+
+def test_generated_run_gives_the_same_bits_on_other_interpreters(fig_spec, tmp_path):
+    pythons = _other_pythons()
+    if not pythons:
+        pytest.skip("no other python3.10 ... python3.14 on PATH starts")
+    field, y0, s_max = builtin_field("blend", 0.5), [0.8, 0.0, -0.6], 5.0 / fig_spec.a
+    curve = integrate_ramp3d(fig_spec, field, y0, s_max)
+    times, h = ode._grid(0.0, s_max, ode.DEFAULT_STEP_FACTOR / fig_spec.a)
+    source = ode._rk4_source(3, ramp3d._FLOW_PARAMS, ramp3d._stage(ramp3d._SOURCES["blend"]),
+                             ramp3d._RENORMALIZE)
+    # the arguments ramp3d._bind passes the run of a blend:0.5 field
+    args = [-(fig_spec.g / (fig_spec.v * fig_spec.v)), fig_spec.mu, field.name, 0.5, 0.5,
+            None, [0.0, 0.0], h, 0.5 * h, h / 6.0]
+    (tmp_path / "job.json").write_text(json.dumps(
+        {"source": source, "args": args, "times": times.tolist(), "y0": y0}))
+    (tmp_path / "child.py").write_text(_GENERATED_CHILD)
+    want = [curve.gamma.shape[0], None, hashlib.sha256(curve.gamma.tobytes()).hexdigest()]
+    for exe in pythons:
+        proc = subprocess.run([exe, "-I", "child.py", "job.json"], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (exe, proc.stderr)
+        assert json.loads(proc.stdout) == want, exe
 
 
 HORIZONTAL_STARTS = ([0.8, 0.0, -0.6], [0.0, 0.6, -0.8], [1.0, 0.0, 0.0])

@@ -36,6 +36,7 @@ def test_layer_times_reports_each_layer(tmp_path):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["python"] and out["numpy"] and out["repeat"] == 1
+    assert out["clock"] == "process_time"
     assert set(out["ms"]) == {
         "ode.integrate_theta", "ramp3d.integrate_ramp3d horizontal",
         "ramp3d.integrate_ramp3d upslope", "ramp3d.integrate_ramp3d blend:0.5",
