@@ -41,10 +41,7 @@ def main() -> None:
     start = [1.0, 0.0, 0.0]
     tilted = [math.cos(0.3), 0.0, -math.sin(0.3)]
     for name in args.fields:
-        if name.startswith("blend:"):
-            field = builtin_field("blend", weight=float(name.split(":", 1)[1]))
-        else:
-            field = builtin_field(name)
+        field = builtin_field(name)
         y0 = start if name == "upslope" else tilted
         curve = integrate_ramp3d(spec, field, y0, smax)
         report = verify_3d(spec, curve)

@@ -2,7 +2,8 @@
 
 Subcommands mirror the library: ``generate2d``, ``generate3d``, ``verify``,
 ``simulate`` and ``scale``.  Every command accepts ``--config FILE`` with a
-flat JSON object of option values; explicit flags override the file.  Exit
+flat JSON object of option values, each read as its flag; explicit flags
+override the file.  ``--field`` takes any name ``builtin_field`` gives.  Exit
 codes: 0 success, 2 validation failure, 3 I/O failure, 4 verification ran
 but did not pass.  Set ``RAMPFORGE_LOG=DEBUG|INFO|WARNING|ERROR`` to control
 logging (stderr; stdout carries only the JSON summaries).
@@ -25,8 +26,8 @@ from .errors import ParameterError, RampError
 from .params import FrictionSpec, make_spec, spec_from_mu, spec_to_dict
 from .planar import (Branch, apex_param, asymptote_gap, default_span, make_ramp,
                      sample_ramp)
-from .ramp3d import (SpaceCurve3D, TangentField, build_surface, builtin_field,
-                     hemisphere_point, integrate_ramp3d)
+from .ramp3d import (SpaceCurve3D, build_surface, builtin_field, hemisphere_point,
+                     integrate_ramp3d)
 from .sim import simulate
 from .verify import (Verdict, planar_reduction_check, verify_2d, verify_3d,
                      verify_scaling)
@@ -50,18 +51,6 @@ def _setup_logging() -> None:
 
 def _emit(payload: dict) -> None:
     print(exporters.dumps_json(payload))
-
-
-def _parse_field(text: str | None) -> TangentField:
-    if not text:
-        raise ParameterError("--field is required for 3d geometry", code="config")
-    if text.startswith("blend:"):
-        try:
-            weight = float(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise ParameterError(f"bad blend weight in {text!r}", code="config") from exc
-        return builtin_field("blend", weight)
-    return builtin_field(text)
 
 
 def _parse_mesh(text: str) -> tuple[int, int]:
@@ -89,10 +78,7 @@ def _normalized_y0(values) -> np.ndarray:
     if values is None:
         raise ParameterError("--y0 (initial direction) is required for 3d geometry",
                              code="config")
-    y0 = np.asarray([float(v) for v in values], dtype=float)
-    if y0.shape != (3,):
-        raise ParameterError(f"--y0 expects three components, got {values!r}",
-                             code="config")
+    y0 = np.asarray(values)  # three floats, read by argparse
     norm = float(np.linalg.norm(y0))
     if norm == 0.0 or not math.isfinite(norm):
         raise ParameterError(f"--y0 must be a nonzero finite vector, got {values!r}",
@@ -101,7 +87,9 @@ def _normalized_y0(values) -> np.ndarray:
 
 
 def _integrate_from_args(spec: FrictionSpec, args: argparse.Namespace) -> SpaceCurve3D:
-    tangent_field = _parse_field(args.field)
+    if args.field is None:
+        raise ParameterError("--field is required for 3d geometry", code="config")
+    tangent_field = builtin_field(args.field)
     y0 = _normalized_y0(args.y0)
     s_max = args.smax if args.smax is not None else 5.0 / spec.a
     return integrate_ramp3d(spec, tangent_field, y0, s_max, step=args.step)
@@ -249,7 +237,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _add_geometry3d(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--field", type=str, default=None,
-                     help="tangent field: upslope | horizontal | blend:W")
+                     help="tangent field: upslope | horizontal | blend:W, "
+                          "any name builtin_field gives, in any case")
     sub.add_argument("--y0", type=float, nargs=3, default=None,
                      metavar=("Y1", "Y2", "Y3"),
                      help="initial direction (normalized on input, y3 <= 0)")
@@ -259,7 +248,7 @@ def _add_geometry3d(sub: argparse.ArgumentParser) -> None:
                      help="integrator step (default 1e-3/a)")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rampforge",
         description="Constant-speed ramp curves, surfaces and force checks.")
@@ -313,55 +302,48 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub.add_argument("--samples", type=int, default=400)
     sub.add_argument("--out", type=str, default=None, help="full report JSON path")
 
-    # config files may set any option of their subcommand
-    registry = {name: (sub, {a.dest for a in sub._actions} - {"help", "func", "command"})
-                for name, sub in commands.choices.items()}
-    return parser, registry
+    return parser
 
 
-def _peek_config(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise ParameterError("--config needs a file path", code="config")
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
-
-
-def _apply_config(argv: list[str], registry: dict) -> None:
-    path = _peek_config(argv)
-    if path is None:
-        return
-    command = next((t for t in argv if not t.startswith("-")), None)
-    if command not in registry:
-        return  # argparse will produce its own usage error
-    sub, known = registry[command]
+def _config_tokens(path: str) -> list[str]:
+    """The JSON object in file ``path`` as tokens that argparse reads as the
+    flags': a scalar as ``--key=value``, a list as ``--key v1 v2 ...``
+    (``_`` in a key read as ``-``); ``null`` leaves the option unset, and
+    ``true``, ``false`` or an object raises :class:`ParameterError`."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParameterError(f"config file {path} is not valid JSON: {exc}",
                              code="config") from exc
     if not isinstance(data, dict):
-        raise ParameterError(f"config file {path} must hold a JSON object",
-                             code="config")
-    unknown = set(data) - known
-    if unknown:
-        raise ParameterError(
-            f"config file {path} has unknown keys: {sorted(unknown)}", code="config")
-    sub.set_defaults(**data)
+        raise ParameterError(f"config file {path} must hold a JSON object", code="config")
+    tokens = []
+    for key, value in data.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, list):  # " -1e-05": argparse reads a bare -1e-05 as a flag
+            tokens += [flag, *(f" {v}" if str(v)[:1] == "-" else str(v) for v in value)]
+        elif isinstance(value, (bool, dict)):
+            raise ParameterError(f"config file {path}: {key} cannot be {json.dumps(value)}",
+                                 code="config")
+        elif value is not None:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     _setup_logging()
-    parser, registry = build_parser()
+    parser = build_parser()
     try:
-        _apply_config(argv, registry)
         try:
             args = parser.parse_args(argv)
+            if getattr(args, "config", None) is not None:
+                # the file's options right after the subcommand: flags after
+                # them win, since argparse keeps the last value
+                at = argv.index(args.command) + 1
+                args = parser.parse_args(
+                    [*argv[:at], *_config_tokens(args.config), *argv[at:]])
         except SystemExit as exc:
             return int(exc.code or 0)
         if getattr(args, "func", None) is None:

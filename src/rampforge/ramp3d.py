@@ -207,9 +207,17 @@ def builtin_field(kind: str, weight: float | None = None) -> TangentField:
     Upslope points against the tangential gravity pull (steepest ascent on
     the contact plane), horizontal is level and makes the ramp spiral, blend
     is the normalized mix ``w*upslope + (1-w)*horizontal``.  All three are
-    singular exactly at the south pole.
+    singular exactly at the south pole.  ``kind`` may be any name this gives,
+    in any case: ``builtin_field("blend:0.5")`` is ``builtin_field("blend", 0.5)``.
     """
-    kind = kind.lower()
+    kind, colon, text = kind.lower().partition(":")
+    if colon:  # a blend's name holds its weight: "blend:W"
+        if weight is not None:
+            raise ParameterError(f"{kind}:{text} holds a weight already", code="config")
+        try:
+            weight = float(text)
+        except ValueError:
+            raise ParameterError(f"bad weight in {kind}:{text}", code="config") from None
     if kind not in _SOURCES:
         raise ParameterError(f"unknown field kind {kind!r}", code="config")
     if kind != "blend":

@@ -111,6 +111,111 @@ def test_config_rejects_bad_json(tmp_path, capsys):
     assert run(capsys, "generate2d", "--config", str(conf))[0] == 2
 
 
+# each command's options as flags and as a config file; "OUT" stands for
+# the output path
+FLAGS_AND_CONFIGS = {
+    "generate2d": ("generate2d", [
+        "--delta-deg", "20", "--v", "2", "--g", "9.5", "--branch", "upper",
+        "--span", "3", "--samples", "50", "--format", "json", "--out", "OUT"],
+        {"delta_deg": 20, "v": 2, "g": 9.5, "branch": "upper", "span": 3,
+         "samples": 50, "format": "json", "out": "OUT"}),
+    "generate3d": ("generate3d", [
+        "--mu", "0.5", "--v", "5", "--field", "blend:0.37", "--y0", "0.8", "0", "-0.6",
+        "--smax", "0.5", "--step", "0.005", "--r-extent", "-0.25", "0.5",
+        "--mesh", "20x4", "--out", "OUT"],
+        {"mu": 0.5, "v": 5, "field": "blend:0.37", "y0": [0.8, 0, -0.6], "smax": 0.5,
+         "step": 0.005, "r_extent": [-0.25, 0.5], "mesh": "20x4", "out": "OUT"}),
+    "verify 2d": ("verify", [
+        "--mu", "0.4", "--v", "3", "--mass", "2", "--branch", "upper",
+        "--t-span", "0.25", "1.5", "--samples", "100", "--out", "OUT"],
+        {"mu": 0.4, "v": 3, "mass": 2, "branch": "upper", "t_span": [0.25, 1.5],
+         "samples": 100, "out": "OUT"}),
+    # " -1e-05": argparse would read a bare "-1e-05" as an option
+    "verify 3d": ("verify", [
+        "--delta-deg", "25", "--v", "5", "--field", "blend:0.37",
+        "--y0", "0.8", " -1e-05", "-0.6", "--smax", "0.5", "--step", "0.005",
+        "--samples", "50", "--out", "OUT"],
+        {"delta-deg": 25, "v": 5, "field": "blend:0.37", "y0": [0.8, -1e-05, -0.6],
+         "smax": 0.5, "step": 0.005, "samples": 50, "out": "OUT"}),
+    "simulate": ("simulate", [
+        "--mu", "0.5", "--v", "5", "--branch", "lower", "--t-span", "0", "0.5",
+        "--fps", "10", "--format", "csv", "--out", "OUT"],
+        {"mu": 0.5, "v": 5, "branch": "lower", "t-span": [0, 0.5], "fps": 10,
+         "format": "csv", "out": "OUT"}),
+    "scale": ("scale", [
+        "--mu", "0.5", "--v", "5", "--field", "upslope", "--y0", "1", "0", "0",
+        "--smax", "1", "--kappa", "6", "--samples", "60", "--out", "OUT"],
+        {"mu": 0.5, "v": 5, "field": "upslope", "y0": [1, 0, 0], "smax": 1,
+         "kappa": 6, "samples": 60, "out": "OUT"}),
+}
+
+
+def _outputs(capsys, out_dir, *argv):
+    # exit code, stdout and the bytes of every file written into out_dir
+    for f in out_dir.iterdir():
+        f.unlink()
+    code, stdout, err = run(capsys, *argv)
+    return code, stdout, {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("case", FLAGS_AND_CONFIGS)
+def test_config_runs_as_the_same_flags(tmp_path, capsys, case):
+    command, flags, config = FLAGS_AND_CONFIGS[case]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = str(out_dir / "result")
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({k: target if v == "OUT" else v for k, v in config.items()}))
+    by_flags = _outputs(capsys, out_dir, command,
+                        *(target if a == "OUT" else a for a in flags))
+    by_config = _outputs(capsys, out_dir, command, "--config", str(conf))
+    assert by_flags[0] == 0 and by_flags[2]
+    assert by_config == by_flags
+
+
+BASE_3D = {"mu": 0.5, "v": 5, "field": "upslope", "y0": [0.8, 0, -0.6], "smax": 0.5}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("generate2d", {"mu": 0.5, "v": 5, "branch": "sideways", "out": "OUT"}),
+    ("generate2d", {"mu": 0.5, "v": 5, "format": "xml", "out": "OUT"}),
+    ("generate3d", {**BASE_3D, "mesh": 5, "out": "OUT"}),
+    ("verify", {**BASE_3D, "samples": 2.5, "out": "OUT"}),
+    ("generate2d", {"mu": 0.5, "v": 5, "out": True}),
+    ("generate2d", {"mu": 0.5, "v": 5, "out": {"a": 1}}),
+], ids=["branch", "format", "mesh", "samples", "out-true", "out-object"])
+def test_bad_config_value_is_a_usage_error(tmp_path, capsys, command, config):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(
+        {k: str(out_dir / "result") if v == "OUT" else v for k, v in config.items()}))
+    code, stdout, err = run(capsys, command, "--config", str(conf))
+    assert code == 2 and stdout == ""
+    assert "Traceback" not in err
+    assert not list(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("key", ["samples", "g"])
+def test_config_null_leaves_the_option_unset(tmp_path, capsys, key):
+    conf = tmp_path / "conf.json"
+    runs = []
+    for config in ({"mu": 0.5, "v": 5}, {"mu": 0.5, "v": 5, key: None}):
+        conf.write_text(json.dumps(config))
+        runs.append(run(capsys, "generate2d", "--config", str(conf)))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
+def test_config_value_may_start_with_a_dash(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "conf.json").write_text(
+        json.dumps({"mu": 0.5, "v": 5, "samples": 4, "out": "-curve.csv"}))
+    code, stdout, _ = run(capsys, "generate2d", "--config", "conf.json")
+    assert code == 0 and json.loads(stdout)["out"] == "-curve.csv"
+    assert len((tmp_path / "-curve.csv").read_text().splitlines()) == 5
+
+
 def test_generate3d_writes_bundle(tmp_path, capsys):
     base = tmp_path / "demo"
     code, stdout, _ = run(capsys, "generate3d", "--mu", "0.5", "--v", "5",

@@ -71,6 +71,37 @@ def test_builtin_field_argument_validation():
         builtin_field("sideways")
 
 
+def _same_run(spec, a, b):
+    # a short integration of each field gives the same bits
+    ca, cb = (integrate_ramp3d(spec, f, [0.8, 0.0, -0.6], 0.5 / spec.a) for f in (a, b))
+    return all(np.array_equal(getattr(ca, k), getattr(cb, k))
+               for k in ("gamma", "dgamma", "alpha"))
+
+
+@pytest.mark.parametrize("kind, weight", [
+    ("upslope", None), ("horizontal", None), ("blend", 0.0), ("blend", 1.0 / 3.0),
+    ("blend", 0.37), ("blend", 1.0)])
+def test_builtin_field_accepts_the_names_it_gives(fig_spec, kind, weight):
+    field = builtin_field(kind, weight)
+    again = builtin_field(field.name)
+    assert again.name == field.name
+    assert _same_run(fig_spec, again, field)
+
+
+def test_builtin_field_names_are_read_in_any_case(fig_spec):
+    upper, lower = builtin_field("Blend:0.5"), builtin_field("blend:0.5")
+    assert upper.name == lower.name == "blend:0.5"
+    assert _same_run(fig_spec, upper, lower)
+
+
+@pytest.mark.parametrize("kind, weight", [
+    ("blend:", None), ("blend:abc", None), ("blend:1.5", None), ("blend:nan", None),
+    ("blend:0.5", 0.3), ("upslope:0.5", None), ("upslope:", None)])
+def test_builtin_field_rejects_bad_names(kind, weight):
+    with pytest.raises(ParameterError):
+        builtin_field(kind, weight)
+
+
 def test_fields_singular_only_at_pole():
     pole = np.array([0.0, 0.0, -1.0])
     for kind in ("upslope", "horizontal"):
@@ -511,7 +542,9 @@ def test_3d_bits_do_not_depend_on_blas_kernel_or_simd_target():
 
 
 # a generated run and its arguments, run with array tables; imports no
-# rampforge and no numpy, and prints the rows, the stop and the gamma digest
+# rampforge and no numpy, and prints the rows, the stop and the digest of
+# the samples.  A run that calls a function gets it compiled here from the
+# job's helper source, which defines `f`, and passed as its argument call_at.
 _GENERATED_CHILD = """
 import array, hashlib, json, math, sys
 
@@ -525,11 +558,74 @@ with open(sys.argv[1]) as f:
     job = json.load(f)
 namespace = {"SingularFieldError": SingularFieldError, "ParameterError": ValueError,
              "sin": math.sin, "sqrt": math.sqrt, "singular": singular, "malformed": None}
-exec(compile(job["source"], "<generated>", "exec"), namespace)
-ys, dys = (array.array("d", bytes(24 * len(job["times"]))) for _ in range(2))
-rows, stop = namespace["rk4"](*job["args"])(job["times"], job["y0"], ys, dys)
-print(json.dumps([rows, stop, hashlib.sha256(ys[:3 * rows].tobytes()).hexdigest()]))
+exec(compile(job["source"] + job["helper"], "<generated>", "exec"), namespace)
+args = job["args"]
+if job["call_at"] is not None:
+    args[job["call_at"]] = namespace["f"]
+dim = len(job["y0"])
+ys, dys = (array.array("d", bytes(8 * dim * len(job["times"]))) for _ in range(2))
+rows, stop = namespace["rk4"](*args)(job["times"], job["y0"], ys, dys)
+print(json.dumps([rows, stop, hashlib.sha256(ys[:dim * rows].tobytes()).hexdigest()]))
 """
+
+# pure-Python functions for the runs that call one, each compiled from its
+# source here and in the child: a level field, and an rhs per dimension
+_EVAL_SOURCE = """\
+def f(y):
+    y1, y2, y3 = y
+    r = sqrt(y2 * y2 + y1 * y1)
+    if r < 1e-8:
+        raise singular("custom", y)
+    return y2 / r, -y1 / r, 0.0
+"""
+_RHS_SOURCES = {
+    1: "def f(t, y):\n    return [-0.5 * y[0] + sin(t)]\n",
+    2: "def f(t, y):\n    return [y[1], -y[0] - 0.1 * y[1]]\n",
+    3: "def f(t, y):\n    return [y[1] * y[2], -y[0] * y[2], -0.51 * y[0] * y[1]]\n",
+}
+GENERATED_RUNS = ["blend:0.5", "upslope", "horizontal", "eval-call", "theta",
+                  "fixed-d1", "fixed-d2", "fixed-d3"]
+
+
+def _helper(source: str):
+    namespace = {"sin": math.sin, "sqrt": math.sqrt, "singular": ramp3d._singular}
+    exec(compile(source, "<helper>", "exec"), namespace)
+    return namespace["f"]
+
+
+def _generated_run(spec, run: str):
+    """The job of one generated run for the child, and the samples the
+    library gives for the same run."""
+    if run.startswith("fixed-d"):
+        d = int(run[-1])
+        times, h = ode._grid(0.0, 2.0, 0.01)
+        job = {"source": ode._rk4_source(d, *ode._CALL_RHS, ""),
+               "helper": _RHS_SOURCES[d], "call_at": 0,  # rhs
+               "args": [None, h, 0.5 * h, h / 6.0], "y0": [0.3, -0.2, 0.1][:d]}
+        _, samples, _, _ = ode.integrate_fixed(_helper(_RHS_SOURCES[d]), job["y0"],
+                                               0.0, 2.0, 0.01)
+        return {**job, "times": times.tolist()}, samples
+    s_max = 5.0 / spec.a
+    times, h = ode._grid(0.0, s_max, ode.DEFAULT_STEP_FACTOR / spec.a)
+    job = {"times": times.tolist(), "helper": "", "call_at": None}
+    if run == "theta":
+        job.update(source=ode._rk4_source(1, *ode._THETA, ""), y0=[0.5],
+                   args=[spec.a, spec.delta, h, 0.5 * h, h / 6.0])
+        return job, ode.integrate_theta(spec, 0.5, (0.0, s_max)).theta
+    if run == "eval-call":
+        field = TangentField("custom", eval=_helper(_EVAL_SOURCE))
+        stage, w = ramp3d._CALL_EVAL_STAGE, 0.0
+        job.update(helper=_EVAL_SOURCE, call_at=5)  # normal, of _FLOW_PARAMS
+    else:
+        field = builtin_field(run)
+        kind, _, weight = run.partition(":")
+        stage, w = ramp3d._stage(ramp3d._SOURCES[kind]), float(weight or 0.0)
+    # the arguments ramp3d._bind passes the field's run
+    job.update(source=ode._rk4_source(3, ramp3d._FLOW_PARAMS, stage, ramp3d._RENORMALIZE),
+               y0=[0.8, 0.0, -0.6],
+               args=[-(spec.g / (spec.v * spec.v)), spec.mu, field.name, w, 1.0 - w,
+                     None, [0.0, 0.0], h, 0.5 * h, h / 6.0])
+    return job, integrate_ramp3d(spec, field, job["y0"], s_max).gamma
 
 
 def _other_pythons() -> list[str]:
@@ -549,23 +645,22 @@ def _other_pythons() -> list[str]:
     return found
 
 
-def test_generated_run_gives_the_same_bits_on_other_interpreters(fig_spec, tmp_path):
+@pytest.fixture(scope="module")
+def other_pythons():
     pythons = _other_pythons()
     if not pythons:
         pytest.skip("no other python3.10 ... python3.14 on PATH starts")
-    field, y0, s_max = builtin_field("blend", 0.5), [0.8, 0.0, -0.6], 5.0 / fig_spec.a
-    curve = integrate_ramp3d(fig_spec, field, y0, s_max)
-    times, h = ode._grid(0.0, s_max, ode.DEFAULT_STEP_FACTOR / fig_spec.a)
-    source = ode._rk4_source(3, ramp3d._FLOW_PARAMS, ramp3d._stage(ramp3d._SOURCES["blend"]),
-                             ramp3d._RENORMALIZE)
-    # the arguments ramp3d._bind passes the run of a blend:0.5 field
-    args = [-(fig_spec.g / (fig_spec.v * fig_spec.v)), fig_spec.mu, field.name, 0.5, 0.5,
-            None, [0.0, 0.0], h, 0.5 * h, h / 6.0]
-    (tmp_path / "job.json").write_text(json.dumps(
-        {"source": source, "args": args, "times": times.tolist(), "y0": y0}))
+    return pythons
+
+
+@pytest.mark.parametrize("run", GENERATED_RUNS)
+def test_generated_run_gives_the_same_bits_on_other_interpreters(fig_spec, tmp_path,
+                                                                 other_pythons, run):
+    job, samples = _generated_run(fig_spec, run)
+    (tmp_path / "job.json").write_text(json.dumps(job))
     (tmp_path / "child.py").write_text(_GENERATED_CHILD)
-    want = [curve.gamma.shape[0], None, hashlib.sha256(curve.gamma.tobytes()).hexdigest()]
-    for exe in pythons:
+    want = [samples.shape[0], None, hashlib.sha256(samples.tobytes()).hexdigest()]
+    for exe in other_pythons:
         proc = subprocess.run([exe, "-I", "child.py", "job.json"], cwd=tmp_path,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, (exe, proc.stderr)
