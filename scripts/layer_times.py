@@ -1,9 +1,10 @@
-"""Min-of-N in-process CPU times of the layers the benchmark's jobs spend in.
+"""Min-of-N in-process CPU times of the layers the benchmark's jobs spend in,
+and min-of-N wall times of whole CLI processes.
 
     python3 scripts/layer_times.py --repeat 7
 
 Times, each as the least CPU time (``time.process_time``) of ``--repeat``
-calls in this process after one warm-up call, in milliseconds:
+calls in this process after one warm-up call, in milliseconds, under ``ms``:
 
 - ``ode.integrate_theta``: the tangent-angle RK4 over 6/a from the apex;
 - ``ramp3d.integrate_ramp3d <field>``: the hemisphere RK4 over 5/a from
@@ -20,8 +21,18 @@ of its table.
 
 The spans, rows and frame rate are those of ``bench/workloads.py``, scaled
 by ``--size`` (the benchmark's job size); the spec is mu=0.5, v=5, g=9.81,
-m=1.  Prints JSON with the times, the clock, the Python and numpy versions
-and the core count.  Untraced and in one process, so it shows a layer's own
+m=1.
+
+Under ``process_ms``, the least wall time (``time.perf_counter``) of
+``--repeat`` fresh processes after one warm-up process, in milliseconds:
+``rampforge <command>`` for one fixed command per subcommand (``COMMANDS``,
+not scaled by ``--size``), run as the console script runs it, and ``import
+numpy`` for a fresh ``python -c "import numpy"``, the floor under every
+command.  Each process runs against the sources under ``src/`` in the
+environment the benchmark gives its processes.
+
+Prints JSON with the times, the clocks, the Python and numpy versions and
+the core count.  Untraced and in one process, so it shows a layer's own
 cost, for example the field step of each built-in field, which a traced
 benchmark run does not time.  CPU time, because on a shared 2-core VM the
 best-of-7 wall time of one writer swung 2x between processes on the same
@@ -34,6 +45,7 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -43,6 +55,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
+import worker  # noqa: E402
 import workloads  # noqa: E402
 from rampforge import (builtin_field, exporters, integrate_ramp3d,  # noqa: E402
                        integrate_theta, make_ramp, planar, sim, spec_from_mu,
@@ -50,16 +63,26 @@ from rampforge import (builtin_field, exporters, integrate_ramp3d,  # noqa: E402
 
 FIELDS = [("horizontal",), ("upslope",), ("blend", 0.5)]
 Y0 = (0.8, 0.0, -0.6)
+# one command per subcommand, each timed as a fresh process
+COMMANDS = [
+    ["generate2d", "--mu", "0.5", "--v", "5", "--out", "curve.csv"],
+    ["generate3d", "--mu", "0.5", "--v", "5", "--field", "blend:0.5",
+     "--y0", "0.8", "0", "-0.6", "--out", "ramp"],
+    ["verify", "--mu", "0.5", "--v", "5", "--field", "horizontal",
+     "--y0", "0.8", "-1e-05", "-0.6"],
+    ["simulate", "--mu", "0.5", "--v", "5", "--branch", "lower", "--out", "frames.jsonl"],
+    ["scale", "--mu", "0.5", "--v", "5", "--branch", "upper", "--kappa", "6"],
+]
 
 
-def best_ms(call, repeat: int, setup=lambda: None) -> float:
-    call()  # warm-up: compiles the generated runs on first use
+def best_ms(call, repeat: int, setup=lambda: None, clock=time.process_time) -> float:
+    call()  # warm-up: compiles the generated runs, or the bytecode, on first use
     best = float("inf")
     for _ in range(repeat):
         setup()
-        start = time.process_time()
+        start = clock()
         call()
-        best = min(best, time.process_time() - start)
+        best = min(best, clock() - start)
     return 1e3 * best
 
 
@@ -99,9 +122,21 @@ def layer_times(repeat: int, size: float, workdir: Path) -> dict:
     return ms
 
 
+def process_ms(repeat: int, workdir: Path) -> dict:
+    env = worker.pinned_env()
+    runs = {f"rampforge {argv[0]}": [sys.executable, "-c", workloads.CLI_ENTRY, *argv]
+            for argv in COMMANDS}
+    runs["import numpy"] = [sys.executable, "-c", "import numpy"]
+    return {name: best_ms(lambda: subprocess.run(command, cwd=workdir, env=env, check=True,
+                                                 capture_output=True),
+                          repeat, clock=time.perf_counter)
+            for name, command in runs.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeat", type=int, default=7, help="timed calls per layer")
+    parser.add_argument("--repeat", type=int, default=7,
+                        help="timed calls per layer, and processes per command")
     parser.add_argument("--size", type=float, default=1.0,
                         help="scale of spans, rows and frame rate (benchmark job size)")
     args = parser.parse_args(argv)
@@ -109,9 +144,11 @@ def main(argv=None) -> int:
         parser.error("--repeat must be at least 1 and --size positive")
     with tempfile.TemporaryDirectory() as workdir:
         ms = layer_times(args.repeat, args.size, Path(workdir))
+        processes = process_ms(args.repeat, Path(workdir))
     print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
                       "nproc": os.cpu_count(), "clock": "process_time",
-                      "repeat": args.repeat, "size": args.size, "ms": ms}, indent=1))
+                      "repeat": args.repeat, "size": args.size, "ms": ms,
+                      "process_clock": "perf_counter", "process_ms": processes}, indent=1))
     return 0
 
 

@@ -3,7 +3,9 @@
 Subcommands mirror the library: ``generate2d``, ``generate3d``, ``verify``,
 ``simulate`` and ``scale``.  Every command accepts ``--config FILE`` with a
 flat JSON object of option values, each read as its flag; explicit flags
-override the file.  ``--field`` takes any name ``builtin_field`` gives.  Exit
+override the file.  ``--field`` takes any name ``builtin_field`` gives.  A
+negative number is a value wherever one is expected, in any form ``float``
+reads (``--y0 0.8 -1e-05 -0.6``, ``--r-extent -inf 1``).  Exit
 codes: 0 success, 2 validation failure, 3 I/O failure, 4 verification ran
 but did not pass.  Set ``RAMPFORGE_LOG=DEBUG|INFO|WARNING|ERROR`` to control
 logging (stderr; stdout carries only the JSON summaries).
@@ -12,10 +14,12 @@ logging (stderr; stdout carries only the JSON summaries).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -320,14 +324,30 @@ def _config_tokens(path: str) -> list[str]:
     tokens = []
     for key, value in data.items():
         flag = "--" + key.replace("_", "-")
-        if isinstance(value, list):  # " -1e-05": argparse reads a bare -1e-05 as a flag
-            tokens += [flag, *(f" {v}" if str(v)[:1] == "-" else str(v) for v in value)]
+        if isinstance(value, list):
+            tokens += [flag, *map(str, value)]
         elif isinstance(value, (bool, dict)):
             raise ParameterError(f"config file {path}: {key} cannot be {json.dumps(value)}",
                                  code="config")
         elif value is not None:
             tokens.append(f"{flag}={value}")
     return tokens
+
+
+# the tokens argparse reads as negative numbers rather than as options
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _as_value(token: str) -> str:
+    """``token``, with a leading space if it is a number that argparse would
+    read as an option (``-1e-05``, ``-inf``): ``float`` ignores the space."""
+    if token[:1] != "-" or _NEGATIVE_NUMBER.match(token):
+        return token
+    try:
+        float(token)
+    except ValueError:
+        return token
+    return " " + token
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -337,13 +357,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            args = parser.parse_args([_as_value(a) for a in argv])
             if getattr(args, "config", None) is not None:
                 # the file's options right after the subcommand: flags after
                 # them win, since argparse keeps the last value
                 at = argv.index(args.command) + 1
-                args = parser.parse_args(
-                    [*argv[:at], *_config_tokens(args.config), *argv[at:]])
+                args = parser.parse_args([_as_value(a) for a in (
+                    *argv[:at], *_config_tokens(args.config), *argv[at:])])
         except SystemExit as exc:
             return int(exc.code or 0)
         if getattr(args, "func", None) is None:
@@ -359,6 +379,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # a command is one short process: the objects its imports made (numpy's,
+    # the stdlib's and this package's modules) live until it exits, so they
+    # leave the collector's generations, and neither a collection the command
+    # triggers nor the one at exit walks them
+    gc.freeze()
     sys.exit(main())
 
 

@@ -192,13 +192,17 @@ def _normals(tangent_field: TangentField, rows) -> np.ndarray:
     return np.array(table)
 
 
+def _eval_source(source: str) -> str:
+    # the text of bind_eval for a field's component source
+    return _EVAL_TEMPLATE.format(field=textwrap.indent(source.format(point="y"), " " * 8))
+
+
 @functools.cache
 def _bind_eval(source: str) -> Callable:
     """``bind_eval(name, w, c)``, which returns the ``eval`` of a built-in
-    field, compiled from its component source once per source, on first
-    use, like :func:`ode._rk4_run`."""
-    field = textwrap.indent(source.format(point="y"), " " * 8)
-    return _compile(_EVAL_TEMPLATE.format(field=field), singular=_singular)["bind_eval"]
+    field, compiled from its component source (:func:`_eval_source`) once
+    per source, on first use, like :func:`ode._rk4_run`."""
+    return _compile(_eval_source(source), singular=_singular)["bind_eval"]
 
 
 def builtin_field(kind: str, weight: float | None = None) -> TangentField:

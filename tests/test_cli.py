@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -130,7 +131,7 @@ FLAGS_AND_CONFIGS = {
         "--t-span", "0.25", "1.5", "--samples", "100", "--out", "OUT"],
         {"mu": 0.4, "v": 3, "mass": 2, "branch": "upper", "t_span": [0.25, 1.5],
          "samples": 100, "out": "OUT"}),
-    # " -1e-05": argparse would read a bare "-1e-05" as an option
+    # " -1e-05", with a space, as argparse alone reads it as a value
     "verify 3d": ("verify", [
         "--delta-deg", "25", "--v", "5", "--field", "blend:0.37",
         "--y0", "0.8", " -1e-05", "-0.6", "--smax", "0.5", "--step", "0.005",
@@ -147,6 +148,20 @@ FLAGS_AND_CONFIGS = {
         "--smax", "1", "--kappa", "6", "--samples", "60", "--out", "OUT"],
         {"mu": 0.5, "v": 5, "field": "upslope", "y0": [1, 0, 0], "smax": 1,
          "kappa": 6, "samples": 60, "out": "OUT"}),
+    # negative numbers that argparse alone reads as options
+    "verify 3d bare": ("verify", [
+        "--delta-deg", "25", "--v", "5", "--field", "blend:0.37",
+        "--y0", "0.8", "-1e-05", "-0.6", "--smax", "0.5", "--step", "0.005",
+        "--samples", "50", "--out", "OUT"],
+        {"delta-deg": 25, "v": 5, "field": "blend:0.37", "y0": [0.8, -1e-05, -0.6],
+         "smax": 0.5, "step": 0.005, "samples": 50, "out": "OUT"}),
+    "generate3d bare": ("generate3d", [
+        "--mu", "0.5", "--v", "5", "--field", "horizontal", "--y0", "0.8", "-1E-5", "-.6",
+        "--smax", "0.5", "--step", "0.005", "--r-extent", "-25e-2", "5.", "--mesh", "20x4",
+        "--out", "OUT"],
+        {"mu": 0.5, "v": 5, "field": "horizontal", "y0": ["0.8", "-1E-5", "-.6"],
+         "smax": 0.5, "step": 0.005, "r_extent": [-0.25, 5.0], "mesh": "20x4",
+         "out": "OUT"}),
 }
 
 
@@ -279,8 +294,8 @@ def test_bad_step_exits_2(capsys, tmp_path, command, step, message):
     assert message in err
 
 
-# " -inf": argparse would read a bare "-inf" as an option
-@pytest.mark.parametrize("r_extent", [("0", "inf"), (" -inf", "1")])
+# " -inf", with a space, as argparse alone reads it as a value
+@pytest.mark.parametrize("r_extent", [("0", "inf"), (" -inf", "1"), ("-inf", "1")])
 def test_generate3d_infinite_r_extent_exits_2(capsys, tmp_path, r_extent):
     out = tmp_path / "x"
     code, _, err = run(capsys, "generate3d", "--mu", "0.5", "--v", "5",
@@ -388,18 +403,39 @@ def test_scale_command(capsys):
                "--branch", "upper")[0] == 2  # kappa missing
 
 
-def test_cli_runs_as_module(tmp_path):
+def _child_env() -> dict:
     # the child finds the package in this checkout, as the suite itself does
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"),
                     env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_runs_as_module(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "rampforge.cli", "generate2d", "--mu", "0.5",
          "--v", "5", "--samples", "4"],
-        env=env, capture_output=True, text=True)
+        env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["branch"] == "lower"
+
+
+def test_entry_freezes_the_import_time_heap():
+    code = ("import gc\n"
+            "from rampforge import cli\n"
+            "cli.main = lambda: print(gc.get_freeze_count()) or 0\n"
+            "cli.entry()\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
+
+
+def test_main_leaves_the_collector_as_it_was(capsys):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "generate2d", "--mu", "0.5", "--v", "5", "--samples", "4")[0] == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_repeated_runs_are_identical(tmp_path, capsys):

@@ -545,6 +545,8 @@ def test_3d_bits_do_not_depend_on_blas_kernel_or_simd_target():
 # rampforge and no numpy, and prints the rows, the stop and the digest of
 # the samples.  A run that calls a function gets it compiled here from the
 # job's helper source, which defines `f`, and passed as its argument call_at.
+# A job with points is a built-in field's bind_eval: its eval, bound to the
+# arguments, gives a row of samples at each point.
 _GENERATED_CHILD = """
 import array, hashlib, json, math, sys
 
@@ -560,12 +562,18 @@ namespace = {"SingularFieldError": SingularFieldError, "ParameterError": ValueEr
              "sin": math.sin, "sqrt": math.sqrt, "singular": singular, "malformed": None}
 exec(compile(job["source"] + job["helper"], "<generated>", "exec"), namespace)
 args = job["args"]
-if job["call_at"] is not None:
-    args[job["call_at"]] = namespace["f"]
-dim = len(job["y0"])
-ys, dys = (array.array("d", bytes(8 * dim * len(job["times"]))) for _ in range(2))
-rows, stop = namespace["rk4"](*args)(job["times"], job["y0"], ys, dys)
-print(json.dumps([rows, stop, hashlib.sha256(ys[:dim * rows].tobytes()).hexdigest()]))
+if "points" in job:
+    field = namespace["bind_eval"](*args)
+    ys = array.array("d", [v for y in job["points"] for v in field(y)])
+    rows, stop = len(job["points"]), None
+else:
+    if job["call_at"] is not None:
+        args[job["call_at"]] = namespace["f"]
+    dim = len(job["y0"])
+    ys, dys = (array.array("d", bytes(8 * dim * len(job["times"]))) for _ in range(2))
+    rows, stop = namespace["rk4"](*args)(job["times"], job["y0"], ys, dys)
+    ys = ys[:dim * rows]
+print(json.dumps([rows, stop, hashlib.sha256(ys.tobytes()).hexdigest()]))
 """
 
 # pure-Python functions for the runs that call one, each compiled from its
@@ -584,7 +592,12 @@ _RHS_SOURCES = {
     3: "def f(t, y):\n    return [y[1] * y[2], -y[0] * y[2], -0.51 * y[0] * y[1]]\n",
 }
 GENERATED_RUNS = ["blend:0.5", "upslope", "horizontal", "eval-call", "theta",
-                  "fixed-d1", "fixed-d2", "fixed-d3"]
+                  "fixed-d1", "fixed-d2", "fixed-d3",
+                  "eval upslope", "eval horizontal", "eval blend:0.5"]
+# the directions a built-in eval is sampled at, from near the south pole,
+# where it is singular, to above the equator
+EVAL_POINTS = [[math.sin(a) * math.cos(b), math.sin(a) * math.sin(b), -math.cos(a)]
+               for a in (0.3, 1.1, 1.6, 2.5) for b in (0.0, 2.0, 4.0)]
 
 
 def _helper(source: str):
@@ -596,6 +609,13 @@ def _helper(source: str):
 def _generated_run(spec, run: str):
     """The job of one generated run for the child, and the samples the
     library gives for the same run."""
+    if run.startswith("eval "):
+        field = builtin_field(run[5:])
+        kind, _, weight = run[5:].partition(":")
+        w = float(weight or 0.0)
+        job = {"source": ramp3d._eval_source(ramp3d._SOURCES[kind]), "helper": "",
+               "args": [field.name, w, 1.0 - w], "points": EVAL_POINTS}
+        return job, np.array([field.eval(y) for y in EVAL_POINTS])
     if run.startswith("fixed-d"):
         d = int(run[-1])
         times, h = ode._grid(0.0, 2.0, 0.01)

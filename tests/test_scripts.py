@@ -44,7 +44,13 @@ def test_layer_times_reports_each_layer(tmp_path):
             "curve2d_csv", "curve2d_json", "curve2d_svg", "frames_csv", "frames_jsonl",
             "curve2d csv+json", "frames csv+jsonl"))}
     assert all(ms > 0.0 for ms in out["ms"].values())
-    assert not list(tmp_path.iterdir())  # the writers wrote into a temporary directory
+    assert out["process_clock"] == "perf_counter"
+    assert set(out["process_ms"]) == {
+        *(f"rampforge {command}" for command in (
+            "generate2d", "generate3d", "verify", "simulate", "scale")),
+        "import numpy"}
+    assert all(ms > 0.0 for ms in out["process_ms"].values())
+    assert not list(tmp_path.iterdir())  # writers and commands wrote to a temporary one
 
 
 def _bench_run(commit, jobs_per_s, raw_jobs_per_s, tail_percentile=90.0, failed=0):
