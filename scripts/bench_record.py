@@ -14,6 +14,13 @@ count, the seeds, the pair count and, for each end-to-end metric of
 ``BENCHMARK.json``, the number of pairs the change won.  It also records
 both commits and each side's Python and numpy versions and core count.
 
+For every metric, scaled and raw, ``pairwise`` holds the median of the
+differences within pairs (change minus parent) and the number of pairs in
+which the change read higher, lower or the same (see :func:`pairwise`).  The
+traced metrics are raw wall times that swing with the host from run to run,
+so a change in them shows in these differences and not in the per-side
+medians.
+
 Each end-to-end metric of each workload also gets a verdict (see
 :func:`verdict`): ``gain``, ``no worse``, ``worse`` or ``unresolved``.
 
@@ -80,6 +87,16 @@ def side(runs: list[dict]) -> dict:
     return out
 
 
+def pairwise(parent: list[float], change: list[float]) -> dict:
+    """The median of the differences within pairs (change minus parent) and
+    the number of pairs in which the change read higher, lower or the same."""
+    diffs = [y - x for x, y in zip(parent, change)]
+    return {"median_diff": statistics.median(diffs),
+            "change_higher": sum(d > 0.0 for d in diffs),
+            "change_lower": sum(d < 0.0 for d in diffs),
+            "equal": sum(d == 0.0 for d in diffs)}
+
+
 def verdict(parent: dict, change: dict, won: int, pairs: int, better: str,
             bound: float, fails_more: bool = False) -> str:
     """Judge one metric from both sides' :func:`spread` and the pairs won.
@@ -123,6 +140,9 @@ def record(label: str, parent: dict, change: dict, benchmark: dict) -> dict:
             "workload": key[0], "trace": key[1], "pairs": pairs,
             "seconds": parent[key][0]["args"]["seconds"],
             "change_better_pairs": wins, "parent": a, "change": b,
+            "pairwise": {name: pairwise(a[kind][name]["runs"], b[kind][name]["runs"])
+                         for kind in ("scaled", "raw") if kind in a and kind in b
+                         for name in a[kind] if name in b[kind]},
             "verdicts": {name: verdict(a["scaled"][name], b["scaled"][name], won, pairs,
                                        better[name], bounds[name], fails_more)
                          for name, won in wins.items()},

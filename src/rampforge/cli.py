@@ -4,8 +4,8 @@ Subcommands mirror the library: ``generate2d``, ``generate3d``, ``verify``,
 ``simulate`` and ``scale``.  Every command accepts ``--config FILE`` with a
 flat JSON object of option values, each read as its flag; explicit flags
 override the file.  ``--field`` takes any name ``builtin_field`` gives.  A
-negative number is a value wherever one is expected, in any form ``float``
-reads (``--y0 0.8 -1e-05 -0.6``, ``--r-extent -inf 1``).  Exit
+negative number in any form ``float`` reads is a value, never an option
+(``--y0 0.8 -1e-05 -0.6``, ``--r-extent -inf 1``, ``--out -1e5``).  Exit
 codes: 0 success, 2 validation failure, 3 I/O failure, 4 verification ran
 but did not pass.  Set ``RAMPFORGE_LOG=DEBUG|INFO|WARNING|ERROR`` to control
 logging (stderr; stdout carries only the JSON summaries).
@@ -252,14 +252,24 @@ def _add_geometry3d(sub: argparse.ArgumentParser) -> None:
                      help="integrator step (default 1e-3/a)")
 
 
+# every negative number ``float`` reads (``-1e-05``, ``-inf``, ``-nan``): a
+# parser reads a token it matches as a value, never as an option; argparse's
+# own pattern takes only ``-1`` and ``-1.5`` forms
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d[\d_]*\.?[\d_]*|\.\d[\d_]*)(e[-+]?\d[\d_]*)?$|^-(inf|infinity|nan)$",
+    re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rampforge",
         description="Constant-speed ramp curves, surfaces and force checks.")
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     commands = parser.add_subparsers(dest="command", metavar="command")
 
     def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help_text)
+        sub._negative_number_matcher = _NEGATIVE_NUMBER
         sub.set_defaults(func=func)
         _add_common(sub)
         return sub
@@ -334,22 +344,6 @@ def _config_tokens(path: str) -> list[str]:
     return tokens
 
 
-# the tokens argparse reads as negative numbers rather than as options
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
-def _as_value(token: str) -> str:
-    """``token``, with a leading space if it is a number that argparse would
-    read as an option (``-1e-05``, ``-inf``): ``float`` ignores the space."""
-    if token[:1] != "-" or _NEGATIVE_NUMBER.match(token):
-        return token
-    try:
-        float(token)
-    except ValueError:
-        return token
-    return " " + token
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -357,13 +351,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         try:
-            args = parser.parse_args([_as_value(a) for a in argv])
+            args = parser.parse_args(argv)
             if getattr(args, "config", None) is not None:
                 # the file's options right after the subcommand: flags after
                 # them win, since argparse keeps the last value
                 at = argv.index(args.command) + 1
-                args = parser.parse_args([_as_value(a) for a in (
-                    *argv[:at], *_config_tokens(args.config), *argv[at:])])
+                args = parser.parse_args(
+                    [*argv[:at], *_config_tokens(args.config), *argv[at:]])
         except SystemExit as exc:
             return int(exc.code or 0)
         if getattr(args, "func", None) is None:

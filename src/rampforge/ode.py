@@ -89,7 +89,7 @@ def theta_ode_rhs(spec: FrictionSpec, theta) -> np.ndarray:
     return -spec.a * np.sin(np.asarray(theta, dtype=float) + spec.delta)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class ThetaTrace:
     """Dense integrator output: ``theta[i]`` at parameter ``s[i]``."""
 

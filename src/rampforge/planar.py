@@ -33,7 +33,7 @@ class Branch(str, Enum):
     UPPER = "upper"
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class PlanarCurve:
     """Twice-differentiable plane curve given by evaluators.
 
@@ -49,7 +49,7 @@ class PlanarCurve:
     domain: tuple[float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class Ramp2D:
     """A planar curve together with the unit contact normal along it.
 

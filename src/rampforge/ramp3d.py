@@ -63,7 +63,7 @@ def e3_tangential(y: np.ndarray) -> np.ndarray:
     return E3 - y[..., 2, None] * y
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class TangentField:
     """Unit tangent field on the hemisphere: ``eval(y)`` with ``N.y = 0``.
 
@@ -312,7 +312,7 @@ def cumulative_simpson(values: np.ndarray, step: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class SpaceCurve3D:
     """Sampled output of the hemisphere flow on a uniform grid.
 
@@ -407,7 +407,7 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
                         norm_drift_max=drift_max, stop_reason=stop_reason)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class RampSurface3D:
     """Ruled sheet swept along a space curve.
 

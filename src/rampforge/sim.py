@@ -27,7 +27,7 @@ FRAME_VECTORS = ("position", "velocity", "gravity_force", "normal_force",
                  "friction_force", "residual")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class MotionTrace:
     """Uniform-rate frame table for one geometry.
 

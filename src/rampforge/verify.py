@@ -46,7 +46,7 @@ class Feasibility(str, Enum):
     INFEASIBLE = "Infeasible"
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class ForceBalanceReport:
     """Outcome of sampling Newton's law along one geometry.
 
@@ -191,7 +191,10 @@ def verify_3d(spec: FrictionSpec, curve: SpaceCurve3D,
     if curve.s.shape[0] < 2:
         raise ParameterError("curve holds fewer than 2 samples")
     count = min(n_samples, curve.s.shape[0])
-    idx = np.unique(np.round(np.linspace(0, curve.s.shape[0] - 1, count)).astype(int))
+    # count <= rows, so the grid's spacing is at least 1 and no two of its
+    # points round to the same row: these are the rows np.unique would keep,
+    # without the numpy.ma import np.unique makes on first use
+    idx = np.round(np.linspace(0, curve.s.shape[0] - 1, count)).astype(int)
 
     gamma = curve.gamma[idx]
     normals, lam, forces = _spatial_balance(spec, curve.field, gamma,
@@ -242,7 +245,7 @@ def planar_reduction_check(spec: FrictionSpec, curve: SpaceCurve3D) -> dict:
     return {"applicable": True, "max_deviation": deviation, "theta0": theta0}
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class Motion:
     """Reparametrization ``t -> h(t)`` of a ramp curve: ``path(t)`` is ``(h, h', h'')``."""
 
@@ -299,7 +302,7 @@ class Motion:
         return Motion(path)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class FeasibilityReport:
     """Sign profile of the normal force a prescribed motion would require."""
 
@@ -359,7 +362,7 @@ def normal_sign_diagnostic(ramp: Ramp2D, force, mass: float, motion: Motion,
                              meta={"mu": mu, "branch": ramp.branch.value})
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class ScalingVerification:
     """Both reinterpretations of a dilated geometry, verified independently."""
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import rampforge
+from rampforge import ode, planar, ramp3d, sim, verify
 from rampforge.cli import main
 
 
@@ -436,6 +439,69 @@ def test_main_leaves_the_collector_as_it_was(capsys):
     frozen = gc.get_freeze_count()
     assert run(capsys, "generate2d", "--mu", "0.5", "--v", "5", "--samples", "4")[0] == 0
     assert gc.get_freeze_count() == frozen
+
+
+_SMALL_3D = ["--mu", "0.5", "--v", "5", "--y0", "0.8", "0", "-0.6", "--smax", "0.5",
+             "--step", "0.005"]
+
+
+# one command of each kind the benchmark's cli cycle runs
+@pytest.mark.parametrize("argv", [
+    ["generate2d", "--mu", "0.5", "--v", "5", "--samples", "20", "--out", "curve.csv"],
+    ["generate3d", *_SMALL_3D, "--field", "upslope", "--mesh", "20x4", "--out", "ramp"],
+    ["verify", "--mu", "0.5", "--v", "5", "--branch", "upper"],
+    ["verify", *_SMALL_3D, "--field", "horizontal", "--samples", "50"],
+    ["simulate", "--mu", "0.5", "--v", "5", "--branch", "lower", "--fps", "10",
+     "--out", "frames.jsonl"],
+    ["scale", "--mu", "0.5", "--v", "5", "--branch", "upper", "--kappa", "6"],
+], ids=["generate2d", "generate3d", "verify_branch", "verify_field", "simulate", "scale"])
+def test_command_loads_no_numpy_module_mid_command(tmp_path, argv):
+    # a module imported while the command runs is paid by every process
+    # that runs it; np.unique, for one, imports numpy.ma on first use
+    code = ("import json, sys\n"
+            "from rampforge import cli\n"
+            "before = set(sys.modules)\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps(sorted(m for m in set(sys.modules) - before\n"
+            "                        if m.startswith('numpy.'))))\n"
+            "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_records_generate_only_their_init():
+    # the records' generated __repr__, __eq__ and frozen __setattr__ cost
+    # every process time at import; FrictionSpec alone is a hashable value
+    records = {obj for module in (rampforge, ode, planar, ramp3d, sim, verify)
+               for obj in vars(module).values()
+               if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+    assert {cls.__name__ for cls in records} == {
+        "FrictionSpec", "ThetaTrace", "PlanarCurve", "Ramp2D", "TangentField",
+        "SpaceCurve3D", "RampSurface3D", "MotionTrace", "ForceBalanceReport", "Motion",
+        "FeasibilityReport", "ScalingVerification"}
+    for cls in records:
+        generated = {"__eq__", "__repr__", "__setattr__", "__delattr__", "__hash__"}
+        if cls is rampforge.FrictionSpec:
+            assert generated <= set(vars(cls))
+        else:
+            assert "__init__" in vars(cls) and not generated & set(vars(cls)), cls
+
+
+def test_bare_negative_number_is_a_value_of_any_option(tmp_path, monkeypatch, capsys):
+    # argparse alone reads -1e5 as an option; the parsers read it as a value,
+    # and a string option keeps it as typed
+    monkeypatch.chdir(tmp_path)
+    common = ["generate2d", "--mu", "0.5", "--v", "5", "--samples", "4"]
+    code, bare, _ = run(capsys, *common, "--out", "-1e5")
+    assert code == 0
+    assert [f.name for f in tmp_path.iterdir()] == ["-1e5"]
+    written = (tmp_path / "-1e5").read_bytes()
+    (tmp_path / "-1e5").unlink()
+    assert run(capsys, *common, "--out=-1e5") == (0, bare, "")
+    assert (tmp_path / "-1e5").read_bytes() == written
+    assert json.loads(bare)["out"] == "-1e5"
 
 
 def test_repeated_runs_are_identical(tmp_path, capsys):

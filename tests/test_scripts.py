@@ -115,6 +115,33 @@ def test_bench_record_summarises_pairs(tmp_path):
     assert "sweep3d-trace0 job_tail_ms: pair 2 compares p90 with p95" in proc.stdout.splitlines()
 
 
+def test_bench_record_differences_within_pairs(tmp_path):
+    # two result files per side: the per-side medians hide which way each
+    # pair went, the differences within pairs do not
+    for i, (old, new, raw_old, raw_new) in enumerate([(6.0, 5.0, 20.0, 26.0),
+                                                      (9.0, 8.0, 30.0, 30.0)]):
+        _bench_result(tmp_path / "parent" / str(i), "aaa", old, raw_old)
+        _bench_result(tmp_path / "change" / str(i), "bbb", new, raw_new)
+    out = tmp_path / "BENCH_t.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_record.py"), "--label", "t",
+         "--parent", *(str(tmp_path / "parent" / str(i)) for i in range(2)),
+         "--change", *(str(tmp_path / "change" / str(i)) for i in range(2)),
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    entry = json.loads(out.read_text())["workloads"]["sweep3d-trace0"]
+    assert entry["pairwise"]["jobs_per_s"] == {
+        "median_diff": -1.0, "change_higher": 0, "change_lower": 2, "equal": 0}
+    assert entry["pairwise"]["raw_jobs_per_s"] == {
+        "median_diff": 3.0, "change_higher": 1, "change_lower": 0, "equal": 1}
+    assert entry["pairwise"]["peak_rss_mb"] == {
+        "median_diff": 0.0, "change_higher": 0, "change_lower": 0, "equal": 2}
+    assert set(entry["pairwise"]) == {"jobs_per_s", "peak_rss_mb", *(
+        "raw_jobs_per_s", "raw_job_p50_ms", "raw_job_tail_ms", "raw_setup_s",
+        "median_speed_scale")}
+
+
 @pytest.mark.parametrize("parent, change, won, better, expect", [
     # ten pairs, 9 won, medians 10 -> 12 with a parent IQR of 0.5
     ([9.5, 10.0, 10.0, 10.5] * 2 + [10.0, 10.0], [12.0] * 10, 9, "higher", "gain"),

@@ -143,6 +143,22 @@ def test_verify_3d_valid_for_builtin_fields(fig_spec):
         assert report.meta["max_gamma3"] <= 1e-12
 
 
+def test_verify_3d_samples_the_rows_np_unique_picks(fig_spec):
+    # verify_3d picks its rows without np.unique (which imports numpy.ma);
+    # they must be exactly the rows np.unique keeps, for every short curve
+    # and sample count and for the default count on longer curves
+    full = integrate_ramp3d(fig_spec, builtin_field("horizontal"), [0.8, 0.0, -0.6],
+                            2.0 / fig_spec.a, step=0.001 / fig_spec.a)
+    cases = [(length, n) for length in range(2, 61) for n in range(2, length + 4)]
+    for length, n_samples in cases + [(399, 400), (400, 400), (401, 400), (2001, 400)]:
+        curve = replace(full, s=full.s[:length], gamma=full.gamma[:length],
+                        dgamma=full.dgamma[:length], alpha=full.alpha[:length])
+        count = min(n_samples, length)
+        rows = np.unique(np.round(np.linspace(0, length - 1, count)).astype(int))
+        t = verify_3d(fig_spec, curve, n_samples=n_samples).t
+        np.testing.assert_array_equal(t, curve.s[rows] / fig_spec.v)
+
+
 def test_verify_3d_scaled_curve_fails_at_original_spec(fig_spec):
     curve = integrate_ramp3d(fig_spec, builtin_field("upslope"),
                              [1.0, 0.0, 0.0], 2.0 / fig_spec.a)
