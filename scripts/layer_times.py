@@ -29,7 +29,11 @@ Under ``process_ms``, the least wall time (``time.perf_counter``) of
 not scaled by ``--size``), run as the console script runs it, and ``import
 numpy`` for a fresh ``python -c "import numpy"``, the floor under every
 command.  Each process runs against the sources under ``src/`` in the
-environment the benchmark gives its processes.
+environment the benchmark gives its processes.  Under ``process_cpu_ms``, the
+least CPU time (user plus system, from ``getrusage(RUSAGE_CHILDREN)``) of as
+many fresh processes of the same commands, run again: on a shared host a
+process's wall time swings by more than a 10 ms change in its work, its CPU
+time much less.
 
 Prints JSON with the times, the clocks, the Python and numpy versions and
 the core count.  Untraced and in one process, so it shows a layer's own
@@ -45,6 +49,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -122,14 +127,20 @@ def layer_times(repeat: int, size: float, workdir: Path) -> dict:
     return ms
 
 
-def process_ms(repeat: int, workdir: Path) -> dict:
+def children_cpu_s() -> float:
+    # user + system time of every finished child process of this one
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def process_ms(repeat: int, workdir: Path, clock=time.perf_counter) -> dict:
     env = worker.pinned_env()
     runs = {f"rampforge {argv[0]}": [sys.executable, "-c", workloads.CLI_ENTRY, *argv]
             for argv in COMMANDS}
     runs["import numpy"] = [sys.executable, "-c", "import numpy"]
     return {name: best_ms(lambda: subprocess.run(command, cwd=workdir, env=env, check=True,
                                                  capture_output=True),
-                          repeat, clock=time.perf_counter)
+                          repeat, clock=clock)
             for name, command in runs.items()}
 
 
@@ -145,10 +156,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         ms = layer_times(args.repeat, args.size, Path(workdir))
         processes = process_ms(args.repeat, Path(workdir))
+        processes_cpu = process_ms(args.repeat, Path(workdir), clock=children_cpu_s)
     print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
                       "nproc": os.cpu_count(), "clock": "process_time",
                       "repeat": args.repeat, "size": args.size, "ms": ms,
-                      "process_clock": "perf_counter", "process_ms": processes}, indent=1))
+                      "process_clock": "perf_counter", "process_ms": processes,
+                      "process_cpu_clock": "getrusage(RUSAGE_CHILDREN) user+sys",
+                      "process_cpu_ms": processes_cpu}, indent=1))
     return 0
 
 

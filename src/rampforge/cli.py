@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import json
 import logging
 import math
@@ -22,19 +23,28 @@ import os
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import exporters
+from . import _SOURCE, exporters
 from .errors import ParameterError, RampError
 from .params import FrictionSpec, make_spec, spec_from_mu, spec_to_dict
-from .planar import (Branch, apex_param, asymptote_gap, default_span, make_ramp,
-                     sample_ramp)
-from .ramp3d import (SpaceCurve3D, build_surface, builtin_field, hemisphere_point,
-                     integrate_ramp3d)
-from .sim import simulate
-from .verify import (Verdict, planar_reduction_check, verify_2d, verify_3d,
-                     verify_scaling)
+from .planar import (Branch, Ramp2D, apex_param, asymptote_gap, default_span,
+                     make_ramp, sample_ramp)
+
+if TYPE_CHECKING:
+    from .ramp3d import SpaceCurve3D
+
+# Only what building the parser needs is imported above; each command imports
+# the 3D, simulation and verification layers it runs.  The layer functions the
+# commands call stay readable as attributes of this module only because
+# bench/spans.py reads them here; no command calls them through this module,
+# so nothing else should either.  The shim, this set and the _SOURCE import
+# go when the bench stops binding cli (ROADMAP, "Time what a command imports").
+_LAYER_FUNCTIONS = frozenset({
+    "build_surface", "integrate_ramp3d", "planar_reduction_check", "simulate",
+    "verify_2d", "verify_3d", "verify_scaling"})
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -42,6 +52,12 @@ EXIT_IO = 3
 EXIT_VERIFICATION = 4
 
 log = logging.getLogger(__name__)
+
+
+def __getattr__(name: str):
+    if name not in _LAYER_FUNCTIONS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{_SOURCE[name]}"), name)
 
 
 def _setup_logging() -> None:
@@ -79,6 +95,8 @@ def _spec_from_args(args: argparse.Namespace) -> FrictionSpec:
 
 
 def _normalized_y0(values) -> np.ndarray:
+    from .ramp3d import hemisphere_point
+
     if values is None:
         raise ParameterError("--y0 (initial direction) is required for 3d geometry",
                              code="config")
@@ -91,6 +109,8 @@ def _normalized_y0(values) -> np.ndarray:
 
 
 def _integrate_from_args(spec: FrictionSpec, args: argparse.Namespace) -> SpaceCurve3D:
+    from .ramp3d import builtin_field, integrate_ramp3d
+
     if args.field is None:
         raise ParameterError("--field is required for 3d geometry", code="config")
     tangent_field = builtin_field(args.field)
@@ -144,6 +164,9 @@ def cmd_generate2d(args: argparse.Namespace) -> int:
 
 
 def cmd_generate3d(args: argparse.Namespace) -> int:
+    from .ramp3d import build_surface
+    from .verify import Verdict, planar_reduction_check, verify_3d
+
     spec = _spec_from_args(args)
     if not args.out:
         raise ParameterError("--out base path is required", code="config")
@@ -181,13 +204,15 @@ def cmd_generate3d(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import Verdict, verify_2d, verify_3d
+
     spec = _spec_from_args(args)
     geometry = _pick_geometry(spec, args)
-    if isinstance(geometry, SpaceCurve3D):
-        report = verify_3d(spec, geometry, n_samples=args.samples)
-    else:
+    if isinstance(geometry, Ramp2D):
         t_span = tuple(args.t_span) if args.t_span else None
         report = verify_2d(spec, geometry, t_span=t_span, n_samples=args.samples)
+    else:
+        report = verify_3d(spec, geometry, n_samples=args.samples)
     if args.out:
         exporters.write_json(Path(args.out), exporters.report_to_dict(report))
     _emit(exporters.report_to_dict(report, include_profiles=False))
@@ -195,6 +220,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .sim import simulate
+
     spec = _spec_from_args(args)
     geometry = _pick_geometry(spec, args)
     trace = simulate(spec, geometry, tuple(args.t_span), fps=args.fps)
@@ -212,6 +239,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
+    from .verify import verify_scaling
+
     spec = _spec_from_args(args)
     if args.kappa is None:
         raise ParameterError("--kappa is required", code="config")
@@ -375,10 +404,22 @@ def main(argv: list[str] | None = None) -> int:
 def entry() -> None:
     # a command is one short process: the objects its imports made (numpy's,
     # the stdlib's and this package's modules) live until it exits, so they
-    # leave the collector's generations, and neither a collection the command
-    # triggers nor the one at exit walks them
+    # leave the collector's generations, and no collection the command
+    # triggers walks them
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    # past main, all a command's exit needs is its log handlers closed and its
+    # output flushed; tearing the interpreter down (module by module, and
+    # running atexit handlers) would only cost time
+    logging.shutdown()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        # a stream that is missing (None), closed or cannot take its output:
+        # the interpreter's own exit handles and reports it, as it always has
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -25,13 +25,16 @@ import json
 import math
 import operator
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .params import FrictionSpec, spec_to_dict
-from .ramp3d import RampSurface3D, SpaceCurve3D, lambda_3d
-from .sim import MotionTrace
-from .verify import ForceBalanceReport, ScalingVerification
+
+if TYPE_CHECKING:  # a 2D command never loads the 3D, simulation or verification layers
+    from .ramp3d import RampSurface3D, SpaceCurve3D
+    from .sim import MotionTrace
+    from .verify import ForceBalanceReport, ScalingVerification
 
 CURVE2D_HEADER = "s,x,y,tx,ty,nx,ny,lambda"
 CURVE3D_HEADER = "s,x,y,z,tx,ty,tz,lambda"
@@ -183,6 +186,8 @@ def write_curve2d_svg(path: str | Path, x: np.ndarray, y: np.ndarray) -> None:
 
 def write_curve3d_csv(path: str | Path, curve: SpaceCurve3D, spec: FrictionSpec) -> None:
     """Columns ``s,x,y,z,tx,ty,tz,lambda`` on the stored integration grid."""
+    from .ramp3d import lambda_3d
+
     _write_csv(path, CURVE3D_HEADER,
                [curve.s, curve.alpha, curve.gamma, lambda_3d(spec, curve.gamma)])
 

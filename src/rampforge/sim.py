@@ -17,7 +17,6 @@ from .errors import ParameterError
 from .ode import _bounded, hermite
 from .params import FrictionSpec
 from .planar import Ramp2D
-from .ramp3d import SpaceCurve3D
 from .verify import _planar_balance, _spatial_balance
 
 _COUNT_EPS = 1e-9  # guards floor() against span*fps landing just under an integer
@@ -74,12 +73,14 @@ def simulate(spec: FrictionSpec, geometry, t_span: tuple[float, float],
     if isinstance(geometry, Ramp2D):
         dimension, s_end = 2, geometry.curve.domain[1]
         meta = {"branch": geometry.branch.value}
-    elif isinstance(geometry, SpaceCurve3D):
+    else:
+        from .ramp3d import SpaceCurve3D
+
+        if not isinstance(geometry, SpaceCurve3D):
+            raise ParameterError(f"cannot simulate on {type(geometry).__name__}",
+                                 code="config")
         dimension, s_end = 3, geometry.s_end
         meta = {"field": geometry.field.name}
-    else:
-        raise ParameterError(f"cannot simulate on {type(geometry).__name__}",
-                             code="config")
 
     keep = spec.v * t <= s_end + 1e-12
     truncated = not np.all(keep)

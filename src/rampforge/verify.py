@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -23,8 +23,9 @@ from .errors import ContractViolationError, ParameterError, SingularFieldError
 from .ode import hermite, integrate_fixed
 from .params import FrictionSpec, make_spec
 from .planar import Ramp2D, default_span, normal_force_2d, tangent_angle_orbit_position
-from .ramp3d import (E3, RampSurface3D, SpaceCurve3D, TangentField, _normals,
-                     builtin_field, lambda_3d, scale_ramp)
+
+if TYPE_CHECKING:  # the 3D functions import the hemisphere layer as they run
+    from .ramp3d import SpaceCurve3D, TangentField
 
 TOL_RESIDUAL_2D = 1e-8   # N, closed-form geometry
 TOL_RESIDUAL_3D = 1e-6   # N, integrated geometry
@@ -95,6 +96,8 @@ def _spatial_balance(spec: FrictionSpec, tangent_field: TangentField, gamma: np.
                      dgamma: np.ndarray, direction: np.ndarray, speed=1.0):
     """Normals, normal force and force columns at directions ``gamma`` with
     arc-length slopes ``dgamma``; friction opposes ``direction / speed``."""
+    from .ramp3d import _normals, lambda_3d
+
     normals = _normals(tangent_field, gamma.tolist())
     lam = lambda_3d(spec, gamma)
     return normals, lam, _force_balance(spec, lam, normals, direction,
@@ -210,6 +213,8 @@ def verify_3d(spec: FrictionSpec, curve: SpaceCurve3D,
 def _is_upslope(curve: SpaceCurve3D) -> bool:
     # the curve's field equals the built-in upslope field at its first,
     # middle and last samples; that field is singular at the south pole
+    from .ramp3d import _normals, builtin_field
+
     rows = curve.gamma[[0, curve.gamma.shape[0] // 2, -1]].tolist()
     try:
         difference = _normals(curve.field, rows) - _normals(builtin_field("upslope"), rows)
@@ -230,6 +235,8 @@ def planar_reduction_check(spec: FrictionSpec, curve: SpaceCurve3D) -> dict:
     reports the largest position deviation.  A field that returns other
     than three real numbers there raises :class:`ContractViolationError`.
     """
+    from .ramp3d import E3
+
     if not _is_upslope(curve):
         return {"applicable": False, "reason": f"field {curve.field.name!r} "
                 "has no planar closed form"}
@@ -387,6 +394,8 @@ def verify_scaling(spec: FrictionSpec, geometry, kappa: float,
     same mass).  Works for planar ramps, space curves and surfaces (their
     base curve).
     """
+    from .ramp3d import RampSurface3D, SpaceCurve3D, scale_ramp
+
     if isinstance(geometry, RampSurface3D):
         geometry = geometry.base
     scaled = scale_ramp(geometry, kappa)

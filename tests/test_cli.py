@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import rampforge
-from rampforge import ode, planar, ramp3d, sim, verify
+from rampforge import ode, params, planar, ramp3d, sim, verify
 from rampforge.cli import main
 
 
@@ -424,6 +424,63 @@ def test_cli_runs_as_module(tmp_path):
     assert json.loads(proc.stdout)["branch"] == "lower"
 
 
+def _run_entry(*argv, buffered, stdout=subprocess.PIPE, main_only=False, prelude=""):
+    # a fresh process running the console script's entry point, or the bare
+    # sys.exit(main()) that entry ran before it skipped teardown.  Whether
+    # stdout is block-buffered decides when a write reaches the pipe, so the
+    # child's PYTHONUNBUFFERED is set here, whatever this process has
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    run = ("import sys; from rampforge.cli import main; sys.exit(main())" if main_only
+           else "from rampforge.cli import entry; entry()")
+    return subprocess.run([sys.executable, "-c", prelude + run, *argv], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+def _run_entry_closed_stdout(*argv, **kwargs):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        return _run_entry(*argv, stdout=write_end, **kwargs)
+    finally:
+        os.close(write_end)
+
+
+_VERIFY_UPPER = ("verify", "--mu", "0.5", "--v", "5", "--branch", "upper")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_entry_exit_path(buffered):
+    # entry ends the process without teardown: stdout still arrives whole
+    # through a pipe (with a block-buffered stdout, only because entry
+    # flushes it), exit codes hold, and no other atexit handler runs
+    prelude = "import atexit; atexit.register(print, 'atexit ran')\n"
+    ok = _run_entry(*_VERIFY_UPPER, buffered=buffered, prelude=prelude)
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert json.loads(ok.stdout)["verdict"] == "Valid"
+
+    bad = _run_entry("verify", "--mu", "0.5", "--v", "1e160", "--branch", "upper",
+                     buffered=buffered)
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("error: ")
+
+
+def test_entry_exit_with_stdout_reader_closed():
+    # unbuffered, the summary's own write fails inside main, which reports it
+    closed = _run_entry_closed_stdout(*_VERIFY_UPPER, buffered=False)
+    assert (closed.returncode, closed.stderr) == (3, "i/o error: [Errno 32] Broken pipe\n")
+    # buffered, main returns 0 with the summary still in the buffer; entry's
+    # flush fails and leaves the exit to the interpreter, which ends exactly
+    # as sys.exit(main()) does (on CPython 3.10-3.13: "Exception ignored ...
+    # BrokenPipeError" on stderr and exit code 120)
+    closed = _run_entry_closed_stdout(*_VERIFY_UPPER, buffered=True)
+    bare = _run_entry_closed_stdout(*_VERIFY_UPPER, buffered=True, main_only=True)
+    assert (closed.returncode, closed.stderr) == (bare.returncode, bare.stderr)
+    assert closed.returncode not in (0, 3) and "BrokenPipeError" in closed.stderr
+
+
 def test_entry_freezes_the_import_time_heap():
     code = ("import gc\n"
             "from rampforge import cli\n"
@@ -446,15 +503,20 @@ _SMALL_3D = ["--mu", "0.5", "--v", "5", "--y0", "0.8", "0", "-0.6", "--smax", "0
 
 
 # one command of each kind the benchmark's cli cycle runs
-@pytest.mark.parametrize("argv", [
-    ["generate2d", "--mu", "0.5", "--v", "5", "--samples", "20", "--out", "curve.csv"],
-    ["generate3d", *_SMALL_3D, "--field", "upslope", "--mesh", "20x4", "--out", "ramp"],
-    ["verify", "--mu", "0.5", "--v", "5", "--branch", "upper"],
-    ["verify", *_SMALL_3D, "--field", "horizontal", "--samples", "50"],
-    ["simulate", "--mu", "0.5", "--v", "5", "--branch", "lower", "--fps", "10",
-     "--out", "frames.jsonl"],
-    ["scale", "--mu", "0.5", "--v", "5", "--branch", "upper", "--kappa", "6"],
-], ids=["generate2d", "generate3d", "verify_branch", "verify_field", "simulate", "scale"])
+_CYCLE = {
+    "generate2d": ["generate2d", "--mu", "0.5", "--v", "5", "--samples", "20",
+                   "--out", "curve.csv"],
+    "generate3d": ["generate3d", *_SMALL_3D, "--field", "upslope", "--mesh", "20x4",
+                   "--out", "ramp"],
+    "verify_branch": ["verify", "--mu", "0.5", "--v", "5", "--branch", "upper"],
+    "verify_field": ["verify", *_SMALL_3D, "--field", "horizontal", "--samples", "50"],
+    "simulate": ["simulate", "--mu", "0.5", "--v", "5", "--branch", "lower", "--fps", "10",
+                 "--out", "frames.jsonl"],
+    "scale": ["scale", "--mu", "0.5", "--v", "5", "--branch", "upper", "--kappa", "6"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_CYCLE.values()), ids=list(_CYCLE))
 def test_command_loads_no_numpy_module_mid_command(tmp_path, argv):
     # a module imported while the command runs is paid by every process
     # that runs it; np.unique, for one, imports numpy.ma on first use
@@ -471,10 +533,54 @@ def test_command_loads_no_numpy_module_mid_command(tmp_path, argv):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
+# the layers a command must not load: a 2D command never loads the 3D layer,
+# and only simulate loads the simulator
+_NOT_LOADED = {"generate2d": {"ramp3d", "verify", "sim"}, "generate3d": {"sim"},
+               "verify_branch": {"ramp3d", "sim"}, "verify_field": {"sim"},
+               "simulate": {"ramp3d"}, "scale": {"sim"}}
+
+
+@pytest.mark.parametrize("name", _CYCLE)
+def test_command_loads_only_the_layers_it_runs(tmp_path, name):
+    code = ("import json, sys\n"
+            "from rampforge import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('rampforge.'))))\n"
+            "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *_CYCLE[name]], cwd=tmp_path,
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    held = {m.split(".")[1] for m in json.loads(proc.stdout.splitlines()[-1])}
+    assert not held & _NOT_LOADED[name], held
+
+
+def test_package_names_load_on_first_read():
+    # import rampforge loads no submodule; each name the package gives (in
+    # __all__ or not) and each submodule loads on first read
+    code = ("import json, sys, types\n"
+            "import rampforge\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('rampforge.'))))\n"
+            "assert set(rampforge.__all__) <= set(dir(rampforge))\n"
+            "assert set(rampforge.__all__) <= set(rampforge._SOURCE)\n"
+            "for name in rampforge._SOURCE:\n"
+            "    getattr(rampforge, name)\n"
+            "for name in ('cli', 'errors', 'exporters', 'ode', 'params', 'planar', 'ramp3d',\n"
+            "             'sim', 'verify'):\n"
+            "    assert isinstance(getattr(rampforge, name), types.ModuleType), name\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        rampforge.nonesuch
+
+
 def test_records_generate_only_their_init():
     # the records' generated __repr__, __eq__ and frozen __setattr__ cost
-    # every process time at import; FrictionSpec alone is a hashable value
-    records = {obj for module in (rampforge, ode, planar, ramp3d, sim, verify)
+    # every process time at import; FrictionSpec alone is a hashable value.
+    # The package gives its names on first read, so the modules that define
+    # them are scanned
+    records = {obj for module in (params, ode, planar, ramp3d, sim, verify)
                for obj in vars(module).values()
                if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
     assert {cls.__name__ for cls in records} == {
@@ -483,7 +589,7 @@ def test_records_generate_only_their_init():
         "FeasibilityReport", "ScalingVerification"}
     for cls in records:
         generated = {"__eq__", "__repr__", "__setattr__", "__delattr__", "__hash__"}
-        if cls is rampforge.FrictionSpec:
+        if cls is params.FrictionSpec:
             assert generated <= set(vars(cls))
         else:
             assert "__init__" in vars(cls) and not generated & set(vars(cls)), cls

@@ -50,6 +50,9 @@ def test_layer_times_reports_each_layer(tmp_path):
             "generate2d", "generate3d", "verify", "simulate", "scale")),
         "import numpy"}
     assert all(ms > 0.0 for ms in out["process_ms"].values())
+    assert out["process_cpu_clock"] == "getrusage(RUSAGE_CHILDREN) user+sys"
+    assert set(out["process_cpu_ms"]) == set(out["process_ms"])
+    assert all(ms > 0.0 for ms in out["process_cpu_ms"].values())
     assert not list(tmp_path.iterdir())  # writers and commands wrote to a temporary one
 
 
