@@ -24,16 +24,17 @@ by ``--size`` (the benchmark's job size); the spec is mu=0.5, v=5, g=9.81,
 m=1.
 
 Under ``process_ms``, the least wall time (``time.perf_counter``) of
-``--repeat`` fresh processes after one warm-up process, in milliseconds:
-``rampforge <command>`` for one fixed command per subcommand (``COMMANDS``,
-not scaled by ``--size``), run as the console script runs it, and ``import
-numpy`` for a fresh ``python -c "import numpy"``, the floor under every
-command.  Each process runs against the sources under ``src/`` in the
-environment the benchmark gives its processes.  Under ``process_cpu_ms``, the
-least CPU time (user plus system, from ``getrusage(RUSAGE_CHILDREN)``) of as
-many fresh processes of the same commands, run again: on a shared host a
-process's wall time swings by more than a 10 ms change in its work, its CPU
-time much less.
+``--repeat`` fresh processes after one warm-up process, in milliseconds: one
+fixed command for each of the six commands of the benchmark's ``cli`` cycle
+(``COMMANDS``, keyed by the cycle's names and not scaled by ``--size``), run
+as the console script runs it, and ``import os, numpy; os._exit(0)``, a
+process that imports numpy and exits as a command does, without teardown:
+the floor under every command.  Each process runs against the sources under
+``src/`` in the environment the benchmark gives its processes.  Under
+``process_cpu_ms``, the least CPU time (user plus system, from
+``getrusage(RUSAGE_CHILDREN)``) of as many fresh processes of the same
+commands, run again: on a shared host a process's wall time swings by more
+than a 10 ms change in its work, its CPU time much less.
 
 Prints JSON with the times, the clocks, the Python and numpy versions and
 the core count.  Untraced and in one process, so it shows a layer's own
@@ -68,16 +69,21 @@ from rampforge import (builtin_field, exporters, integrate_ramp3d,  # noqa: E402
 
 FIELDS = [("horizontal",), ("upslope",), ("blend", 0.5)]
 Y0 = (0.8, 0.0, -0.6)
-# one command per subcommand, each timed as a fresh process
-COMMANDS = [
-    ["generate2d", "--mu", "0.5", "--v", "5", "--out", "curve.csv"],
-    ["generate3d", "--mu", "0.5", "--v", "5", "--field", "blend:0.5",
-     "--y0", "0.8", "0", "-0.6", "--out", "ramp"],
-    ["verify", "--mu", "0.5", "--v", "5", "--field", "horizontal",
-     "--y0", "0.8", "-1e-05", "-0.6"],
-    ["simulate", "--mu", "0.5", "--v", "5", "--branch", "lower", "--out", "frames.jsonl"],
-    ["scale", "--mu", "0.5", "--v", "5", "--branch", "upper", "--kappa", "6"],
-]
+# one command of each kind the cli cycle runs, by its name there, each timed
+# as a fresh process
+COMMANDS = {
+    "generate2d": ["generate2d", "--mu", "0.5", "--v", "5", "--out", "curve.csv"],
+    "generate3d": ["generate3d", "--mu", "0.5", "--v", "5", "--field", "blend:0.5",
+                   "--y0", "0.8", "0", "-0.6", "--out", "ramp"],
+    "verify_branch": ["verify", "--mu", "0.5", "--v", "5", "--branch", "upper"],
+    "verify_field": ["verify", "--mu", "0.5", "--v", "5", "--field", "horizontal",
+                     "--y0", "0.8", "-1e-05", "-0.6"],
+    "simulate": ["simulate", "--mu", "0.5", "--v", "5", "--branch", "lower",
+                 "--out", "frames.jsonl"],
+    "scale": ["scale", "--mu", "0.5", "--v", "5", "--branch", "upper", "--kappa", "6"],
+}
+# what every command pays: numpy's import, then an exit without teardown
+FLOOR = "import os, numpy; os._exit(0)"
 
 
 def best_ms(call, repeat: int, setup=lambda: None, clock=time.process_time) -> float:
@@ -135,9 +141,9 @@ def children_cpu_s() -> float:
 
 def process_ms(repeat: int, workdir: Path, clock=time.perf_counter) -> dict:
     env = worker.pinned_env()
-    runs = {f"rampforge {argv[0]}": [sys.executable, "-c", workloads.CLI_ENTRY, *argv]
-            for argv in COMMANDS}
-    runs["import numpy"] = [sys.executable, "-c", "import numpy"]
+    runs = {name: [sys.executable, "-c", workloads.CLI_ENTRY, *argv]
+            for name, argv in COMMANDS.items()}
+    runs[FLOOR] = [sys.executable, "-c", FLOOR]
     return {name: best_ms(lambda: subprocess.run(command, cwd=workdir, env=env, check=True,
                                                  capture_output=True),
                           repeat, clock=clock)

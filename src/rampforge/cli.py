@@ -7,8 +7,9 @@ override the file.  ``--field`` takes any name ``builtin_field`` gives.  A
 negative number in any form ``float`` reads is a value, never an option
 (``--y0 0.8 -1e-05 -0.6``, ``--r-extent -inf 1``, ``--out -1e5``).  Exit
 codes: 0 success, 2 validation failure, 3 I/O failure, 4 verification ran
-but did not pass.  Set ``RAMPFORGE_LOG=DEBUG|INFO|WARNING|ERROR`` to control
-logging (stderr; stdout carries only the JSON summaries).
+but did not pass.  Only the 3D commands log, since only the hemisphere flow
+does: set ``RAMPFORGE_LOG=DEBUG|INFO|WARNING|ERROR`` to control their logging
+(stderr; stdout carries only the JSON summaries).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import gc
 import importlib
 import json
-import logging
 import math
 import os
 import re
@@ -51,8 +51,6 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_VERIFICATION = 4
 
-log = logging.getLogger(__name__)
-
 
 def __getattr__(name: str):
     if name not in _LAYER_FUNCTIONS:
@@ -61,6 +59,9 @@ def __getattr__(name: str):
 
 
 def _setup_logging() -> None:
+    # only the hemisphere flow logs, so a 2D command never imports logging
+    import logging
+
     name = os.environ.get("RAMPFORGE_LOG", "WARNING").upper()
     level = getattr(logging, name, None)
     if not isinstance(level, int):
@@ -70,7 +71,8 @@ def _setup_logging() -> None:
 
 
 def _emit(payload: dict) -> None:
-    print(exporters.dumps_json(payload))
+    # flushed here, so that a reader who has gone is main's i/o error
+    print(exporters.dumps_json(payload), flush=True)
 
 
 def _parse_mesh(text: str) -> tuple[int, int]:
@@ -111,6 +113,7 @@ def _normalized_y0(values) -> np.ndarray:
 def _integrate_from_args(spec: FrictionSpec, args: argparse.Namespace) -> SpaceCurve3D:
     from .ramp3d import builtin_field, integrate_ramp3d
 
+    _setup_logging()
     if args.field is None:
         raise ParameterError("--field is required for 3d geometry", code="config")
     tangent_field = builtin_field(args.field)
@@ -376,7 +379,6 @@ def _config_tokens(path: str) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    _setup_logging()
     parser = build_parser()
     try:
         try:
@@ -408,12 +410,21 @@ def entry() -> None:
     # triggers walks them
     gc.freeze()
     code = main()
-    # past main, all a command's exit needs is its log handlers closed and its
-    # output flushed; tearing the interpreter down (module by module, and
-    # running atexit handlers) would only cost time
-    logging.shutdown()
+    # past main, all a command's exit needs is its log handlers closed (a 3D
+    # command's: no other imports logging) and its output flushed; tearing
+    # the interpreter down (module by module, and running atexit handlers)
+    # would only cost time
+    if "logging" in sys.modules:
+        sys.modules["logging"].shutdown()
     try:
-        sys.stdout.flush()
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # the reader has gone, which main reported if the output was a
+            # command's: what is left in the buffer goes to the null device,
+            # not to an "Exception ignored" message at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
         sys.stderr.flush()
     except (AttributeError, OSError, ValueError):
         # a stream that is missing (None), closed or cannot take its output:

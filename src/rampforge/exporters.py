@@ -6,8 +6,10 @@ figures.  In JSON, NaN and the infinities are written as ``json`` writes them
 (``NaN``, ``Infinity``, ``-Infinity``); the JSON and JSONL writers render their
 text themselves, and tests pin it byte for byte to ``json.dumps`` with the
 same settings.  A float table (curve samples, frames, mesh points) is
-formatted once, one ``repr`` per float, by :func:`_rows`, and every format
-of it is built from those row texts: a job that writes one table as CSV and
+formatted once by :func:`_rows`, column by column: a column that repeats its
+values (a constant force, a residual at rounding level) pays one ``repr``
+per distinct value, any other one ``repr`` per float.  Every format of the
+table is built from those row texts: a job that writes one table as CSV and
 then as JSON or JSONL pays for the ``repr`` pass once.  The cache behind
 :func:`_rows` holds one table, keyed on its exact bytes.  Nothing here
 embeds timestamps or environment state, so repeated runs produce
@@ -50,11 +52,45 @@ def _write_lines(path: str | Path, lines: list[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n" if lines else "", newline="\n")
 
 
+_BLOCK = 256  # rows whose cells are alive at once while a table is formatted
+
+
+def _cells(column: np.ndarray) -> list[str] | None:
+    """The cells of a column with at most half as many distinct values as
+    rows, each value formatted once; ``None`` for any other column.  Values
+    are told apart by their bits, so ``0.0`` and ``-0.0`` stay apart, as do
+    NaNs of different payloads."""
+    bits = column.view(f"u{column.itemsize}")
+    order = bits.argsort()
+    ranked = bits[order]
+    first = np.empty(len(bits), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    if 2 * np.count_nonzero(first) > len(bits):
+        return None
+    texts = list(map(repr, column[order[first]].tolist()))
+    index = np.empty(len(bits), dtype=np.intp)
+    index[order] = first.cumsum() - 1  # each row's value, by its rank among the distinct
+    return list(map(texts.__getitem__, index.tolist()))
+
+
 @functools.lru_cache(maxsize=1)
 def _formatted(dtype: str, shape: tuple, data: bytes) -> tuple[str, ...]:
     # tolist() gives Python floats, each written as its shortest round-trip repr
     table = np.frombuffer(data, dtype=dtype).reshape(shape)
-    return tuple([",".join(map(repr, row)) for row in table.tolist()])
+    n, width = shape
+    if not width:
+        return ("",) * n
+    repeated = [_cells(column) for column in table.T]
+    rows = []
+    # column by column, a block of rows at a time: one map per column and no
+    # Python statement per row or per cell
+    for start in range(0, n, _BLOCK):
+        stop = start + _BLOCK
+        columns = [map(repr, table[start:stop, j].tolist()) if cells is None
+                   else cells[start:stop] for j, cells in enumerate(repeated)]
+        rows += map(",".join, zip(*columns))
+    return tuple(rows)
 
 
 def _rows(table: np.ndarray) -> tuple[str, ...]:
@@ -114,8 +150,10 @@ def _render(value, indent: str) -> str:
         if not value:
             return "[]"
         if isinstance(value, _Table):  # each row a list of floats, a level deeper
-            cell = sep + "  "
-            body = sep.join(f"[\n{inner}  " + cell.join(_json_cells(row)) + f"\n{inner}]"
+            cell, start, end = sep + "  ", f"[\n{inner}  ", f"\n{inner}]"
+            # a row of finite floats is spelled as repr spells it: only its commas change
+            body = sep.join(start + (row.replace(",", cell) if "n" not in row
+                                     else cell.join(_json_cells(row))) + end
                             for row in value)
         elif set(map(type, value)) == {float}:  # exact floats, so repr is float's
             body = sep.join(map(repr, value))

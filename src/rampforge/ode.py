@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 import textwrap
 from dataclasses import dataclass
 from typing import Callable
@@ -24,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, SingularFieldError
-from .params import FrictionSpec
+from .params import FrictionSpec, _bounded
 
 DEFAULT_STEP_FACTOR = 1e-3   # default fixed step is 1e-3 / a
 
@@ -250,14 +249,6 @@ def _rk4_run(dim: int, params: str, stage: str, project: str = "", **names) -> C
     arithmetic on Pythons that do not inline them.
     """
     return _compile(_rk4_source(dim, params, stage, project), **names)["rk4"]
-
-
-def _bounded(count: float, message: str) -> float:
-    """``count``, if numpy can index in bytes a float64 array of ``count + 1``
-    values, rounded either way; else :class:`ParameterError` with ``message``."""
-    if not count < sys.maxsize // 8 - 1:
-        raise ParameterError(message)
-    return count
 
 
 def _grid(t0: float, t1: float, step: float) -> tuple[np.ndarray, float]:

@@ -9,6 +9,7 @@ from the inverse length scale ``a = g / (v**2 * sin(delta))``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 from .errors import ParameterError
@@ -50,6 +51,14 @@ def _require_positive(name: str, value: float) -> float:
         raise ParameterError(f"{name} must be finite and positive, got {value!r}",
                              code="magnitude")
     return value
+
+
+def _bounded(count: float, message: str) -> float:
+    """``count``, if numpy can index in bytes a float64 array of ``count + 1``
+    values, rounded either way; else :class:`ParameterError` with ``message``."""
+    if not count < sys.maxsize // 8 - 1:
+        raise ParameterError(message)
+    return count
 
 
 def _spec(delta: float, mu: float, sin_delta: float, g: float, v: float,

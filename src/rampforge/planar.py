@@ -197,6 +197,38 @@ def upper_ramp(spec: FrictionSpec) -> Ramp2D:
     return make_ramp(spec, Branch.UPPER)
 
 
+def _scale_factor(kappa) -> float:
+    kappa = float(kappa)
+    if not (math.isfinite(kappa) and kappa > 0.0):
+        raise ParameterError(f"scale factor must be positive, got {kappa!r}")
+    return kappa
+
+
+def _scale_ramp2d(ramp: Ramp2D, kappa: float) -> Ramp2D:
+    """``ramp`` dilated by ``kappa`` about the origin; see
+    :func:`ramp3d.scale_ramp`, which dilates any ramp geometry."""
+    kappa = _scale_factor(kappa)
+    inner = ramp.curve
+
+    def position(s):
+        return kappa * inner.position(np.asarray(s, dtype=float) / kappa)
+
+    def tangent(s):
+        return inner.tangent(np.asarray(s, dtype=float) / kappa)
+
+    def second_derivative(s):
+        return inner.second_derivative(np.asarray(s, dtype=float) / kappa) / kappa
+
+    def normal(s):
+        return ramp.normal(np.asarray(s, dtype=float) / kappa)
+
+    lo, hi = inner.domain
+    curve = PlanarCurve(position=position, tangent=tangent,
+                        second_derivative=second_derivative,
+                        domain=(kappa * lo, kappa * hi))
+    return Ramp2D(curve=curve, normal=normal, branch=ramp.branch)
+
+
 def normal_force_2d(spec: FrictionSpec, branch: Branch | str, t) -> np.ndarray:
     """Magnitude of the contact force at time ``t`` (arc length ``v t``), N.
 

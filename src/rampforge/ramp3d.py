@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ContractViolationError, ParameterError, SingularFieldError
 from .ode import DEFAULT_STEP_FACTOR, _compile, _grid, _rk4_run, _run, hermite
 from .params import FrictionSpec
-from .planar import PlanarCurve, Ramp2D
+from .planar import Ramp2D, _scale_factor, _scale_ramp2d
 
 log = logging.getLogger(__name__)
 
@@ -473,28 +473,6 @@ def build_surface(curve: SpaceCurve3D, r_extent: tuple[float, float] = (-0.5, 0.
                          vertices=vertices, vertex_normals=normals, ruling=ruling)
 
 
-def _scale_ramp2d(ramp: Ramp2D, kappa: float) -> Ramp2D:
-    inner = ramp.curve
-
-    def position(s):
-        return kappa * inner.position(np.asarray(s, dtype=float) / kappa)
-
-    def tangent(s):
-        return inner.tangent(np.asarray(s, dtype=float) / kappa)
-
-    def second_derivative(s):
-        return inner.second_derivative(np.asarray(s, dtype=float) / kappa) / kappa
-
-    def normal(s):
-        return ramp.normal(np.asarray(s, dtype=float) / kappa)
-
-    lo, hi = inner.domain
-    curve = PlanarCurve(position=position, tangent=tangent,
-                        second_derivative=second_derivative,
-                        domain=(kappa * lo, kappa * hi))
-    return Ramp2D(curve=curve, normal=normal, branch=ramp.branch)
-
-
 def scale_ramp(geometry, kappa: float):
     """Dilate a ramp geometry by ``kappa`` about the origin.
 
@@ -504,11 +482,9 @@ def scale_ramp(geometry, kappa: float):
     both specs and checks the dilated geometry against each.  Accepts
     :class:`Ramp2D`, :class:`SpaceCurve3D` and :class:`RampSurface3D`.
     """
-    kappa = float(kappa)
-    if not (math.isfinite(kappa) and kappa > 0.0):
-        raise ParameterError(f"scale factor must be positive, got {kappa!r}")
     if isinstance(geometry, Ramp2D):
         return _scale_ramp2d(geometry, kappa)
+    kappa = _scale_factor(kappa)
     if isinstance(geometry, SpaceCurve3D):
         return replace(geometry, s=kappa * geometry.s, alpha=kappa * geometry.alpha,
                        dgamma=geometry.dgamma / kappa)

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .ode import _bounded, hermite
-from .params import FrictionSpec
+from .params import FrictionSpec, _bounded
 from .planar import Ramp2D
 from .verify import _planar_balance, _spatial_balance
 
@@ -101,6 +100,8 @@ def simulate(spec: FrictionSpec, geometry, t_span: tuple[float, float],
             position = geometry.curve.position(s)
             velocity = spec.v * tangents
         else:
+            from .ode import hermite
+
             position = geometry.position(s)
             gamma, dgamma = hermite(geometry.s, geometry.gamma, geometry.dgamma, s)
             velocity = spec.v * gamma

@@ -20,9 +20,9 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, SingularFieldError
-from .ode import hermite, integrate_fixed
 from .params import FrictionSpec, make_spec
-from .planar import Ramp2D, default_span, normal_force_2d, tangent_angle_orbit_position
+from .planar import (Ramp2D, _scale_ramp2d, default_span, normal_force_2d,
+                     tangent_angle_orbit_position)
 
 if TYPE_CHECKING:  # the 3D functions import the hemisphere layer as they run
     from .ramp3d import SpaceCurve3D, TangentField
@@ -285,6 +285,8 @@ class Motion:
         :class:`ParameterError`.  ``path`` reads it, ``curve.tangent`` and
         ``curve.second_derivative`` once each; the derivatives are analytic.
         """
+        from .ode import hermite, integrate_fixed
+
         if not math.isfinite(start):
             raise ParameterError(f"start must be finite, got {start!r}")
         curve = ramp.curve
@@ -394,20 +396,17 @@ def verify_scaling(spec: FrictionSpec, geometry, kappa: float,
     same mass).  Works for planar ramps, space curves and surfaces (their
     base curve).
     """
-    from .ramp3d import RampSurface3D, SpaceCurve3D, scale_ramp
+    if isinstance(geometry, Ramp2D):
+        scaled, check = _scale_ramp2d(geometry, kappa), verify_2d
+    else:  # the hemisphere layer is loaded only for a 3D geometry
+        from .ramp3d import RampSurface3D, scale_ramp
 
-    if isinstance(geometry, RampSurface3D):
-        geometry = geometry.base
-    scaled = scale_ramp(geometry, kappa)
+        if isinstance(geometry, RampSurface3D):
+            geometry = geometry.base
+        # a SpaceCurve3D, or scale_ramp raises
+        scaled, check = scale_ramp(geometry, kappa), verify_3d
     speed_spec = make_spec(spec.delta, g=spec.g, v=math.sqrt(kappa) * spec.v, m=spec.m)
     gravity_spec = make_spec(spec.delta, g=spec.g / kappa, v=spec.v, m=spec.m)
-    if isinstance(scaled, Ramp2D):
-        check = verify_2d
-    elif isinstance(scaled, SpaceCurve3D):
-        check = verify_3d
-    else:
-        raise ParameterError(f"cannot verify scaling of {type(geometry).__name__}",
-                             code="config")
     return ScalingVerification(
         kappa=float(kappa), speed_spec=speed_spec, gravity_spec=gravity_spec,
         speed_report=check(speed_spec, scaled, n_samples=n_samples),

@@ -424,17 +424,15 @@ def test_cli_runs_as_module(tmp_path):
     assert json.loads(proc.stdout)["branch"] == "lower"
 
 
-def _run_entry(*argv, buffered, stdout=subprocess.PIPE, main_only=False, prelude=""):
-    # a fresh process running the console script's entry point, or the bare
-    # sys.exit(main()) that entry ran before it skipped teardown.  Whether
+def _run_entry(*argv, buffered, stdout=subprocess.PIPE, prelude=""):
+    # a fresh process running the console script's entry point.  Whether
     # stdout is block-buffered decides when a write reaches the pipe, so the
     # child's PYTHONUNBUFFERED is set here, whatever this process has
     env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
-    run = ("import sys; from rampforge.cli import main; sys.exit(main())" if main_only
-           else "from rampforge.cli import entry; entry()")
+    run = "from rampforge.cli import entry; entry()"
     return subprocess.run([sys.executable, "-c", prelude + run, *argv], env=env,
                           stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
 
@@ -468,17 +466,13 @@ def test_entry_exit_path(buffered):
 
 
 def test_entry_exit_with_stdout_reader_closed():
-    # unbuffered, the summary's own write fails inside main, which reports it
-    closed = _run_entry_closed_stdout(*_VERIFY_UPPER, buffered=False)
-    assert (closed.returncode, closed.stderr) == (3, "i/o error: [Errno 32] Broken pipe\n")
-    # buffered, main returns 0 with the summary still in the buffer; entry's
-    # flush fails and leaves the exit to the interpreter, which ends exactly
-    # as sys.exit(main()) does (on CPython 3.10-3.13: "Exception ignored ...
-    # BrokenPipeError" on stderr and exit code 120)
-    closed = _run_entry_closed_stdout(*_VERIFY_UPPER, buffered=True)
-    bare = _run_entry_closed_stdout(*_VERIFY_UPPER, buffered=True, main_only=True)
-    assert (closed.returncode, closed.stderr) == (bare.returncode, bare.stderr)
-    assert closed.returncode not in (0, 3) and "BrokenPipeError" in closed.stderr
+    # the summary's write (unbuffered) or its flush (buffered) fails inside
+    # main, which reports it; entry leaves the rest of a buffer that cannot
+    # be written to the null device, so no "Exception ignored" follows
+    for buffered in (False, True):
+        closed = _run_entry_closed_stdout(*_VERIFY_UPPER, buffered=buffered)
+        assert (closed.returncode, closed.stderr) == (
+            3, "i/o error: [Errno 32] Broken pipe\n"), buffered
 
 
 def test_entry_freezes_the_import_time_heap():
@@ -534,10 +528,12 @@ def test_command_loads_no_numpy_module_mid_command(tmp_path, argv):
 
 
 # the layers a command must not load: a 2D command never loads the 3D layer,
+# the RK4 integrators (ode) or logging, which only the hemisphere flow uses,
 # and only simulate loads the simulator
-_NOT_LOADED = {"generate2d": {"ramp3d", "verify", "sim"}, "generate3d": {"sim"},
-               "verify_branch": {"ramp3d", "sim"}, "verify_field": {"sim"},
-               "simulate": {"ramp3d"}, "scale": {"sim"}}
+_2D_NOT_LOADED = {"ramp3d", "ode", "logging"}
+_NOT_LOADED = {"generate2d": {*_2D_NOT_LOADED, "verify", "sim"}, "generate3d": {"sim"},
+               "verify_branch": {*_2D_NOT_LOADED, "sim"}, "verify_field": {"sim"},
+               "simulate": _2D_NOT_LOADED, "scale": {*_2D_NOT_LOADED, "sim"}}
 
 
 @pytest.mark.parametrize("name", _CYCLE)
@@ -545,13 +541,44 @@ def test_command_loads_only_the_layers_it_runs(tmp_path, name):
     code = ("import json, sys\n"
             "from rampforge import cli\n"
             "code = cli.main(sys.argv[1:])\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('rampforge.'))))\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.startswith('rampforge.') or m == 'logging')))\n"
             "sys.exit(code)\n")
     proc = subprocess.run([sys.executable, "-c", code, *_CYCLE[name]], cwd=tmp_path,
                           env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    held = {m.split(".")[1] for m in json.loads(proc.stdout.splitlines()[-1])}
+    held = {m.split(".")[-1] for m in json.loads(proc.stdout.splitlines()[-1])}
     assert not held & _NOT_LOADED[name], held
+
+
+# a field that stops the upslope flow where it crosses y3 = -0.3
+_WALLED = ("from rampforge import ramp3d\n"
+           "from rampforge.errors import SingularFieldError\n"
+           "upslope = ramp3d.builtin_field('upslope')\n"
+           "def walled(y):\n"
+           "    if y[2] < -0.3:\n"
+           "        raise SingularFieldError('hit the wall', point=y)\n"
+           "    return upslope(y)\n"
+           "ramp3d.builtin_field = lambda kind: ramp3d.TangentField('walled', walled)\n")
+
+
+def test_3d_command_logs_on_stderr(monkeypatch):
+    # a 3D command logs as it did when every command set logging up: the
+    # early-stop warning by default, the step count at RAMPFORGE_LOG=DEBUG
+    argv = ["verify", "--mu", "0.5", "--v", "5", "--field", "upslope", "--samples", "20"]
+    monkeypatch.delenv("RAMPFORGE_LOG", raising=False)
+    walled = _run_entry(*argv, "--y0", "1", "0", "0", "--smax", "5", "--step", "0.05",
+                        buffered=True, prelude=_WALLED)
+    assert walled.returncode == 0 and json.loads(walled.stdout)["meta"]["stopped_early"]
+    assert walled.stderr == ("WARNING rampforge.ramp3d: flow stopped early at "
+                             "s=1.2000000000000002: hit the wall\n")
+    monkeypatch.setenv("RAMPFORGE_LOG", "DEBUG")
+    debug = _run_entry(*argv, *_SMALL_3D, buffered=True)
+    assert debug.returncode == 0
+    assert debug.stderr == ("DEBUG rampforge.ramp3d: integrated 100 steps, "
+                            "norm drift total=8.082e-14 max=1.332e-15\n")
+    planar = _run_entry(*_VERIFY_UPPER, buffered=True)  # only the 3D layer logs
+    assert (planar.returncode, planar.stderr) == (0, "")
 
 
 def test_package_names_load_on_first_read():

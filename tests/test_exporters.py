@@ -312,3 +312,59 @@ def test_a_table_changed_in_place_is_formatted_again(tmp_path, fig_spec):
         column[1] = math.nan
         after = _text(tmp_path, first)
         assert after != before[0] and [after] == _written(tmp_path, [first])
+
+
+def _nan(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+# more rows than one block of the formatting, not a whole number of blocks,
+# and even, so that a column can hold exactly half as many values as rows
+_LONG = 2 * exporters._BLOCK + 4
+
+
+def _columns(rng, rows: int) -> np.ndarray:
+    # 8 columns: each kind of column the formatting tells apart
+    half = rows // 2
+    return np.column_stack([
+        np.full(rows, 9.81),                                     # constant
+        np.resize([0.0, -0.0], rows),                            # signed zeros
+        np.resize([_nan(0x7FF8000000000000), _nan(0x7FF8000000000001), math.inf,
+                   -math.inf, _nan(0xFFF8000000000000), 1.5], rows),
+        rng.standard_normal(rows),                               # no value twice
+        np.resize(rng.standard_normal(half), rows),              # half as many values as rows
+        np.resize(rng.standard_normal(half + 1), rows),          # one more than that
+        np.resize([0.1, -0.0, 0.1, 5e-324, 0.0], rows),
+        np.arange(rows) * 0.1])
+
+
+@pytest.mark.parametrize("table", [
+    _columns(np.random.default_rng(7), _LONG),
+    _columns(np.random.default_rng(8), exporters._BLOCK),
+    _columns(np.random.default_rng(9), 1),
+    np.empty((4, 0)),
+    np.empty((0, 3))],
+    ids=["blocks", "one_block", "one_row", "no_columns", "no_rows"])
+def test_rows_are_the_repr_of_each_row(table):
+    exporters._formatted.cache_clear()
+    assert exporters._rows(table) == tuple(",".join(map(repr, row)) for row in table.tolist())
+
+
+@pytest.mark.parametrize("finite", [False, True], ids=["nonfinite", "finite"])
+def test_curve2d_json_samples_are_json_dumps(tmp_path, finite):
+    table = _columns(np.random.default_rng(10), _LONG)
+    if finite:
+        table[:, 2] = np.resize([1.5, -2.5, 1e300], _LONG)
+    assert np.isfinite(table).all() == finite
+    spec = spec_from_mu(0.5, v=5.0)
+    path = tmp_path / "curve.json"
+    write_curve2d_json(path, spec, dict(zip(_CURVE2D_KEYS, table.T)))
+    assert path.read_text() == json.dumps(
+        {"spec": spec_to_dict(spec), "columns": _CURVE2D_KEYS, "samples": table.tolist()},
+        indent=2, sort_keys=True) + "\n"
+
+
+def test_only_columns_with_few_values_format_each_value_once():
+    table = _columns(np.random.default_rng(7), _LONG)
+    once = [exporters._cells(column) is not None for column in table.T]
+    assert once == [True, True, True, False, True, False, True, False]
