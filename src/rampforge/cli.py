@@ -97,8 +97,6 @@ def _spec_from_args(args: argparse.Namespace) -> FrictionSpec:
 
 
 def _normalized_y0(values) -> np.ndarray:
-    from .ramp3d import hemisphere_point
-
     if values is None:
         raise ParameterError("--y0 (initial direction) is required for 3d geometry",
                              code="config")
@@ -107,7 +105,7 @@ def _normalized_y0(values) -> np.ndarray:
     if norm == 0.0 or not math.isfinite(norm):
         raise ParameterError(f"--y0 must be a nonzero finite vector, got {values!r}",
                              code="config")
-    return hemisphere_point(y0 / norm)
+    return y0 / norm  # integrate_ramp3d checks that it is in the hemisphere
 
 
 def _integrate_from_args(spec: FrictionSpec, args: argparse.Namespace) -> SpaceCurve3D:

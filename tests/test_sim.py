@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rampforge import (ParameterError, builtin_field,
                        integrate_ramp3d, lower_ramp, simulate, spec_from_mu,
@@ -33,12 +37,41 @@ def test_frames_carry_consistent_forces_2d(fig_spec):
     assert np.all(np.linalg.norm(frames["residual"], axis=-1) < 1e-10)
 
 
+def _flip_param(spec):
+    """Arc length past the apex at which the lower branch's tangent turns
+    vertical: ``gamma(s*) = alpha_rot(-asinh(mu) / a)``."""
+    return (math.asinh(1.0 / spec.mu) + math.asinh(spec.mu)) / spec.a
+
+
 def test_frames_2d_normal_flips_on_lower_branch(fig_spec):
-    # near the apex the lower branch holds the block from above
+    # near the apex the lower branch holds the block from above; from s*
+    # on the block rides on top (the first frame, at lambda = 0, is skipped)
     trace = simulate(fig_spec, lower_ramp(fig_spec), (0.01, 2.0), fps=30.0)
     ny = trace.frames["normal_force"][:, 1]
-    assert ny[0] < 0.0
-    assert ny[-1] > 0.0
+    t_flip = _flip_param(fig_spec) / fig_spec.v  # 0.4387 s
+    assert np.array_equal(ny > 0.0, trace.frames["t"] > t_flip)
+    assert np.all(ny != 0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mu=st.floats(0.01, 0.99), v=st.floats(0.5, 50.0))
+@example(mu=0.5, v=5.0)
+@example(mu=0.2, v=1.0)
+@example(mu=0.9, v=30.0)
+def test_normal_flips_where_the_lower_branch_turns_vertical(mu, v):
+    spec = spec_from_mu(mu, g=9.81, v=v, m=1.0)
+    s_flip = _flip_param(spec)
+    before = s_flip * np.array([0.0, 0.25, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-9])
+    after = s_flip * np.array([1.0 + 1e-9, 1.0 + 1e-6, 1.1, 2.0, 5.0, 100.0])
+    lower = lower_ramp(spec)
+    assert np.all(lower.normal(before)[:, 1] < 0.0)
+    assert np.all(lower.normal(after)[:, 1] > 0.0)
+    assert abs(lower.normal(s_flip)[1]) < 1e-14
+    # the upper branch's normal tilts from straight up towards the incline's
+    # (the gap to cos(delta) reaches rounding level near s = 30 / a, and the
+    # closed-form tangent is unit only to rounding)
+    ny = upper_ramp(spec).normal(np.linspace(0.0, 20.0 / spec.a, 401))[:, 1]
+    assert np.all((ny > math.cos(spec.delta)) & (ny <= 1.0 + 1e-15))
 
 
 def test_frame_grid_3d_and_truncation(fig_spec):
