@@ -13,8 +13,9 @@ command's stdout and every file it writes.
 
 In this process, the same sources then compile each generated text once,
 and the text that ``rampforge.ode._compile`` passes to ``compile`` is
-digested under ``generated <run>``: each built-in field's ``eval`` and RK4
-run, the run that calls a custom ``eval``, the tangent-angle run and
+digested under ``generated <run>``: each built-in field's row reader
+(``<field> eval``, as its ``eval`` is the reader on one row) and RK4 run,
+the run that calls a custom ``eval``, the tangent-angle run and
 ``integrate_fixed``'s run for d = 1, 2 and 3.  Last, this process writes
 one table in two formats, one after the other, as a ``planar2d`` job
 does, and digests each file under ``written <table>``: the lower branch

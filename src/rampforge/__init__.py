@@ -58,57 +58,6 @@ __version__ = "0.1.0"
 # scripts and benchmark import.  The other names in _SUBMODULES (result
 # types that callers receive but never build, the error base class and the
 # default step factor) stay importable from here without being listed.
-__all__ = [
-    "Branch",
-    "ContractViolationError",
-    "DELTA_MAX",
-    "Feasibility",
-    "FrictionSpec",
-    "Motion",
-    "ParameterError",
-    "PlanarCurve",
-    "Ramp2D",
-    "SingularFieldError",
-    "SpaceCurve3D",
-    "TangentField",
-    "Verdict",
-    "alpha",
-    "alpha_rotated",
-    "alpha_rotated_second_derivative",
-    "alpha_rotated_tangent",
-    "alpha_second_derivative",
-    "alpha_tangent",
-    "apex_param",
-    "asymptote_gap",
-    "build_surface",
-    "builtin_field",
-    "cumulative_simpson",
-    "default_span",
-    "e3_tangential",
-    "field_x",
-    "hemisphere_point",
-    "integrate_fixed",
-    "integrate_ramp3d",
-    "integrate_theta",
-    "lambda_3d",
-    "lower_ramp",
-    "make_ramp",
-    "make_spec",
-    "normal_force_2d",
-    "normal_sign_diagnostic",
-    "planar_reduction_check",
-    "rotate_clockwise",
-    "sample_ramp",
-    "scale_ramp",
-    "simulate",
-    "spec_from_mu",
-    "spec_to_dict",
-    "tangent_angle_orbit_position",
-    "theta_closed_form",
-    "theta_closed_form_derivative",
-    "theta_ode_rhs",
-    "upper_ramp",
-    "verify_2d",
-    "verify_3d",
-    "verify_scaling",
-]
+__all__ = sorted(_SOURCE.keys() - {
+    "DEFAULT_STEP_FACTOR", "FeasibilityReport", "ForceBalanceReport", "MotionTrace",
+    "RampError", "RampSurface3D", "ScalingVerification", "ThetaTrace"})

@@ -74,13 +74,13 @@ class TangentField:
     ``SINGULAR_TOL`` of the field's singular set.  ``singular_set`` is a
     human-readable description used in diagnostics.
 
-    The ``eval`` of a :func:`builtin_field` is compiled from the field's
-    component source, and so is its RK4 run, which runs the field inline;
-    :func:`field_x` is a one-sample call of that run.  A field with any
-    other ``eval``, such as a built-in one rebuilt around a wrapper of its
-    ``eval``, is called through ``eval``: :func:`integrate_ramp3d` reads it
-    once when it starts, once per RK4 stage and once per sample, ``4n + 2``
-    calls for ``n`` steps, and :func:`field_x` calls it once.
+    Every reader of a field runs code compiled from its field block
+    (:func:`_block`): the RK4 run, of which :func:`field_x` is a one-sample
+    call, or the row reader (the start check, ``verify_3d``, ``simulate``,
+    ``build_surface``, ``planar_reduction_check``).  A :func:`builtin_field`'s
+    block is its component source, and its ``eval`` the reader on one row.
+    Any other ``eval``, such as a built-in one behind a wrapper, is called:
+    ``4n + 2`` times by :func:`integrate_ramp3d` for ``n`` steps.
     """
 
     name: str
@@ -122,12 +122,13 @@ _SOURCES = {
               + "w1, w2, w3 = w * u1 + c * h1, w * u2 + c * h2, w * u3 + c * h3\n"
               + _unit("w", "n")),
 }
-# the field block of any other field: a call of its eval, each value read as
-# the float of the same value (`* 1.0` refuses a string, float() a complex)
+# the field block of any other field: a call of its eval, an array read as
+# its list (numpy 1 takes the float of a 1-element array), each value as the
+# float of the same value (`* 1.0` refuses a string, float() a complex)
 _CALL_EVAL = """\
 n = normal({point})
 try:
-    n1, n2, n3 = n
+    n1, n2, n3 = n.tolist() if hasattr(n, "tolist") else n
     n1, n2, n3 = float(n1 * 1.0), float(n2 * 1.0), float(n3 * 1.0)
 except (TypeError, ValueError):  # TypeError: n is not iterable, or not numbers
     raise malformed(name, n) from None
@@ -143,7 +144,6 @@ def _stage(block: str) -> str:
     return f"y1, y2, y3 = {{point}}\n{block.format(point='[y1, y2, y3]')}{_FLOW}"
 
 
-_CALL_EVAL_STAGE = _stage(_CALL_EVAL)
 _FLOW_PARAMS = "k, mu, name, w, c, normal, drift, h, hh, h6"  # of each field's rk4
 
 # the state after an RK4 step back onto the sphere, its drift recorded
@@ -156,15 +156,18 @@ if err > drift[1]:  # a NaN drift is skipped, as max() skips it
 x0, x1, x2 = x0 / r, x1 / r, x2 / r
 """
 
-_EVAL_TEMPLATE = """\
-def bind_eval(name, w, c):
-    def eval(y):
-        y1, y2, y3 = y
-{field}        return n1, n2, n3
-    return eval
+# the row reader of a field block: its n1, n2, n3 at each row, as a stage reads them
+_READER = """\
+def bind(name, w, c, normal):
+    def normals(rows):
+        table = []
+        for y in rows:
+            y1, y2, y3 = y
+{block}            table.append((n1, n2, n3))
+        return table
+    return normals
 """
-# each compiled built-in eval -> (the RK4 stage of its component source,
-# the name it raises with, its blend weight)
+# each built-in eval -> (its component source, the name it raises with, its weight)
 _builtin_evals: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -178,31 +181,34 @@ def _malformed(name: str, n) -> ContractViolationError:
         f"field {name!r} must return 3 values, each a real number, got {n!r}")
 
 
-def _normals(tangent_field: TangentField, rows) -> np.ndarray:
-    """The ``(n, 3)`` float table of the field at ``rows``, each value read
-    as :data:`_CALL_EVAL` reads it; :class:`SingularFieldError` passes through."""
-    table = []
-    for y in rows:
-        n = tangent_field.eval(y)
-        try:  # an array as its list: numpy 1 takes the float of a 1-element array
-            n1, n2, n3 = n.tolist() if type(n) is np.ndarray else n
-            table.append((float(n1 * 1.0), float(n2 * 1.0), float(n3 * 1.0)))
-        except (TypeError, ValueError):  # TypeError: n is not iterable, or not numbers
-            raise _malformed(tangent_field.name, n) from None
-    return np.array(table)
-
-
-def _eval_source(source: str) -> str:
-    # the text of bind_eval for a field's component source
-    return _EVAL_TEMPLATE.format(field=textwrap.indent(source.format(point="y"), " " * 8))
+def _reader_source(block: str) -> str:
+    # the text of bind (_READER) for a field block, read at the row `y`
+    return _READER.format(block=textwrap.indent(block.format(point="y"), " " * 12))
 
 
 @functools.cache
-def _bind_eval(source: str) -> Callable:
-    """``bind_eval(name, w, c)``, which returns the ``eval`` of a built-in
-    field, compiled from its component source (:func:`_eval_source`) once
-    per source, on first use, like :func:`ode._rk4_run`."""
-    return _compile(_eval_source(source), singular=_singular)["bind_eval"]
+def _reader(block: str) -> Callable:
+    """``bind(name, w, c, normal)``, which returns the row reader
+    ``normals(rows)`` of a field block, compiled from :func:`_reader_source`
+    once per block, on first use, like :func:`ode._rk4_run`."""
+    return _compile(_reader_source(block), singular=_singular, malformed=_malformed)["bind"]
+
+
+def _block(tangent_field: TangentField) -> tuple:
+    """The field block of a field, the name it raises with and its blend
+    weight: the component source of a built-in ``eval``, raising with that
+    ``eval``'s own name, else :data:`_CALL_EVAL`, a call of the ``eval``."""
+    try:
+        return _builtin_evals[tangent_field.eval]
+    except (KeyError, TypeError):  # TypeError: an eval with no hash or weak reference
+        return _CALL_EVAL, tangent_field.name, 0.0
+
+
+def _normals(tangent_field: TangentField, rows) -> np.ndarray:
+    """The ``(n, 3)`` float table of the field at ``rows``, read by the row
+    reader of its field block; :class:`SingularFieldError` passes through."""
+    block, name, w = _block(tangent_field)
+    return np.array(_reader(block)(name, w, 1.0 - w, tangent_field.eval)(rows))
 
 
 def builtin_field(kind: str, weight: float | None = None) -> TangentField:
@@ -234,27 +240,22 @@ def builtin_field(kind: str, weight: float | None = None) -> TangentField:
                                  code="config")
         w = float(weight)
         name = f"blend:{w!r}"
-    source = _SOURCES[kind]
-    field_eval = _bind_eval(source)(name, w, 1.0 - w)
-    _builtin_evals[field_eval] = _stage(source), name, w
+    normals = _reader(_SOURCES[kind])(name, w, 1.0 - w, None)
+
+    def field_eval(y):  # the reader on one row
+        return normals((y,))[0]
+
+    _builtin_evals[field_eval] = _SOURCES[kind], name, w
     return TangentField(name=name, eval=field_eval, singular_set="south pole (0, 0, -1)")
 
 
 def _bind(spec: FrictionSpec, tangent_field: TangentField, drift: list,
           h: float) -> Callable:
-    """The compiled RK4 ``run`` of a field (:func:`ode._rk4_source`),
-    bound to ``spec``, the field, the drift record ``drift`` and the step
-    ``h``.
-
-    Inline from the component source when the field's ``eval`` is a
-    built-in one, raising with that ``eval``'s own name as a call of it
-    would; any other ``eval`` is called in each stage.
-    """
-    try:
-        stage, name, w = _builtin_evals[tangent_field.eval]
-    except (KeyError, TypeError):  # TypeError: an eval with no hash or weak reference
-        stage, name, w = _CALL_EVAL_STAGE, tangent_field.name, 0.0
-    rk4 = _rk4_run(3, _FLOW_PARAMS, stage, _RENORMALIZE, singular=_singular,
+    """The compiled RK4 ``run`` (:func:`ode._rk4_source`) of a field's
+    block (:func:`_block`), bound to ``spec``, the field, the drift record
+    ``drift`` and the step ``h``."""
+    block, name, w = _block(tangent_field)
+    rk4 = _rk4_run(3, _FLOW_PARAMS, _stage(block), _RENORMALIZE, singular=_singular,
                    malformed=_malformed)
     return rk4(-(spec.g / (spec.v * spec.v)), spec.mu, name, w, 1.0 - w,
                tangent_field.eval, drift, h, 0.5 * h, h / 6.0)
@@ -271,9 +272,7 @@ def field_x(spec: FrictionSpec, tangent_field: TangentField, y) -> tuple:
     ``-(g / v**2) * (e3_tangential(y) + (y3 / mu) * N(y))``:
     ``k * (e3T_i + q * n_i)`` with ``k = -(g / v**2)``, ``q = y3 / mu`` and
     ``e3T = (0 - y3*y1, 0 - y3*y2, 1 - y3*y3)``, so it matches that
-    expression bit for bit.  The built-in fields normalise with the sum of
-    squares in that order, so an evaluation involves no BLAS call and gives
-    the same bits on every host.  A singular ``y`` raises
+    expression bit for bit, with no BLAS call.  A singular ``y`` raises
     :class:`SingularFieldError`, and an ``eval`` that returns other than
     three real numbers :class:`ContractViolationError`.
     """
@@ -429,19 +428,19 @@ class RampSurface3D:
 
 
 def _ruling_grid(r_extent: tuple[float, float], n_r: int) -> np.ndarray:
-    # grid across the strip that contains r = 0 exactly
+    # grid across the strip that contains r = 0 exactly, with a cell on
+    # each side of 0 that the strip reaches
     r_min, r_max = float(r_extent[0]), float(r_extent[1])
     if not (math.isfinite(r_min) and math.isfinite(r_max)):
         raise ParameterError(f"r_extent must be finite, got {r_extent!r}")
     if not (r_min <= 0.0 <= r_max) or r_min == r_max:
         raise ParameterError(
             f"r_extent must straddle 0 with r_min < r_max, got {r_extent!r}")
-    if r_min == 0.0:
-        return np.linspace(0.0, r_max, n_r + 1)
-    if r_max == 0.0:
-        return np.linspace(r_min, 0.0, n_r + 1)
-    n_neg = int(round(n_r * (-r_min) / (r_max - r_min)))
-    n_neg = min(max(n_neg, 1), n_r - 1)
+    low, high = int(r_min < 0.0), n_r - int(r_max > 0.0)  # bounds of the cells below 0
+    if low > high:
+        raise ParameterError(f"r_extent {r_extent!r} reaches both sides of 0, which "
+                             f"needs at least 2 cells across, got {n_r}")
+    n_neg = min(max(int(round(n_r * (-r_min) / (r_max - r_min))), low), high)
     return np.concatenate([np.linspace(r_min, 0.0, n_neg + 1)[:-1],
                            np.linspace(0.0, r_max, n_r - n_neg + 1)])
 
@@ -453,7 +452,8 @@ def build_surface(curve: SpaceCurve3D, r_extent: tuple[float, float] = (-0.5, 0.
     The ruling is orthogonal to both the motion direction and the contact
     normal, so the sheet contains the trajectory (its ``r = 0`` row) and
     touches the block along it with normal ``N``.  Developability is not checked.
-    A field value other than three real numbers raises :class:`ContractViolationError`.
+    A field value other than three real numbers raises :class:`ContractViolationError`,
+    and a strip on both sides of 0 less than 2 cells across :class:`ParameterError`.
     """
     n_s, n_r = int(resolution[0]), int(resolution[1])
     if n_s < 1 or n_r < 1:

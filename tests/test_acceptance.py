@@ -5,9 +5,13 @@ criterion.  Tolerances and runtime budgets are asserted inside the tests, so
 a failure here means the criterion itself is not met.
 """
 
+import contextlib
+import io
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,3 +276,15 @@ def test_c11_cli_determinism(tmp_path, capsys):
             json.loads(stdout)  # stdout stays machine-readable
         assert captures[0][0] == captures[1][0], f"{name}: stdout differs"
         assert captures[0][1] == captures[1][1], f"{name}: files differ"
+
+
+def test_readme_python_examples_print_valid():
+    # the README's Python blocks, run in order in one namespace as a reader
+    # pastes them: the 3D block reuses the quick start's spec
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 2
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile("".join(blocks), "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == ["Valid", "Valid"]

@@ -309,6 +309,16 @@ def test_generate3d_infinite_r_extent_exits_2(capsys, tmp_path, r_extent):
     assert not list(tmp_path.iterdir())
 
 
+def test_generate3d_one_cell_across_a_two_sided_strip_exits_2(capsys, tmp_path):
+    # the default strip (-0.5, 0.5) reaches both sides of the path
+    code, _, err = run(capsys, "generate3d", "--mu", "0.5", "--v", "5",
+                       "--field", "upslope", "--y0", "0.8", "0", "-0.6",
+                       "--smax", "0.5", "--mesh", "20x1", "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert "at least 2 cells" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_command_2d(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, stdout, _ = run(capsys, "verify", "--mu", "0.5", "--v", "5",

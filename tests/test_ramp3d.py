@@ -404,8 +404,13 @@ BAD_FIELDS = {
     "complex": lambda y: tuple(complex(c) for c in _HORIZONTAL(y)),
     "strings": lambda y: tuple(repr(c) for c in _HORIZONTAL(y)),
     "hole": lambda y: (*_HORIZONTAL(y)[:2], None),
+    # three 1-element rows, each of which numpy 1 takes the float of
+    "column": lambda y: np.array(_HORIZONTAL(y)).reshape(3, 1),
 }
 FIELD_READERS = {
+    "integrate_ramp3d": lambda spec, curve: integrate_ramp3d(spec, curve.field,
+                                                             curve.gamma[0], 0.1),
+    "field_x": lambda spec, curve: field_x(spec, curve.field, curve.gamma[0]),
     "verify_3d": verify_3d,
     "simulate": lambda spec, curve: simulate(spec, curve, (0.0, 0.1)),
     "build_surface": lambda spec, curve: build_surface(curve, resolution=(8, 2)),
@@ -418,7 +423,9 @@ FIELD_READERS = {
 def test_every_reader_of_a_field_holds_the_contract(fig_spec, name, reader):
     # a curve integrated with a good field, then given a bad one: a complex
     # field used to read Valid and give complex normals, a pair a surface
-    # (np.cross pads it with 0), the others bare numpy errors
+    # (np.cross pads it with 0), the others bare numpy errors; on numpy 1 a
+    # column passed field_x but failed the other readers.  All now read the
+    # field through code compiled from its one field block
     curve = integrate_ramp3d(fig_spec, _HORIZONTAL, [0.8, 0.0, -0.6], 1.0 / fig_spec.a)
     curve = dataclasses.replace(curve, field=TangentField(name, eval=BAD_FIELDS[name]))
     with pytest.raises(ContractViolationError, match=f"field '{name}' must return 3 values"):
@@ -545,8 +552,8 @@ def test_3d_bits_do_not_depend_on_blas_kernel_or_simd_target():
 # rampforge and no numpy, and prints the rows, the stop and the digest of
 # the samples.  A run that calls a function gets it compiled here from the
 # job's helper source, which defines `f`, and passed as its argument call_at.
-# A job with points is a built-in field's bind_eval: its eval, bound to the
-# arguments, gives a row of samples at each point.
+# A job with points is the row reader of a built-in field's block: bound to
+# the arguments, it reads all points in one call, a row of samples each.
 _GENERATED_CHILD = """
 import array, hashlib, json, math, sys
 
@@ -563,8 +570,8 @@ namespace = {"SingularFieldError": SingularFieldError, "ParameterError": ValueEr
 exec(compile(job["source"] + job["helper"], "<generated>", "exec"), namespace)
 args = job["args"]
 if "points" in job:
-    field = namespace["bind_eval"](*args)
-    ys = array.array("d", [v for y in job["points"] for v in field(y)])
+    normals = namespace["bind"](*args)
+    ys = array.array("d", [v for n in normals(job["points"]) for v in n])
     rows, stop = len(job["points"]), None
 else:
     if job["call_at"] is not None:
@@ -594,7 +601,7 @@ _RHS_SOURCES = {
 GENERATED_RUNS = ["blend:0.5", "upslope", "horizontal", "eval-call", "theta",
                   "fixed-d1", "fixed-d2", "fixed-d3",
                   "eval upslope", "eval horizontal", "eval blend:0.5"]
-# the directions a built-in eval is sampled at, from near the south pole,
+# the rows a built-in field's reader reads, from near the south pole,
 # where it is singular, to above the equator
 EVAL_POINTS = [[math.sin(a) * math.cos(b), math.sin(a) * math.sin(b), -math.cos(a)]
                for a in (0.3, 1.1, 1.6, 2.5) for b in (0.0, 2.0, 4.0)]
@@ -613,9 +620,9 @@ def _generated_run(spec, run: str):
         field = builtin_field(run[5:])
         kind, _, weight = run[5:].partition(":")
         w = float(weight or 0.0)
-        job = {"source": ramp3d._eval_source(ramp3d._SOURCES[kind]), "helper": "",
-               "args": [field.name, w, 1.0 - w], "points": EVAL_POINTS}
-        return job, np.array([field.eval(y) for y in EVAL_POINTS])
+        job = {"source": ramp3d._reader_source(ramp3d._SOURCES[kind]), "helper": "",
+               "args": [field.name, w, 1.0 - w, None], "points": EVAL_POINTS}
+        return job, ramp3d._normals(field, EVAL_POINTS)
     if run.startswith("fixed-d"):
         d = int(run[-1])
         times, h = ode._grid(0.0, 2.0, 0.01)
@@ -634,7 +641,7 @@ def _generated_run(spec, run: str):
         return job, ode.integrate_theta(spec, 0.5, (0.0, s_max)).theta
     if run == "eval-call":
         field = TangentField("custom", eval=_helper(_EVAL_SOURCE))
-        stage, w = ramp3d._CALL_EVAL_STAGE, 0.0
+        stage, w = ramp3d._stage(ramp3d._CALL_EVAL), 0.0
         job.update(helper=_EVAL_SOURCE, call_at=5)  # normal, of _FLOW_PARAMS
     else:
         field = builtin_field(run)
@@ -804,6 +811,21 @@ def test_build_surface_validation(fig_spec):
         build_surface(curve, r_extent=(0.5, -0.5))
     with pytest.raises(ParameterError):
         build_surface(curve, resolution=(0, 4))
+
+
+def test_strip_on_both_sides_of_zero_needs_two_cells(fig_spec):
+    # one cell across such a strip used to drop its r < 0 half: the grid
+    # was [0, r_max].  A one-sided strip takes one cell
+    curve = integrate_ramp3d(fig_spec, builtin_field("upslope"),
+                             [1.0, 0.0, 0.0], 0.5, step=0.01)
+    for r_extent in ((-0.5, 0.5), (-1e-9, 1.0), (-1.0, 1e-9)):
+        with pytest.raises(ParameterError, match="at least 2 cells"):
+            build_surface(curve, r_extent=r_extent, resolution=(8, 1))
+        r_grid = build_surface(curve, r_extent=r_extent, resolution=(8, 2)).r_grid
+        assert r_grid.tolist() == [r_extent[0], 0.0, r_extent[1]]
+    for r_extent in ((0.0, 0.5), (-0.5, 0.0)):
+        r_grid = build_surface(curve, r_extent=r_extent, resolution=(8, 1)).r_grid
+        assert r_grid.tolist() == list(r_extent)
 
 
 @pytest.mark.parametrize("r_extent", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
