@@ -43,10 +43,6 @@ CURVE3D_HEADER = "s,x,y,z,tx,ty,tz,lambda"
 SVG_WIDTH = 800.0  # px; the height follows the curve's aspect ratio
 
 
-def fmt6(value: float) -> str:
-    return format(float(value), ".6g")
-
-
 def _write_lines(path: str | Path, lines: list[str]) -> None:
     # no lines is an empty file, not a file holding one empty line
     Path(path).write_text("\n".join(lines) + "\n" if lines else "", newline="\n")
@@ -212,11 +208,11 @@ def write_curve2d_svg(path: str | Path, x: np.ndarray, y: np.ndarray) -> None:
     w, h = span_x + 2 * margin, span_y + 2 * margin
     height = SVG_WIDTH * h / w
     stroke = 0.004 * max(w, h)
-    d = "M " + " L ".join(f"{px:.6g} {py:.6g}" for px, py in zip(x.tolist(), y.tolist()))
+    d = "M " + " L ".join(map("{:.6g} {:.6g}".format, x.tolist(), y.tolist()))
     svg = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt6(SVG_WIDTH)}" '
-        f'height="{fmt6(height)}" viewBox="{fmt6(x0)} {fmt6(y0)} {fmt6(w)} {fmt6(h)}">\n'
-        f'  <path d="{d}" fill="none" stroke="black" stroke-width="{fmt6(stroke)}"/>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH:.6g}" '
+        f'height="{height:.6g}" viewBox="{x0:.6g} {y0:.6g} {w:.6g} {h:.6g}">\n'
+        f'  <path d="{d}" fill="none" stroke="black" stroke-width="{stroke:.6g}"/>\n'
         f'</svg>'
     )
     Path(path).write_text(svg + "\n", newline="\n")
@@ -242,16 +238,13 @@ def write_obj(path: str | Path, surface: RampSurface3D) -> None:
              f"# rows (s): {n_s + 1}  columns (r): {n_r + 1}"]
     lines += _obj_points("v", surface.vertices)
     lines += _obj_points("vn", surface.vertex_normals)
-
-    def vid(i: int, j: int) -> int:
-        return i * (n_r + 1) + j + 1
-
-    for i in range(n_s):
-        for j in range(n_r):
-            a, b = vid(i, j), vid(i, j + 1)
-            c, d = vid(i + 1, j), vid(i + 1, j + 1)
-            lines.append(f"f {a}//{i + 1} {b}//{i + 1} {c}//{i + 2}")
-            lines.append(f"f {b}//{i + 1} {d}//{i + 2} {c}//{i + 2}")
+    # quad (i, j) has corners a, a + 1 (along r) and a + n_r + 1, a + n_r + 2
+    # (next s row), with 1-based vertex id a; its rows' normals are i + 1, i + 2
+    i, j = np.divmod(np.arange(n_s * n_r), n_r)
+    a = i * (n_r + 1) + j + 1
+    faces = "f {0}//{4} {1}//{4} {2}//{5}\nf {1}//{4} {3}//{5} {2}//{5}".format
+    lines += map(faces, *(ids.tolist() for ids in (a, a + 1, a + n_r + 1, a + n_r + 2,
+                                                    i + 1, i + 2)))
     _write_lines(path, lines)
 
 

@@ -13,7 +13,7 @@ cannot mask a bad component.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
@@ -405,8 +405,11 @@ def verify_scaling(spec: FrictionSpec, geometry, kappa: float,
             geometry = geometry.base
         # a SpaceCurve3D, or scale_ramp raises
         scaled, check = scale_ramp(geometry, kappa), verify_3d
-    speed_spec = make_spec(spec.delta, g=spec.g, v=math.sqrt(kappa) * spec.v, m=spec.m)
-    gravity_spec = make_spec(spec.delta, g=spec.g / kappa, v=spec.v, m=spec.m)
+    # make_spec reads mu back as tan(delta), which can miss the caller's mu by
+    # an ulp: both readings keep spec's mu, delta and m verbatim
+    speed_spec, gravity_spec = (
+        replace(make_spec(spec.delta, g=g, v=v, m=spec.m), mu=spec.mu)
+        for g, v in ((spec.g, math.sqrt(kappa) * spec.v), (spec.g / kappa, spec.v)))
     return ScalingVerification(
         kappa=float(kappa), speed_spec=speed_spec, gravity_spec=gravity_spec,
         speed_report=check(speed_spec, scaled, n_samples=n_samples),

@@ -364,6 +364,29 @@ def test_verify_requires_exactly_one_geometry(capsys):
                "lower", "--field", "upslope", "--y0", "1", "0", "0")[0] == 2
 
 
+Y0 = ["--y0", "0.8", "0", "-0.6"]
+
+
+@pytest.mark.parametrize("command, argv, option", [
+    ("verify", ["--field", "horizontal", *Y0, "--t-span", "0", "0.1"], "--t-span"),
+    ("verify", ["--branch", "upper", *Y0], "--y0"),
+    ("simulate", ["--branch", "lower", "--smax", "1"], "--smax"),
+    ("scale", ["--branch", "upper", "--kappa", "6", "--step", "0.01"], "--step"),
+], ids=["verify field t-span", "verify branch y0", "simulate branch smax",
+        "scale branch step"])
+def test_option_of_the_other_geometry_exits_2(tmp_path, capsys, command, argv, option):
+    # an option the chosen geometry does not read is an error that names
+    # it, given as a flag or as a config file's key
+    code, stdout, err = run(capsys, command, "--mu", "0.5", "--v", "5", *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {option} applies only to ")
+    conf = tmp_path / "conf.json"
+    at = argv.index(option)  # each case gives the option last
+    conf.write_text(json.dumps({option[2:]: argv[at + 1:]}))
+    assert run(capsys, command, "--config", str(conf), "--mu", "0.5", "--v", "5",
+               *argv[:at]) == (code, stdout, err)
+
+
 def test_simulate_command(tmp_path, capsys):
     out = tmp_path / "frames.jsonl"
     code, stdout, _ = run(capsys, "simulate", "--mu", "0.5", "--v", "5",
@@ -412,6 +435,9 @@ def test_scale_command(capsys):
     payload = json.loads(stdout)
     assert payload["both_valid"] is True
     assert payload["kappa"] == 6.0
+    # both readings print the given mu, not tan(atan(0.5)) = 0.49999999999999994
+    assert [payload[reading]["spec"]["mu"] for reading in (
+        "speed_reinterpretation", "gravity_reinterpretation")] == [0.5, 0.5]
     assert run(capsys, "scale", "--mu", "0.5", "--v", "5",
                "--branch", "upper")[0] == 2  # kappa missing
 

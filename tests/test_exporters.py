@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.recfunctions import unstructured_to_structured
 
-from rampforge import (builtin_field, build_surface, exporters, integrate_ramp3d,
-                       lower_ramp, sample_ramp, simulate, spec_from_mu,
+from rampforge import (builtin_field, build_surface, default_span, exporters,
+                       integrate_ramp3d, lower_ramp, sample_ramp, simulate, spec_from_mu,
                        verify_2d, verify_scaling, upper_ramp)
 from rampforge.exporters import (dumps_json, report_to_dict,
                                  scaling_to_dict, trace_summary, write_curve2d_csv,
@@ -72,6 +72,42 @@ def test_curve2d_svg(tmp_path, fig_spec):
     assert 'viewBox="' in text and text.rstrip().endswith("</svg>")
 
 
+def _svg_by_points(x, y):
+    # write_curve2d_svg as it was written point by point: the reference its
+    # mapped format string must match byte for byte
+    def fmt6(value):
+        return format(float(value), ".6g")
+
+    x = np.asarray(x, dtype=float)
+    y = -np.asarray(y, dtype=float)
+    span_x = float(x.max() - x.min()) or 1.0
+    span_y = float(y.max() - y.min()) or 1.0
+    margin = 0.05 * max(span_x, span_y)
+    x0, y0 = float(x.min()) - margin, float(y.min()) - margin
+    w, h = span_x + 2 * margin, span_y + 2 * margin
+    d = "M " + " L ".join(f"{fmt6(px)} {fmt6(py)}" for px, py in zip(x.tolist(), y.tolist()))
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt6(800.0)}" '
+            f'height="{fmt6(800.0 * h / w)}" viewBox="{fmt6(x0)} {fmt6(y0)} {fmt6(w)} '
+            f'{fmt6(h)}">\n  <path d="{d}" fill="none" stroke="black" '
+            f'stroke-width="{fmt6(0.004 * max(w, h))}"/>\n</svg>\n')
+
+
+@pytest.mark.parametrize("case", ["lower 2", "lower 7", "lower 1000", "upper 2",
+                                  "upper 7", "upper 1000", "horizontal segment"])
+def test_curve2d_svg_matches_the_point_loop(tmp_path, fig_spec, case):
+    if case == "horizontal segment":  # span_y == 0: the height falls back to 1
+        x, y = np.linspace(-0.5, 2.0, 6), np.zeros(6)
+    else:
+        branch, samples = case.split()
+        ramp = (lower_ramp if branch == "lower" else upper_ramp)(fig_spec)
+        data = sample_ramp(fig_spec, ramp, np.linspace(0.0, default_span(fig_spec),
+                                                       int(samples)))
+        x, y = data["x"], data["y"]
+    path = tmp_path / "curve.svg"
+    write_curve2d_svg(path, x, y)
+    assert path.read_bytes() == _svg_by_points(x, y).encode()
+
+
 def test_curve3d_csv(tmp_path, fig_spec, small_curve):
     path = tmp_path / "curve3d.csv"
     write_curve3d_csv(path, small_curve, fig_spec)
@@ -101,6 +137,35 @@ def test_obj_mesh_structure(tmp_path, fig_spec, small_curve):
             v_idx, n_idx = part.split("//")
             assert 1 <= int(v_idx) <= len(vs)
             assert 1 <= int(n_idx) <= len(vns)
+
+
+def _obj_by_loops(surface):
+    # write_obj as it was written quad by quad, its points one repr per
+    # float: the reference its id columns must match byte for byte
+    n_s, n_r = surface.resolution
+    lines = ["# ruled constant-speed ramp strip",
+             f"# rows (s): {n_s + 1}  columns (r): {n_r + 1}"]
+    for tag, points in (("v", surface.vertices), ("vn", surface.vertex_normals)):
+        lines += [f"{tag} " + " ".join(map(repr, p)) for p in points.reshape(-1, 3).tolist()]
+
+    def vid(i, j):
+        return i * (n_r + 1) + j + 1
+
+    for i in range(n_s):
+        for j in range(n_r):
+            a, b = vid(i, j), vid(i, j + 1)
+            c, d = vid(i + 1, j), vid(i + 1, j + 1)
+            lines.append(f"f {a}//{i + 1} {b}//{i + 1} {c}//{i + 2}")
+            lines.append(f"f {b}//{i + 1} {d}//{i + 2} {c}//{i + 2}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mesh", [(1, 1), (1, 5), (5, 1), (7, 3), (200, 16)])
+def test_obj_matches_the_quad_loop(tmp_path, small_curve, mesh):
+    surface = build_surface(small_curve, r_extent=(0.0, 0.25), resolution=mesh)
+    path = tmp_path / "strip.obj"
+    write_obj(path, surface)
+    assert path.read_bytes() == _obj_by_loops(surface).encode()
 
 
 def test_obj_face_winding_matches_contact_normal(tmp_path, fig_spec, small_curve):

@@ -167,26 +167,41 @@ def test_bench_record_gain_needs_no_more_failures(failed, expect):
     assert entry["verdicts"]["jobs_per_s"] == expect
 
 
+# the outputs whose digests are committed: each the same on any host
+PINNED = {"generate3d": {"stdout", "gen3d.obj", "gen3d.curve.csv", "gen3d.report.json"},
+          "verify_field": {"stdout"}, "generate2d": {"stdout"}, "simulate": {"stdout"},
+          "written frames3d": {"frames.csv", "frames.jsonl"},
+          **{f"simulate3d {field} {fmt}": {"stdout", f"frames.{fmt}"}
+             for field in ("horizontal", "upslope", "blend:0.37") for fmt in ("csv", "jsonl")},
+          **{f"generated {run}": {"source"} for run in (
+              "upslope eval", "upslope run", "horizontal eval", "horizontal run",
+              "blend eval", "blend run", "eval-call run", "theta run",
+              "integrate_fixed d=1", "integrate_fixed d=2", "integrate_fixed d=3")}}
+
+
 def test_output_digests_names_each_differing_output(tmp_path):
-    # one run writes the digests; a second, compared with a copy that has
-    # one digest changed, names exactly that output and exits 1
+    # one run writes all the digests, and those that are the same on any
+    # host must equal the committed ones; a second run of those alone,
+    # compared with the committed file with one digest changed, names
+    # exactly that output and exits 1
     script = [sys.executable, str(ROOT / "scripts" / "output_digests.py")]
     out = tmp_path / "digests.json"
     proc = subprocess.run([*script, "--out", str(out)], cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     digests = json.loads(out.read_text())
-    assert {"generate3d", "simulate3d blend:0.37 jsonl"} <= set(digests)
-    assert {f"generated {run}" for run in (
-        "upslope eval", "upslope run", "horizontal eval", "horizontal run", "blend eval",
-        "blend run", "eval-call run", "theta run", "integrate_fixed d=1",
-        "integrate_fixed d=2", "integrate_fixed d=3")} <= set(digests)
     assert all(d is not None for outputs in digests.values() for d in outputs.values())
-    digests["simulate3d upslope csv"]["frames.csv"] = "0" * 64
+    pinned = json.loads((ROOT / "tests" / "output_digests.json").read_text())
+    assert {name: set(outputs) for name, outputs in pinned.items()} == PINNED
+    differ = [f"{name}: {output}" for name, outputs in sorted(pinned.items())
+              for output, digest in sorted(outputs.items())
+              if digests.get(name, {}).get(output) != digest]
+    assert not differ, f"outputs differ from tests/output_digests.json: {differ}"
+    pinned["simulate3d upslope csv"]["frames.csv"] = "0" * 64
     changed = tmp_path / "changed.json"
-    changed.write_text(json.dumps(digests))
-    proc = subprocess.run([*script, "--compare", str(changed)], cwd=tmp_path,
-                          capture_output=True, text=True, timeout=300)
+    changed.write_text(json.dumps(pinned))
+    proc = subprocess.run([*script, "--host-independent", "--compare", str(changed)],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1, proc.stderr
     assert [line for line in proc.stdout.splitlines() if line.startswith("differs")] == [
         "differs: simulate3d upslope csv: frames.csv"]

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rampforge import (Branch, ContractViolationError, Feasibility, Motion,
                        ParameterError, PlanarCurve, Ramp2D, SpaceCurve3D,
@@ -368,6 +370,16 @@ def test_verify_scaling_3d(fig_spec):
 
     surface = build_surface(curve, resolution=(10, 4))
     assert verify_scaling(fig_spec, surface, 4.0, n_samples=100).both_valid
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=st.floats(0.01, 0.99), kappa=st.floats(0.25, 6.0))
+@example(mu=0.5, kappa=6.0)  # tan(atan(0.5)) is 0.49999999999999994
+def test_verify_scaling_keeps_the_callers_mu(mu, kappa):
+    spec = spec_from_mu(mu, v=5.0, m=2.0)
+    result = verify_scaling(spec, upper_ramp(spec), kappa, n_samples=8)
+    for reading in (result.speed_spec, result.gravity_spec):
+        assert (reading.mu, reading.delta, reading.m) == (spec.mu, spec.delta, spec.m)
 
 
 def test_verify_scaling_rejects_bad_kappa(fig_spec):
