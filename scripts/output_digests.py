@@ -32,6 +32,9 @@ them with the committed ``tests/output_digests.json``, which a change that
 means to alter one of them re-pins with
 
     python scripts/output_digests.py --host-independent --out tests/output_digests.json
+
+An output whose build or write raised has no digest: ``--compare`` names it
+as differing, and ``--out`` names it, writes nothing and exits 1.
 """
 
 from __future__ import annotations
@@ -163,14 +166,19 @@ def written() -> dict:
     return result
 
 
-def host_independent(name: str, output: str) -> bool:
-    """Whether numpy's SIMD target leaves the digest as it is: true of every
-    3D output and generated text, and of the ``generate2d`` and 2D
-    ``simulate`` stdout; the other 2D outputs print floats from numpy's
-    transcendentals, whose last bits the target can change."""
-    return (name.startswith(("generate3d", "verify_field", "simulate3d ", "generated "))
-            or name == "written frames3d"
-            or (name in ("generate2d", "simulate") and output == "stdout"))
+def host_independent(got: dict) -> dict:
+    """The digests that numpy's SIMD target leaves as they are: every 3D
+    output and generated text, and the ``generate2d`` and 2D ``simulate``
+    stdout; the other 2D outputs print floats from numpy's transcendentals,
+    whose last bits the target can change."""
+    def kept(name: str, output: str) -> bool:
+        return (name.startswith(("generate3d", "verify_field", "simulate3d ", "generated "))
+                or name == "written frames3d"
+                or (name in ("generate2d", "simulate") and output == "stdout"))
+
+    got = {name: {output: digest for output, digest in outputs.items() if kept(name, output)}
+           for name, outputs in got.items()}
+    return {name: outputs for name, outputs in got.items() if outputs}
 
 
 def differences(want: dict, got: dict) -> list[str]:
@@ -191,10 +199,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     got = {**digests(), **generated(), **written()}
     if args.host_independent:
-        got = {name: kept for name, outputs in got.items() if (kept := {
-            output: digest for output, digest in outputs.items()
-            if host_independent(name, output)})}
+        got = host_independent(got)
     if args.out:
+        raised = [f"{name}: {output}" for name, outputs in sorted(got.items())
+                  for output, digest in sorted(outputs.items())
+                  if str(digest).startswith("raised ")]
+        for line in raised:  # a failure is never pinned as the expected output
+            print(f"raised: {line}")
+        if raised:
+            print(f"{len(raised)} outputs raised; nothing written")
+            return 1
         args.out.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
         print(f"wrote {sum(map(len, got.values()))} digests of {len(got)} commands, "
               f"generated texts and written tables to {args.out}")

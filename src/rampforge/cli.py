@@ -120,22 +120,19 @@ def _integrate_from_args(spec: FrictionSpec, args: argparse.Namespace) -> SpaceC
     return integrate_ramp3d(spec, tangent_field, y0, s_max, step=args.step)
 
 
-def _pick_geometry(spec: FrictionSpec, args: argparse.Namespace,
-                   planar_options: tuple[str, ...] = ()):
-    """The ``--branch`` ramp or the ``--field`` curve.  An option that only
-    the other geometry reads (``--y0``, ``--smax`` and ``--step`` a field's,
-    ``planar_options`` a branch's) is a usage error, never ignored."""
+def _pick_geometry(spec: FrictionSpec, args: argparse.Namespace):
+    """The ``--branch`` ramp or the ``--field`` curve.  ``--y0``, ``--smax``
+    or ``--step`` with ``--branch`` is a usage error, never ignored."""
     two_d = args.branch is not None
     three_d = args.field is not None
     if two_d == three_d:
         raise ParameterError("choose exactly one of --branch (planar) or "
                              "--field (spatial)", code="config")
-    given, other = ("--branch", "--field") if two_d else ("--field", "--branch")
-    for name in ("y0", "smax", "step") if two_d else planar_options:
-        if getattr(args, name) is not None:
-            raise ParameterError(f"--{name.replace('_', '-')} applies only to {other} "
-                                 f"geometry, not to {given}", code="config")
     if two_d:
+        for name in ("y0", "smax", "step"):
+            if getattr(args, name) is not None:
+                raise ParameterError(f"--{name} applies only to --field geometry, "
+                                     "not to --branch", code="config")
         return make_ramp(spec, args.branch)
     return _integrate_from_args(spec, args)
 
@@ -217,11 +214,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import Verdict, verify_2d, verify_3d
 
     spec = _spec_from_args(args)
-    geometry = _pick_geometry(spec, args, planar_options=("t_span",))
+    geometry = _pick_geometry(spec, args)
     if isinstance(geometry, Ramp2D):
         t_span = tuple(args.t_span) if args.t_span else None
         report = verify_2d(spec, geometry, t_span=t_span, n_samples=args.samples)
     else:
+        if args.t_span is not None:
+            raise ParameterError("--t-span applies only to --branch geometry, "
+                                 "not to --field", code="config")
         report = verify_3d(spec, geometry, n_samples=args.samples)
     if args.out:
         exporters.write_json(Path(args.out), exporters.report_to_dict(report))

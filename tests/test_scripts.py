@@ -57,9 +57,8 @@ def _bench_result(directory, commit, jobs_per_s, raw_jobs_per_s, tail_percentile
     (directory / "result-sweep3d-seed1-trace0.json").write_text(json.dumps(run))
 
 
-def _recorder():
-    spec = importlib.util.spec_from_file_location("bench_record",
-                                                  ROOT / "scripts" / "bench_record.py")
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -148,7 +147,7 @@ def test_bench_record_differences_within_pairs(tmp_path):
     ([60.0, 80.0, 120.0, 140.0] * 2 + [100.0, 100.0], [59.0] * 10, 9, "lower", "gain"),
 ])
 def test_bench_record_verdict(parent, change, won, better, expect):
-    module = _recorder()
+    module = _script("bench_record")
     got = module.verdict(module.spread(parent), module.spread(change), won, 10, better, 0.2)
     assert got == expect
 
@@ -157,7 +156,7 @@ def test_bench_record_verdict(parent, change, won, better, expect):
 def test_bench_record_gain_needs_no_more_failures(failed, expect):
     # 20% faster in every pair is a gain only while the change fails no
     # larger share of its jobs than the parent
-    module = _recorder()
+    module = _script("bench_record")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parent = {("sweep3d", 0): [_bench_run("aaa", 10.0, 20.0) for _ in range(10)]}
     change = {("sweep3d", 0): [_bench_run("bbb", 12.0, 24.0, failed=failed if i == 3 else 0)
@@ -167,41 +166,48 @@ def test_bench_record_gain_needs_no_more_failures(failed, expect):
     assert entry["verdicts"]["jobs_per_s"] == expect
 
 
-# the outputs whose digests are committed: each the same on any host
-PINNED = {"generate3d": {"stdout", "gen3d.obj", "gen3d.curve.csv", "gen3d.report.json"},
-          "verify_field": {"stdout"}, "generate2d": {"stdout"}, "simulate": {"stdout"},
-          "written frames3d": {"frames.csv", "frames.jsonl"},
-          **{f"simulate3d {field} {fmt}": {"stdout", f"frames.{fmt}"}
-             for field in ("horizontal", "upslope", "blend:0.37") for fmt in ("csv", "jsonl")},
-          **{f"generated {run}": {"source"} for run in (
-              "upslope eval", "upslope run", "horizontal eval", "horizontal run",
-              "blend eval", "blend run", "eval-call run", "theta run",
-              "integrate_fixed d=1", "integrate_fixed d=2", "integrate_fixed d=3")}}
-
-
-def test_output_digests_names_each_differing_output(tmp_path):
-    # one run writes all the digests, and those that are the same on any
-    # host must equal the committed ones; a second run of those alone,
-    # compared with the committed file with one digest changed, names
-    # exactly that output and exits 1
+def test_output_digests_names_each_differing_output(tmp_path, monkeypatch):
+    # one run writes the digests, and those that are the same on any host
+    # must be the committed ones; a second, compared with a copy that has
+    # one digest changed, names exactly that output and exits 1
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends its own
+    tool = _script("output_digests")
     script = [sys.executable, str(ROOT / "scripts" / "output_digests.py")]
     out = tmp_path / "digests.json"
     proc = subprocess.run([*script, "--out", str(out)], cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stdout + proc.stderr
     digests = json.loads(out.read_text())
     assert all(d is not None for outputs in digests.values() for d in outputs.values())
     pinned = json.loads((ROOT / "tests" / "output_digests.json").read_text())
-    assert {name: set(outputs) for name, outputs in pinned.items()} == PINNED
-    differ = [f"{name}: {output}" for name, outputs in sorted(pinned.items())
-              for output, digest in sorted(outputs.items())
-              if digests.get(name, {}).get(output) != digest]
+    differ = tool.differences(pinned, tool.host_independent(digests))
     assert not differ, f"outputs differ from tests/output_digests.json: {differ}"
-    pinned["simulate3d upslope csv"]["frames.csv"] = "0" * 64
+    digests["simulate3d upslope csv"]["frames.csv"] = "0" * 64
     changed = tmp_path / "changed.json"
-    changed.write_text(json.dumps(pinned))
-    proc = subprocess.run([*script, "--host-independent", "--compare", str(changed)],
-                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    changed.write_text(json.dumps(digests))
+    proc = subprocess.run([*script, "--compare", str(changed)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1, proc.stderr
     assert [line for line in proc.stdout.splitlines() if line.startswith("differs")] == [
         "differs: simulate3d upslope csv: frames.csv"]
+
+
+def test_output_digests_writes_no_raised_output(tmp_path, monkeypatch, capsys):
+    # --host-independent keeps only those digests; --out writes nothing and
+    # exits 1 if an output raised, so a failure is never pinned
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = _script("output_digests")
+    written = {"written frames3d": {"frames.csv": "c", "frames.jsonl": "d"}}
+    monkeypatch.setattr(tool, "digests", lambda: {"generate2d": {"stdout": "a",
+                                                                 "curve.csv": "b"}})
+    monkeypatch.setattr(tool, "generated", dict)
+    monkeypatch.setattr(tool, "written", lambda: written)
+    out = tmp_path / "digests.json"
+    assert tool.main(["--host-independent", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == {"generate2d": {"stdout": "a"}, **written}
+    out.unlink()
+    written["written frames3d"]["frames.csv"] = "raised ValueError('x')"
+    capsys.readouterr()
+    assert tool.main(["--host-independent", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().out.splitlines()[0] == "raised: written frames3d: frames.csv"
