@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _SOURCE, exporters
 from .errors import ParameterError, RampError
-from .params import FrictionSpec, make_spec, spec_from_mu, spec_to_dict
+from .params import FrictionSpec, _require_positive, make_spec, spec_from_mu, spec_to_dict
 from .planar import (Branch, Ramp2D, apex_param, asymptote_gap, default_span,
                      make_ramp, sample_ramp)
 
@@ -140,9 +140,8 @@ def _pick_geometry(spec: FrictionSpec, args: argparse.Namespace):
 def cmd_generate2d(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     ramp = make_ramp(spec, args.branch)
-    span = args.span if args.span is not None else default_span(spec)
-    if not (math.isfinite(span) and span > 0.0):
-        raise ParameterError(f"--span must be positive, got {span!r}")
+    span = _require_positive("--span", args.span if args.span is not None
+                             else default_span(spec))
     if args.samples < 2:
         raise ParameterError(f"--samples must be at least 2, got {args.samples}")
     s = np.linspace(0.0, span, args.samples)

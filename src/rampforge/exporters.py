@@ -108,21 +108,13 @@ def _write_csv(path: str | Path, header: str, columns: list) -> None:
     _write_lines(path, [header, *_rows(np.column_stack(columns))])
 
 
-# repr's spelling of the non-finite floats -> json's
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _number(value: float) -> str:
-    text = float.__repr__(value)
-    return _NONFINITE.get(text, text)
-
-
-def _json_cells(row: str) -> list[str]:
-    # the cells of a row of _rows, spelled as json spells them
-    cells = row.split(",")
-    if "n" in row:  # only nan, inf and -inf spell an n
-        cells = [_NONFINITE.get(c, c) for c in cells]
-    return cells
+def _json(text: str) -> str:
+    """Float ``repr`` text spelled as ``json`` spells it: ``NaN``,
+    ``Infinity`` and ``-Infinity`` for ``nan``, ``inf`` and ``-inf``, the
+    only float reprs that contain an ``n``."""
+    if "n" in text:
+        return text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
 
 
 class _Table(tuple):
@@ -147,19 +139,14 @@ def _render(value, indent: str) -> str:
             return "[]"
         if isinstance(value, _Table):  # each row a list of floats, a level deeper
             cell, start, end = sep + "  ", f"[\n{inner}  ", f"\n{inner}]"
-            # a row of finite floats is spelled as repr spells it: only its commas change
-            body = sep.join(start + (row.replace(",", cell) if "n" not in row
-                                     else cell.join(_json_cells(row))) + end
-                            for row in value)
+            body = _json(sep.join(start + row.replace(",", cell) + end for row in value))
         elif set(map(type, value)) == {float}:  # exact floats, so repr is float's
-            body = sep.join(map(repr, value))
-            if "n" in body:  # only nan, inf and -inf spell an n
-                body = sep.join(map(_number, value))
+            body = _json(sep.join(map(repr, value)))
         else:
             body = sep.join(_render(v, inner) for v in value)
         return "[\n" + inner + body + "\n" + indent + "]"
-    if isinstance(value, float):
-        return _number(value)
+    if isinstance(value, float):  # float's repr, also for a numpy float64
+        return _json(float.__repr__(value))
     return json.dumps(value)
 
 
@@ -298,7 +285,7 @@ def write_frames_jsonl(path: str | Path, trace: MotionTrace) -> None:
     # the CSV's table, its cells picked in the order of the sorted keys
     pick = operator.itemgetter(*order)
     rows = _rows(np.column_stack([frames[name] for name in names]))
-    _write_lines(path, [template % pick(_json_cells(row)) for row in rows])
+    _write_lines(path, [template % pick(_json(row).split(",")) for row in rows])
 
 
 def write_frames_csv(path: str | Path, trace: MotionTrace) -> None:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, SingularFieldError
-from .params import FrictionSpec, _bounded
+from .params import FrictionSpec, _bounded, _require_positive
 
 DEFAULT_STEP_FACTOR = 1e-3   # default fixed step is 1e-3 / a
 
@@ -261,8 +261,7 @@ def _grid(t0: float, t1: float, step: float) -> tuple[np.ndarray, float]:
     span = t1 - t0
     if span <= 0.0:
         raise ParameterError("integration span must have t1 > t0")
-    if not (math.isfinite(step) and step > 0.0):
-        raise ParameterError(f"step must be positive, got {step!r}")
+    step = _require_positive("step", step)
     steps = _bounded(span / step - 1e-12,
                      f"step {step!r} leaves too many steps over a span of {span!r}")
     n = max(1, math.ceil(steps))

@@ -46,9 +46,11 @@ class FrictionSpec:
 
 
 def _require_positive(name: str, value: float) -> float:
+    """``value`` as a float, if it is positive and finite; else
+    :class:`ParameterError`.  The package's one check of a magnitude."""
     value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ParameterError(f"{name} must be finite and positive, got {value!r}",
+    if not 0.0 < value < math.inf:  # NaN fails both comparisons
+        raise ParameterError(f"{name} must be positive and finite, got {value!r}",
                              code="magnitude")
     return value
 

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .params import FrictionSpec
+from .params import FrictionSpec, _require_positive
 
 DEFAULT_SPAN_FACTOR = 8.0  # default export span is [0, 8/a]; the shape is
                            # within ~3e-4 of its straight asymptote there
@@ -197,17 +197,10 @@ def upper_ramp(spec: FrictionSpec) -> Ramp2D:
     return make_ramp(spec, Branch.UPPER)
 
 
-def _scale_factor(kappa) -> float:
-    kappa = float(kappa)
-    if not (math.isfinite(kappa) and kappa > 0.0):
-        raise ParameterError(f"scale factor must be positive, got {kappa!r}")
-    return kappa
-
-
 def _scale_ramp2d(ramp: Ramp2D, kappa: float) -> Ramp2D:
     """``ramp`` dilated by ``kappa`` about the origin; see
     :func:`ramp3d.scale_ramp`, which dilates any ramp geometry."""
-    kappa = _scale_factor(kappa)
+    kappa = _require_positive("kappa", kappa)
     inner = ramp.curve
 
     def position(s):

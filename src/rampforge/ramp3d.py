@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import ContractViolationError, ParameterError, SingularFieldError
 from .ode import DEFAULT_STEP_FACTOR, _compile, _grid, _rk4_run, _run, hermite
-from .params import FrictionSpec
-from .planar import Ramp2D, _scale_factor, _scale_ramp2d
+from .params import FrictionSpec, _require_positive
+from .planar import Ramp2D, _scale_ramp2d
 
 log = logging.getLogger(__name__)
 
@@ -379,8 +379,7 @@ def integrate_ramp3d(spec: FrictionSpec, tangent_field: TangentField, y0,
         ``step`` (default ``1e-3 / a``).
     """
     y0 = hemisphere_point(y0).tolist()
-    if not (math.isfinite(s_max) and s_max > 0.0):
-        raise ParameterError(f"s_max must be positive, got {s_max!r}")
+    s_max = _require_positive("s_max", s_max)
     if step is None:
         step = DEFAULT_STEP_FACTOR / spec.a
 
@@ -484,7 +483,7 @@ def scale_ramp(geometry, kappa: float):
     """
     if isinstance(geometry, Ramp2D):
         return _scale_ramp2d(geometry, kappa)
-    kappa = _scale_factor(kappa)
+    kappa = _require_positive("kappa", kappa)
     if isinstance(geometry, SpaceCurve3D):
         return replace(geometry, s=kappa * geometry.s, alpha=kappa * geometry.alpha,
                        dgamma=geometry.dgamma / kappa)

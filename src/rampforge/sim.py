@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .params import FrictionSpec, _bounded
+from .params import FrictionSpec, _bounded, _require_positive
 from .planar import Ramp2D
 from .verify import _planar_balance, _spatial_balance
 
@@ -45,8 +45,6 @@ class MotionTrace:
 
 def _frame_times(t_span: tuple[float, float], fps: float) -> np.ndarray:
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not (math.isfinite(fps) and fps > 0.0):
-        raise ParameterError(f"fps must be positive, got {fps!r}")
     if not (t1 >= t0 >= 0.0):
         raise ParameterError(f"need 0 <= t0 <= t1, got {t_span!r}")
     if math.isinf(t1):
@@ -68,6 +66,7 @@ def simulate(spec: FrictionSpec, geometry, t_span: tuple[float, float],
     curve) are truncated and flagged rather than extrapolated.  A space
     curve's Hermite samples go through :func:`verify.verify_3d`'s kernel.
     """
+    fps = _require_positive("fps", fps)
     t = _frame_times(t_span, fps)
     if isinstance(geometry, Ramp2D):
         dimension, s_end = 2, geometry.curve.domain[1]

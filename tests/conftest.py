@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,10 @@ A_REF = 0.8774330743709175            # g / (v^2 sin delta)
 S0_REF = 1.6452941168348778           # arcsinh(1/mu) / a
 GAP_REF = 3.5804356427322764          # pi / a
 LAMBDA_INF_REF = 8.774330743709175    # m g cos delta, N
+
+# values every magnitude (g, v, m, a step, an arc length, fps, kappa, a span)
+# must refuse: NaN fails a check that is not phrased to catch it
+NOT_POSITIVE = [0.0, -1.0, math.nan, math.inf, -math.inf]
 
 
 @pytest.fixture

@@ -67,6 +67,14 @@ def test_invalid_parameter_exits_2(capsys):
                "--span", "-3")[0] == 2
 
 
+# " -inf", with a space, as argparse alone reads it as a value
+@pytest.mark.parametrize("span", ["0", "-1", "nan", "inf", " -inf"])
+def test_generate2d_bad_span_exits_2(capsys, span):
+    code, _, err = run(capsys, "generate2d", "--mu", "0.5", "--v", "5", "--span", span)
+    assert code == 2
+    assert "--span must be positive and finite" in err
+
+
 @pytest.mark.parametrize("argv", [["generate2d"], ["simulate"],
                                   ["verify", "--branch", "upper"]])
 @pytest.mark.parametrize("v", ["1e160", "1e-160"])
@@ -286,8 +294,10 @@ def test_singular_start_exits_2(capsys, tmp_path):
     # 1e-18: about 5.7e18 steps over the default span, an int64 count whose
     # float64 grid numpy cannot index in bytes
     ("1e-18", "leaves too many steps"), ("1e-300", "leaves too many steps"),
-    ("1e-320", "leaves too many steps")],
-    ids=["0", "nan", "1e-18", "1e-300", "1e-320"])
+    ("1e-320", "leaves too many steps"),
+    ("-1", "step must be positive"), ("inf", "step must be positive"),
+    (" -inf", "step must be positive")],
+    ids=["0", "nan", "1e-18", "1e-300", "1e-320", "-1", "inf", "-inf"])
 @pytest.mark.parametrize("command", ["generate3d", "verify"])
 def test_bad_step_exits_2(capsys, tmp_path, command, step, message):
     code, _, err = run(capsys, command, "--mu", "0.5", "--v", "5",

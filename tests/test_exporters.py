@@ -249,6 +249,18 @@ def test_write_json(tmp_path):
     assert json.loads(text) == {"a": [1.5, None, "x"], "b": 1}
 
 
+# the two facts the writers' JSON spelling rests on: only the non-finite
+# floats spell an n, and renaming nan and inf in the repr gives json's text
+@settings(max_examples=500)
+@given(st.floats())
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+def test_json_spelling_of_a_float_repr_is_json_dumps(x):
+    assert ("n" in repr(x)) == (not math.isfinite(x))
+    assert exporters._json(repr(x)) == json.dumps(x)
+
+
 # leaves json.dumps writes: every float (NaN and the infinities included, and
 # numpy's float64 subclass), ints of any size, bools, None and any text
 _LEAVES = (st.floats() | st.floats().map(np.float64) | st.integers() | st.booleans()

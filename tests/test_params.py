@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rampforge import DELTA_MAX, ParameterError, make_spec, spec_from_mu
+from conftest import NOT_POSITIVE
 
 angles = st.floats(min_value=1e-3, max_value=DELTA_MAX - 1e-3)
 positives = st.floats(min_value=1e-3, max_value=1e3)
@@ -45,9 +46,10 @@ def test_mu_range_rejected(mu):
 
 @pytest.mark.parametrize("kwargs", [{"g": 0.0}, {"g": -9.81}, {"v": 0.0},
                                     {"m": -1.0}, {"v": math.nan},
-                                    {"m": math.inf}])
+                                    {"m": math.inf}]
+                         + [{name: value} for name in "gvm" for value in NOT_POSITIVE])
 def test_magnitudes_rejected(kwargs):
-    with pytest.raises(ParameterError) as err:
+    with pytest.raises(ParameterError, match="must be positive and finite") as err:
         make_spec(0.3, **kwargs)
     assert err.value.code == "magnitude"
 

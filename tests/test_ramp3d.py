@@ -20,9 +20,10 @@ from rampforge import (ContractViolationError, ParameterError,
                        e3_tangential, field_x, hemisphere_point,
                        integrate_ramp3d, lambda_3d, lower_ramp,
                        planar_reduction_check, scale_ramp, simulate, spec_from_mu,
-                       verify_3d)
+                       verify_3d, verify_scaling)
 from rampforge import ode, ramp3d
 from rampforge.ode import horizontal_closed_form
+from conftest import NOT_POSITIVE
 
 # directions strictly inside the south hemisphere, away from the pole
 interior = st.tuples(
@@ -861,6 +862,21 @@ def test_scale_ramp_2d_matches_rebuilt_spec():
     s = np.linspace(0.0, 12.0, 25)
     assert np.allclose(scaled.curve.position(s), rebuilt.curve.position(s),
                        atol=1e-9)
+
+
+@pytest.mark.parametrize("value", NOT_POSITIVE)
+def test_s_max_and_kappa_must_be_positive_and_finite(fig_spec, value):
+    tf = builtin_field("upslope")
+    with pytest.raises(ParameterError, match="s_max must be positive and finite"):
+        integrate_ramp3d(fig_spec, tf, [1.0, 0.0, 0.0], value)
+    curve = integrate_ramp3d(fig_spec, tf, [1.0, 0.0, 0.0], 0.5, step=0.05)
+    ramp = lower_ramp(fig_spec)
+    for geometry in (ramp, curve, build_surface(curve, resolution=(4, 2))):
+        with pytest.raises(ParameterError, match="kappa must be positive and finite"):
+            scale_ramp(geometry, value)
+    for geometry in (ramp, curve):
+        with pytest.raises(ParameterError, match="kappa must be positive and finite"):
+            verify_scaling(fig_spec, geometry, value)
 
 
 def test_scale_ramp_3d(fig_spec):

@@ -9,6 +9,7 @@ from rampforge import (ParameterError, builtin_field,
                        integrate_ramp3d, lower_ramp, simulate, spec_from_mu,
                        upper_ramp, verify_2d)
 from rampforge.verify import TOL_RESIDUAL_2D
+from conftest import NOT_POSITIVE
 
 
 def test_frame_grid_2d(fig_spec):
@@ -127,6 +128,12 @@ def test_simulate_validation(fig_spec):
         simulate(fig_spec, ramp, (-1.0, 1.0))
     with pytest.raises(ParameterError):
         simulate(fig_spec, "not a geometry", (0.0, 1.0))
+
+
+@pytest.mark.parametrize("fps", NOT_POSITIVE)
+def test_fps_must_be_positive_and_finite(fig_spec, fps):
+    with pytest.raises(ParameterError, match="fps must be positive and finite"):
+        simulate(fig_spec, lower_ramp(fig_spec), (0.0, 1.0), fps=fps)
 
 
 def test_positions_follow_geometry(fig_spec):
