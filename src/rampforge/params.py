@@ -63,15 +63,21 @@ def _bounded(count: float, message: str) -> float:
     return count
 
 
+def _length_scale(a: float) -> float:
+    """``a``, if both ``a`` and ``1/a`` are positive and finite; else
+    :class:`ParameterError`."""
+    if not (0.0 < a < math.inf and 1.0 / a < math.inf):
+        raise ParameterError(f"length scale a = g / (v**2 sin(delta)) must be finite and "
+                             f"positive, with a finite 1/a, got {a!r}", code="magnitude")
+    return a
+
+
 def _spec(delta: float, mu: float, sin_delta: float, g: float, v: float,
           m: float) -> FrictionSpec:
     g, v, m = map(_require_positive, "gvm", (g, v, m))
     scale = v * v * sin_delta
     a = g / scale if scale > 0.0 else math.inf  # v * v * sin_delta can underflow to 0
-    if not (0.0 < a < math.inf and 1.0 / a < math.inf):
-        raise ParameterError(f"length scale a = g / (v**2 sin(delta)) must be finite and "
-                             f"positive, with a finite 1/a, got {a!r}", code="magnitude")
-    return FrictionSpec(delta=delta, mu=mu, g=g, v=v, m=m, a=a)
+    return FrictionSpec(delta=delta, mu=mu, g=g, v=v, m=m, a=_length_scale(a))
 
 
 def make_spec(delta: float, g: float = 9.81, v: float = 1.0, m: float = 1.0) -> FrictionSpec:

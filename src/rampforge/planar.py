@@ -257,11 +257,15 @@ def tangent_angle_orbit_position(spec: FrictionSpec, theta0: float, s) -> np.nda
 
 
 def sample_ramp(spec: FrictionSpec, ramp: Ramp2D, s) -> dict:
-    """Columnar samples along a ramp, keyed like the CSV export header."""
+    """Columnar samples along a ramp, keyed like the CSV export header.
+
+    Every arc length must be finite and inside the ramp's domain, else
+    :class:`ParameterError`: NaN and an infinite end are never sampled."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s < ramp.curve.domain[0]) or np.any(s > ramp.curve.domain[1]):
-        raise ParameterError("sample parameters fall outside the ramp domain",
-                             code="magnitude")
+    lo, hi = ramp.curve.domain
+    if not np.all((lo <= s) & (s <= hi) & np.isfinite(s)):  # NaN fails each test
+        raise ParameterError("sample parameters must be finite and inside the ramp "
+                             f"domain [{lo!r}, {hi!r}]", code="magnitude")
     pos = ramp.curve.position(s)
     tan = ramp.curve.tangent(s)
     nor = ramp.normal(s)

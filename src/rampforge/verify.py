@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, SingularFieldError
-from .params import FrictionSpec, make_spec
+from .params import FrictionSpec, _length_scale, make_spec
 from .planar import (Ramp2D, _scale_ramp2d, default_span, normal_force_2d,
                      tangent_angle_orbit_position)
 
@@ -405,10 +405,12 @@ def verify_scaling(spec: FrictionSpec, geometry, kappa: float,
             geometry = geometry.base
         # a SpaceCurve3D, or scale_ramp raises
         scaled, check = scale_ramp(geometry, kappa), verify_3d
-    # make_spec reads mu back as tan(delta), which can miss the caller's mu by
-    # an ulp: both readings keep spec's mu, delta and m verbatim
+    # make_spec reads mu back as tan(delta) and a through sin(delta), each of
+    # which can miss by an ulp: both readings keep spec's mu, delta and m
+    # verbatim, and take the dilated geometry's length scale spec.a / kappa
+    a = _length_scale(spec.a / kappa)
     speed_spec, gravity_spec = (
-        replace(make_spec(spec.delta, g=g, v=v, m=spec.m), mu=spec.mu)
+        replace(make_spec(spec.delta, g=g, v=v, m=spec.m), mu=spec.mu, a=a)
         for g, v in ((spec.g, math.sqrt(kappa) * spec.v), (spec.g / kappa, spec.v)))
     return ScalingVerification(
         kappa=float(kappa), speed_spec=speed_spec, gravity_spec=gravity_spec,

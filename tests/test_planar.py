@@ -10,8 +10,8 @@ from rampforge import (Branch, ParameterError, alpha, alpha_rotated,
                        alpha_second_derivative, alpha_tangent, apex_param,
                        asymptote_gap, default_span, lower_ramp, make_ramp,
                        make_spec, normal_force_2d, rotate_clockwise,
-                       sample_ramp, spec_from_mu, tangent_angle_orbit_position,
-                       upper_ramp)
+                       sample_ramp, scale_ramp, spec_from_mu,
+                       tangent_angle_orbit_position, upper_ramp)
 from conftest import GAP_REF, LAMBDA_INF_REF, S0_REF
 
 angles = st.floats(min_value=0.02, max_value=math.pi / 4 - 0.02)
@@ -165,6 +165,17 @@ def test_sample_ramp_columns(fig_spec):
     assert all(col.shape == (7,) for col in data.values())
     with pytest.raises(ParameterError):
         sample_ramp(fig_spec, ramp, [-1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("geometry", ["lower", "upper", "dilated"])
+def test_sample_ramp_rejects_non_finite_arc_length(fig_spec, geometry, bad):
+    # NaN passed both domain comparisons, and inf, the open end of
+    # (0, inf), passed as inside: each wrote rows of NaN
+    ramp = (scale_ramp(upper_ramp(fig_spec), 6.0) if geometry == "dilated"
+            else make_ramp(fig_spec, geometry))
+    with pytest.raises(ParameterError, match="must be finite and inside the ramp domain"):
+        sample_ramp(fig_spec, ramp, [1.0, bad])
 
 
 def test_default_span_scales_inversely_with_a():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rampforge import (Branch, ContractViolationError, Feasibility, Motion,
                        ParameterError, PlanarCurve, Ramp2D, SpaceCurve3D,
                        TangentField, Verdict, build_surface, builtin_field, integrate_ramp3d,
-                       lower_ramp, make_ramp, normal_sign_diagnostic,
+                       lower_ramp, make_ramp, make_spec, normal_sign_diagnostic,
                        planar_reduction_check, scale_ramp, spec_from_mu,
                        upper_ramp, verify_2d, verify_3d, verify_scaling)
 
@@ -380,6 +380,19 @@ def test_verify_scaling_keeps_the_callers_mu(mu, kappa):
     result = verify_scaling(spec, upper_ramp(spec), kappa, n_samples=8)
     for reading in (result.speed_spec, result.gravity_spec):
         assert (reading.mu, reading.delta, reading.m) == (spec.mu, spec.delta, spec.m)
+        assert reading.a == spec.a / kappa  # the dilated geometry's length scale
+
+
+@pytest.mark.parametrize("build", [spec_from_mu,
+                                   lambda mu, v: make_spec(math.atan(mu), v=v)],
+                         ids=["spec_from_mu", "make_spec"])
+def test_verify_scaling_by_one_reads_the_callers_spec(build):
+    # make_spec's a, through sin(delta), missed spec_from_mu's by an ulp
+    # for about 3 in 10 such mu
+    for mu in np.random.default_rng(33).uniform(0.01, 0.99, 2000).tolist():
+        spec = build(mu, v=5.0)
+        result = verify_scaling(spec, upper_ramp(spec), 1.0, n_samples=2)
+        assert result.speed_spec == spec and result.gravity_spec == spec, mu
 
 
 def test_verify_scaling_rejects_bad_kappa(fig_spec):
