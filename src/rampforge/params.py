@@ -72,6 +72,13 @@ def _length_scale(a: float) -> float:
     return a
 
 
+def _require_friction_angle(delta: float, name: str, given: float) -> None:
+    """The one friction-angle rule, checked before any ``tan`` or ``sin`` of ``delta``."""
+    if not 0.0 < delta < DELTA_MAX:  # NaN fails both comparisons, inf the second
+        raise ParameterError(f"friction angle must lie strictly inside (0, pi/4), got "
+                             f"{name} = {given!r}", code="angle_range")
+
+
 def _spec(delta: float, mu: float, sin_delta: float, g: float, v: float,
           m: float) -> FrictionSpec:
     g, v, m = map(_require_positive, "gvm", (g, v, m))
@@ -91,10 +98,7 @@ def make_spec(delta: float, g: float = 9.81, v: float = 1.0, m: float = 1.0) -> 
         finite number, or if ``a`` or ``1/a`` is not.
     """
     delta = float(delta)
-    if not math.isfinite(delta) or not 0.0 < delta < DELTA_MAX:
-        raise ParameterError(
-            f"friction angle must lie strictly inside (0, pi/4), got {delta!r}",
-            code="angle_range")
+    _require_friction_angle(delta, "delta", delta)
     return _spec(delta, math.tan(delta), math.sin(delta), g, v, m)
 
 
@@ -103,14 +107,12 @@ def spec_from_mu(mu: float, g: float = 9.81, v: float = 1.0, m: float = 1.0) -> 
 
     The given ``mu`` is kept verbatim; ``a`` uses the algebraically equal
     ``sin(delta) = mu / sqrt(1 + mu**2)`` so it round-trips without the ulp
-    drift of ``tan(atan(mu))``.  Raises as :func:`make_spec` does.
+    drift of ``tan(atan(mu))``.  Raises as :func:`make_spec` does on ``atan(mu)``.
     """
     mu = float(mu)
-    if not math.isfinite(mu) or not 0.0 < mu < 1.0:
-        raise ParameterError(
-            f"friction coefficient must lie strictly inside (0, 1), got {mu!r}",
-            code="angle_range")
-    return _spec(math.atan(mu), mu, mu / math.hypot(1.0, mu), g, v, m)
+    delta = math.atan(mu)
+    _require_friction_angle(delta, "mu", mu)
+    return _spec(delta, mu, mu / math.hypot(1.0, mu), g, v, m)
 
 
 def spec_to_dict(spec: FrictionSpec) -> dict:

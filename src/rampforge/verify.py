@@ -31,7 +31,6 @@ TOL_RESIDUAL_2D = 1e-8   # N, closed-form geometry
 TOL_RESIDUAL_3D = 1e-6   # N, integrated geometry
 TOL_LAMBDA = 1e-10       # N, slack on the sign condition
 TOL_FEASIBILITY = 1e-9   # N, slack on the sign of a required normal force
-MOTION_GRID = 2048       # RK4 steps of a constant-speed parameter history
 TOL_UPSLOPE = 1e-12      # a field this close to the upslope field is that field
 _UNIT_TANGENT_TOL = 1e-8
 
@@ -272,42 +271,6 @@ class Motion:
         def path(t):
             t = np.asarray(t, dtype=float)
             return start + rate * t, np.full_like(t, rate), np.zeros_like(t)
-        return Motion(path)
-
-    @staticmethod
-    def constant_speed(ramp: Ramp2D, speed: float, start: float,
-                       t_span: tuple[float, float]) -> "Motion":
-        """Motion traversing ``ramp`` at constant metric speed.
-
-        The parameter history solves ``h' = speed / |curve'(h)|``; it is
-        integrated once over ``t_span`` in ``MOTION_GRID`` RK4 steps and read
-        through :func:`ode.hermite`, so a time outside ``t_span`` raises
-        :class:`ParameterError`.  ``path`` reads it, ``curve.tangent`` and
-        ``curve.second_derivative`` once each; the derivatives are analytic.
-        """
-        from .ode import hermite, integrate_fixed
-
-        if not math.isfinite(start):
-            raise ParameterError(f"start must be finite, got {start!r}")
-        curve = ramp.curve
-
-        def rhs(_t, u):
-            g1 = curve.tangent(np.asarray(u[0], dtype=float))
-            return (speed / np.linalg.norm(g1, axis=-1),)
-
-        t0, t1 = float(t_span[0]), float(t_span[1])
-        ts, hs, dhs, _ = integrate_fixed(rhs, (float(start),), t0, t1,
-                                         (t1 - t0) / MOTION_GRID)
-        hs, dhs = hs[:, 0], dhs[:, 0]
-
-        def path(t):
-            h = hermite(ts, hs, dhs, t)[0]
-            g1 = curve.tangent(h)
-            g2 = curve.second_derivative(h)
-            norm2 = np.einsum("...i,...i->...", g1, g1)
-            h_ddot = -speed * speed * np.einsum("...i,...i->...", g1, g2) / (norm2 * norm2)
-            return h, speed / np.linalg.norm(g1, axis=-1), h_ddot
-
         return Motion(path)
 
 

@@ -12,6 +12,8 @@ import rampforge
 from rampforge import ode, params, planar, ramp3d, sim, verify
 from rampforge.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -456,7 +458,7 @@ def _child_env() -> dict:
     # the child finds the package in this checkout, as the suite itself does
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+        p for p in (str(ROOT / "src"),
                     env.get("PYTHONPATH")) if p)
     return env
 
@@ -468,6 +470,51 @@ def test_cli_runs_as_module(tmp_path):
         env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["branch"] == "lower"
+
+
+CONSOLE_STEP = "Install as README says and run the console script"
+
+
+def _step_script(workflow: str, name: str) -> str:
+    """The ``run: |`` block of the workflow step called ``name``, dedented."""
+    lines = workflow.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.strip() == f"- name: {name}")
+    run = next(i for i in range(at + 1, len(lines)) if lines[i].strip() == "run: |")
+    indent = len(lines[run]) - len(lines[run].lstrip())
+    block = []
+    for line in lines[run + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        block.append(line)
+    width = min(len(line) - len(line.lstrip()) for line in block if line.strip())
+    return "\n".join(line[width:] for line in block) + "\n"
+
+
+def test_ci_console_script_step_runs(tmp_path):
+    # the CI step that runs the installed console script, run here as
+    # Actions runs it (bash -e, from the checkout) with the package from
+    # src/ in place of the install: `rampforge` and `python` are shims
+    # first on PATH (the last command runs from RUNNER_TEMP, so the path to
+    # src/ is absolute), and the step writes only under RUNNER_TEMP
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    script = "".join(line + "\n" for line in _step_script(workflow, CONSOLE_STEP).splitlines()
+                     if not line.startswith("python -m pip install"))
+    shims, temp = tmp_path / "bin", tmp_path / "runner_temp"
+    shims.mkdir()
+    temp.mkdir()
+    for name, run in (("rampforge", '-c "from rampforge.cli import entry; entry()"'),
+                      ("python", "")):
+        shim = shims / name
+        shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" {run} "$@"\n')
+        shim.chmod(0o755)
+    env = dict(_child_env(), PATH=os.pathsep.join([str(shims), os.environ.get("PATH", "")]),
+               RUNNER_TEMP=str(temp), PYTHONDONTWRITEBYTECODE="1")
+    before = {path: sorted(os.listdir(path)) for path in (ROOT, ROOT / "src" / "rampforge")}
+    proc = subprocess.run(["bash", "-e", "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert {path: sorted(os.listdir(path)) for path in before} == before
+    assert (temp / "-1e5").is_file() and (temp / "moon3d.json").is_file()
 
 
 def _run_entry(*argv, buffered, stdout=subprocess.PIPE, prelude=""):

@@ -2,10 +2,11 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rampforge import DELTA_MAX, ParameterError, make_spec, spec_from_mu
+from rampforge import (DELTA_MAX, ParameterError, make_spec, spec_from_mu, upper_ramp,
+                       verify_scaling)
 from conftest import NOT_POSITIVE
 
 angles = st.floats(min_value=1e-3, max_value=DELTA_MAX - 1e-3)
@@ -35,13 +36,57 @@ def test_angle_range_rejected(delta):
     with pytest.raises(ParameterError) as err:
         make_spec(delta)
     assert err.value.code == "angle_range"
+    assert f"got delta = {delta!r}" in str(err.value)
 
 
-@pytest.mark.parametrize("mu", [0.0, -0.5, 1.0, 1.5, math.nan])
+# 0.9999999999999999 is below 1, but its atan rounds to DELTA_MAX itself
+@pytest.mark.parametrize("mu", [0.0, -0.5, 1.0, 1.5, math.nan, math.inf, -math.inf,
+                                0.9999999999999999])
 def test_mu_range_rejected(mu):
     with pytest.raises(ParameterError) as err:
         spec_from_mu(mu)
     assert err.value.code == "angle_range"
+    assert f"got mu = {mu!r}" in str(err.value)
+
+
+def _largest_below_one(count):
+    values = [math.nextafter(1.0, 0.0)]
+    while len(values) < count:
+        values.append(math.nextafter(values[-1], 0.0))
+    return values
+
+
+def _with_examples(values):
+    def apply(test):
+        for value in values:
+            test = example(mu=value)(test)
+        return test
+    return apply
+
+
+@settings(max_examples=100, deadline=None)
+@given(mu=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+@_with_examples(_largest_below_one(200))
+def test_every_spec_from_mu_is_one_make_spec_accepts(mu):
+    # both constructors hold delta to one rule, so a spec built from mu is
+    # rebuilt from its delta and verified, unchanged, at kappa = 1
+    try:
+        spec = spec_from_mu(mu)
+    except ParameterError as err:  # then make_spec refuses atan(mu) the same way
+        with pytest.raises(ParameterError) as again:
+            make_spec(math.atan(mu))
+        assert again.value.code == err.code
+        return
+    assert make_spec(spec.delta).delta == spec.delta
+    verify_scaling(spec, upper_ramp(spec), 1.0)
+
+
+def test_largest_accepted_mu_scales():
+    mu = math.nextafter(math.nextafter(1.0, 0.0), 0.0)
+    assert mu == 0.9999999999999998
+    spec = spec_from_mu(mu, v=5.0)
+    result = verify_scaling(spec, upper_ramp(spec), 6.0)
+    assert result.both_valid
 
 
 @pytest.mark.parametrize("kwargs", [{"g": 0.0}, {"g": -9.81}, {"v": 0.0},

@@ -44,6 +44,34 @@ def test_hemisphere_point_validation():
         assert err.value.code == "hemisphere"
 
 
+@pytest.mark.parametrize("y, ok", [
+    ([1.0 + 1e-11, 0.0, 0.0], True), ([1.0 + 1e-9, 0.0, 0.0], False),   # NORM_TOL
+    ([1.0, 0.0, 1e-13], True), ([1.0, 0.0, 1e-11], False),              # HEIGHT_TOL
+])
+def test_hemisphere_point_tolerances_at_their_edge(y, ok):
+    # |y| - 1 and y3 each 10x inside or 10x past HEMISPHERE_NORM_TOL and
+    # HEMISPHERE_HEIGHT_TOL
+    if ok:
+        assert hemisphere_point(y).tolist() == y
+    else:
+        with pytest.raises(ParameterError) as err:
+            hemisphere_point(y)
+        assert err.value.code == "hemisphere"
+
+
+@pytest.mark.parametrize("scale, ok", [(1.0 + 1e-9, True), (1.0 + 1e-7, False)])
+def test_field_start_check_at_its_edge(fig_spec, scale, ok):
+    # a field whose N is off unit length by 10x less or 10x more than
+    # FIELD_CHECK_TOL
+    base = builtin_field("horizontal")
+    tf = TangentField("scaled", lambda y: tuple(scale * c for c in base(y)))
+    if ok:
+        integrate_ramp3d(fig_spec, tf, [0.8, 0.0, -0.6], 0.1 / fig_spec.a)
+    else:
+        with pytest.raises(ContractViolationError, match="does not return a unit tangent"):
+            integrate_ramp3d(fig_spec, tf, [0.8, 0.0, -0.6], 0.1 / fig_spec.a)
+
+
 def test_e3_tangential_removes_radial_part():
     y = np.array([0.6, 0.0, -0.8])
     w = e3_tangential(y)
@@ -765,6 +793,15 @@ def test_interpolants_match_grid_and_midpoints(fig_spec):
     expect = np.stack([field_x(fig_spec, curve.field, y)
                        for y in curve.tangent(mid[::11])])
     assert np.max(np.linalg.norm(d - expect, axis=-1)) < 1e-8
+
+
+@pytest.mark.parametrize("read", ["position", "tangent"])
+def test_interpolants_reject_arc_lengths_outside_the_curve(fig_spec, read):
+    curve = integrate_ramp3d(fig_spec, builtin_field("horizontal"),
+                             [0.8, 0.0, -0.6], 1.0 / fig_spec.a)
+    for s in (math.nan, curve.s[-1] + 0.5, -0.5, [0.5 * curve.s[-1], math.nan]):
+        with pytest.raises(ParameterError, match="outside the integrated span"):
+            getattr(curve, read)(s)
 
 
 def test_position_derivative_consistency(fig_spec):

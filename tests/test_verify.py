@@ -257,14 +257,6 @@ def test_normal_sign_diagnostic_rejects_a_bad_span(fig_spec, t_span):
                                Motion.constant_rate(1.0), t_span)
 
 
-@pytest.mark.parametrize("t_span", [(0.0, math.inf), (0.0, 2.0)])
-def test_normal_sign_diagnostic_stays_inside_a_constant_speed_motion(fig_spec, t_span):
-    ramp = lower_ramp(fig_spec)
-    motion = Motion.constant_speed(ramp, 1.0, 0.0, (0.0, 1.0))
-    with pytest.raises(ParameterError):
-        normal_sign_diagnostic(ramp, np.array([0.0, -9.81]), 1.0, motion, t_span)
-
-
 def test_static_block_in_circular_bowl():
     inward = unit_circle_ramp(inward=True)
     parked = Motion.static(-math.pi / 2.0)  # lowest point of the circle
@@ -307,31 +299,7 @@ def test_force_callable_and_constant_agree():
     assert np.allclose(constant.lambda_required, via_callable.lambda_required)
 
 
-def test_constant_speed_motion_on_parabola():
-    ramp = parabola_ramp()
-    motion = Motion.constant_speed(ramp, 2.0, start=-1.5, t_span=(0.0, 3.0))
-    t = np.linspace(0.0, 3.0, 50)
-    u, du, _ = motion.path(t)
-    velocity = du[:, None] * ramp.curve.tangent(u)
-    assert np.max(np.abs(np.linalg.norm(velocity, axis=-1) - 2.0)) < 1e-6
-    # friction-free consistency: residual tangential force must match mu=0
-    # at constant speed the required tangential push is the weight component
-    # along the slope, so it never exceeds m g
-    report = normal_sign_diagnostic(ramp, np.array([0.0, -9.81]), 1.0, motion,
-                                    t_span=(0.0, 3.0))
-    assert 1.0 < report.friction_consistency_max <= 9.81 + 1e-6
-
-
-def test_constant_speed_motion_rejects_times_outside_its_span():
-    motion = Motion.constant_speed(parabola_ramp(), 2.0, start=-1.5, t_span=(0.0, 1.0))
-    for t in (math.nan, 1.5, -0.5, [0.5, math.nan]):
-        with pytest.raises(ParameterError, match="outside the integrated span"):
-            motion.path(t)
-
-
-def test_constant_speed_motion_is_read_once_per_diagnostic():
-    # the diagnostic reads the curve's tangent once itself, and the motion
-    # reads it once for h_dot and h_ddot together
+def test_normal_sign_diagnostic_reads_the_tangent_once():
     ramp = parabola_ramp()
     calls = [0]
 
@@ -340,17 +308,75 @@ def test_constant_speed_motion_is_read_once_per_diagnostic():
         return ramp.curve.tangent(t)
 
     counted = replace(ramp, curve=replace(ramp.curve, tangent=tangent))
-    motion = Motion.constant_speed(counted, 2.0, start=-1.5, t_span=(0.0, 1.0))
-    calls[0] = 0
-    normal_sign_diagnostic(counted, np.array([0.0, -9.81]), 1.0, motion, t_span=(0.0, 1.0))
-    assert calls[0] == 2
+    normal_sign_diagnostic(counted, np.array([0.0, -9.81]), 1.0,
+                           Motion.constant_rate(2.0, -1.5), t_span=(0.0, 1.0))
+    assert calls[0] == 1
 
 
-def test_constant_speed_rejects_non_finite_start(fig_spec):
+def straight_ramp(theta: float) -> Ramp2D:
+    """The paper's straight ramp: a line at ``theta`` below the horizontal,
+    parametrized by arc length, with the upward normal."""
+    direction = np.array([math.cos(theta), -math.sin(theta)])
+
+    def constant(row):
+        return lambda t: np.broadcast_to(row, np.shape(t) + (2,))
+
+    return Ramp2D(curve=PlanarCurve(
+        position=lambda t: np.multiply.outer(np.asarray(t, dtype=float), direction),
+        tangent=constant(direction), second_derivative=constant(np.zeros(2)),
+        domain=(-math.inf, math.inf)),
+        normal=constant(np.array([math.sin(theta), math.cos(theta)])), branch=Branch.LOWER)
+
+
+@pytest.mark.parametrize("theta, mu", [(0.3, 0.5), (0.1, 0.8), (1.0, 0.2),
+                                       (math.atan(0.5), 0.5)])
+def test_normal_sign_diagnostic_on_the_straight_ramp(theta, mu):
+    # at constant speed down a line the ramp carries the normal part of the
+    # weight, and friction mu * lambda is out of balance with the weight's
+    # slope component by m g |mu cos(theta) - sin(theta)|, zero at tan(theta) = mu
+    m, g, v = 2.0, 9.81, 3.0
+    report = normal_sign_diagnostic(straight_ramp(theta), np.array([0.0, -m * g]), m,
+                                    Motion.constant_rate(v), t_span=(0.0, 2.0), mu=mu)
+    assert report.verdict is Feasibility.FEASIBLE
+    assert report.lambda_min == pytest.approx(m * g * math.cos(theta), rel=1e-15, abs=0.0)
+    assert np.allclose(report.lambda_required, m * g * math.cos(theta), rtol=1e-15, atol=0.0)
+    assert report.friction_consistency_max == pytest.approx(
+        m * g * abs(mu * math.cos(theta) - math.sin(theta)), rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("eps, verdict", [(1e-10, Feasibility.FEASIBLE),
+                                          (1e-8, Feasibility.INFEASIBLE)])
+def test_feasibility_tolerance_at_its_edge(eps, verdict):
+    # a block at rest on a level floor, its normal up, under a net upward
+    # force eps: the floor would have to pull with eps, 10x inside or past
+    # TOL_FEASIBILITY
+    report = normal_sign_diagnostic(straight_ramp(0.0), np.array([0.0, eps]), 1.0,
+                                    Motion.static(0.0), t_span=(0.0, 1.0))
+    assert report.lambda_min == -eps
+    assert report.verdict is verdict
+
+
+@pytest.mark.parametrize("scale, raises", [(1.0 + 1e-9, False), (1.0 + 1e-7, True)])
+def test_unit_tangent_tolerance_at_its_edge(fig_spec, scale, raises):
+    # a tangent off unit length by 10x less or 10x more than _UNIT_TANGENT_TOL
     ramp = upper_ramp(fig_spec)
-    for start in (ramp.curve.domain[1], -math.inf, math.nan):
-        with pytest.raises(ParameterError, match="start must be finite"):
-            Motion.constant_speed(ramp, fig_spec.v, start, (0.0, 1.0))
+    scaled = replace(ramp, curve=replace(ramp.curve,
+                                         tangent=lambda s: scale * ramp.curve.tangent(s)))
+    if raises:
+        with pytest.raises(ContractViolationError, match="not unit length"):
+            verify_2d(fig_spec, scaled)
+    else:
+        verify_2d(fig_spec, scaled)
+
+
+@pytest.mark.parametrize("offset, applicable", [(1e-13, True), (1e-11, False)])
+def test_upslope_tolerance_at_its_edge(fig_spec, offset, applicable):
+    # a field off the upslope field by 10x less or 10x more than TOL_UPSLOPE
+    curve = integrate_ramp3d(fig_spec, builtin_field("upslope"), [1.0, 0.0, 0.0],
+                             2.0 / fig_spec.a)
+    upslope = builtin_field("upslope")
+    near = TangentField("near upslope", lambda y: tuple(c + offset for c in upslope(y)))
+    assert planar_reduction_check(fig_spec, replace(curve, field=near))["applicable"] is applicable
 
 
 def test_verify_scaling_2d(fig_spec):
