@@ -20,10 +20,9 @@ _SUBMODULES = {
     "ode": ("DEFAULT_STEP_FACTOR", "ThetaTrace", "integrate_fixed", "integrate_theta",
             "theta_closed_form", "theta_closed_form_derivative", "theta_ode_rhs"),
     "params": ("DELTA_MAX", "FrictionSpec", "make_spec", "spec_from_mu", "spec_to_dict"),
-    "planar": ("Branch", "PlanarCurve", "Ramp2D", "alpha", "alpha_rotated",
-               "alpha_rotated_second_derivative", "alpha_rotated_tangent",
-               "alpha_second_derivative", "alpha_tangent", "apex_param",
-               "asymptote_gap", "default_span", "lower_ramp", "make_ramp",
+    "planar": ("Branch", "Ramp2D", "alpha", "alpha_rotated", "alpha_rotated_second_derivative",
+               "alpha_rotated_tangent", "alpha_second_derivative", "alpha_tangent",
+               "apex_param", "asymptote_gap", "default_span", "lower_ramp", "make_ramp",
                "normal_force_2d", "rotate_clockwise", "sample_ramp",
                "tangent_angle_orbit_position", "upper_ramp"),
     "ramp3d": ("RampSurface3D", "SpaceCurve3D", "TangentField", "build_surface",

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import _SOURCE, exporters
 from .errors import ParameterError, RampError
-from .params import FrictionSpec, _require_positive, make_spec, spec_from_mu, spec_to_dict
+from .params import (FrictionSpec, _require_friction_angle, _require_positive, make_spec,
+                     spec_from_mu, spec_to_dict)
 from .planar import (Branch, Ramp2D, apex_param, asymptote_gap, default_span,
                      make_ramp, sample_ramp)
 
@@ -93,7 +94,8 @@ def _spec_from_args(args: argparse.Namespace) -> FrictionSpec:
         raise ParameterError("--v (block speed) is required", code="config")
     if have_mu:
         return spec_from_mu(args.mu, g=args.g, v=args.v, m=args.mass)
-    return make_spec(math.radians(args.delta_deg), g=args.g, v=args.v, m=args.mass)
+    delta = _require_friction_angle(math.radians(args.delta_deg), "--delta-deg", args.delta_deg)
+    return make_spec(delta, g=args.g, v=args.v, m=args.mass)
 
 
 def _normalized_y0(values) -> np.ndarray:

@@ -72,11 +72,13 @@ def _length_scale(a: float) -> float:
     return a
 
 
-def _require_friction_angle(delta: float, name: str, given: float) -> None:
-    """The one friction-angle rule, checked before any ``tan`` or ``sin`` of ``delta``."""
+def _require_friction_angle(delta: float, name: str, given: float) -> float:
+    """``delta``, if it obeys the one friction-angle rule; else :class:`ParameterError`
+    naming ``name = given``.  Checked before any ``tan`` or ``sin`` of ``delta``."""
     if not 0.0 < delta < DELTA_MAX:  # NaN fails both comparisons, inf the second
-        raise ParameterError(f"friction angle must lie strictly inside (0, pi/4), got "
-                             f"{name} = {given!r}", code="angle_range")
+        raise ParameterError("friction angle must lie strictly between 0 and 45 degrees "
+                             f"(pi/4), got {name} = {given!r}", code="angle_range")
+    return delta
 
 
 def _spec(delta: float, mu: float, sin_delta: float, g: float, v: float,
@@ -110,8 +112,7 @@ def spec_from_mu(mu: float, g: float = 9.81, v: float = 1.0, m: float = 1.0) -> 
     drift of ``tan(atan(mu))``.  Raises as :func:`make_spec` does on ``atan(mu)``.
     """
     mu = float(mu)
-    delta = math.atan(mu)
-    _require_friction_angle(delta, "mu", mu)
+    delta = _require_friction_angle(math.atan(mu), "mu", mu)
     return _spec(delta, mu, mu / math.hypot(1.0, mu), g, v, m)
 
 

@@ -15,7 +15,7 @@ away from the apex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -34,31 +34,22 @@ class Branch(str, Enum):
 
 
 @dataclass(eq=False, repr=False)
-class PlanarCurve:
-    """Twice-differentiable plane curve given by evaluators.
+class Ramp2D:
+    """Twice-differentiable plane curve given by evaluators, with the unit
+    contact normal along it.
 
-    ``position``, ``tangent`` and ``second_derivative`` map a parameter array
-    of shape ``(...,)`` to points of shape ``(..., 2)``.  Curves produced by
-    this module are arc-length parametrized (unit tangent); the container
-    itself only assumes a regular parametrization.
+    Each evaluator maps a parameter array of shape ``(...,)`` to vectors of
+    shape ``(..., 2)``.  Ramps built here are arc-length parametrized; the
+    record itself only assumes a regular parametrization.  The normal points
+    from the ramp material toward the block, so the contact force on the
+    block is ``lambda * normal`` with ``lambda >= 0``.
     """
 
     position: Callable[[np.ndarray], np.ndarray]
     tangent: Callable[[np.ndarray], np.ndarray]
     second_derivative: Callable[[np.ndarray], np.ndarray]
-    domain: tuple[float, float]
-
-
-@dataclass(eq=False, repr=False)
-class Ramp2D:
-    """A planar curve together with the unit contact normal along it.
-
-    The normal points from the ramp material toward the block, so the contact
-    force on the block is ``lambda * normal`` with ``lambda >= 0``.
-    """
-
-    curve: PlanarCurve
     normal: Callable[[np.ndarray], np.ndarray]
+    domain: tuple[float, float]
     branch: Branch
 
 
@@ -181,10 +172,8 @@ def make_ramp(spec: FrictionSpec, branch: Branch | str) -> Ramp2D:
     def normal(s):
         return _rot90(tangent(s))
 
-    curve = PlanarCurve(position=position, tangent=tangent,
-                        second_derivative=second_derivative,
-                        domain=(0.0, math.inf))
-    return Ramp2D(curve=curve, normal=normal, branch=branch)
+    return Ramp2D(position=position, tangent=tangent, second_derivative=second_derivative,
+                  normal=normal, domain=(0.0, math.inf), branch=branch)
 
 
 def lower_ramp(spec: FrictionSpec) -> Ramp2D:
@@ -201,25 +190,22 @@ def _scale_ramp2d(ramp: Ramp2D, kappa: float) -> Ramp2D:
     """``ramp`` dilated by ``kappa`` about the origin; see
     :func:`ramp3d.scale_ramp`, which dilates any ramp geometry."""
     kappa = _require_positive("kappa", kappa)
-    inner = ramp.curve
 
     def position(s):
-        return kappa * inner.position(np.asarray(s, dtype=float) / kappa)
+        return kappa * ramp.position(np.asarray(s, dtype=float) / kappa)
 
     def tangent(s):
-        return inner.tangent(np.asarray(s, dtype=float) / kappa)
+        return ramp.tangent(np.asarray(s, dtype=float) / kappa)
 
     def second_derivative(s):
-        return inner.second_derivative(np.asarray(s, dtype=float) / kappa) / kappa
+        return ramp.second_derivative(np.asarray(s, dtype=float) / kappa) / kappa
 
     def normal(s):
         return ramp.normal(np.asarray(s, dtype=float) / kappa)
 
-    lo, hi = inner.domain
-    curve = PlanarCurve(position=position, tangent=tangent,
-                        second_derivative=second_derivative,
-                        domain=(kappa * lo, kappa * hi))
-    return Ramp2D(curve=curve, normal=normal, branch=ramp.branch)
+    return replace(ramp, position=position, tangent=tangent,
+                   second_derivative=second_derivative, normal=normal,
+                   domain=tuple(kappa * end for end in ramp.domain))
 
 
 def normal_force_2d(spec: FrictionSpec, branch: Branch | str, t) -> np.ndarray:
@@ -262,13 +248,11 @@ def sample_ramp(spec: FrictionSpec, ramp: Ramp2D, s) -> dict:
     Every arc length must be finite and inside the ramp's domain, else
     :class:`ParameterError`: NaN and an infinite end are never sampled."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    lo, hi = ramp.curve.domain
+    lo, hi = ramp.domain
     if not np.all((lo <= s) & (s <= hi) & np.isfinite(s)):  # NaN fails each test
         raise ParameterError("sample parameters must be finite and inside the ramp "
                              f"domain [{lo!r}, {hi!r}]", code="magnitude")
-    pos = ramp.curve.position(s)
-    tan = ramp.curve.tangent(s)
-    nor = ramp.normal(s)
+    pos, tan, nor = ramp.position(s), ramp.tangent(s), ramp.normal(s)
     lam = normal_force_2d(spec, ramp.branch, s / spec.v)
     return {
         "s": s,

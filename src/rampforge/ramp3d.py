@@ -488,11 +488,8 @@ def scale_ramp(geometry, kappa: float):
         return replace(geometry, s=kappa * geometry.s, alpha=kappa * geometry.alpha,
                        dgamma=geometry.dgamma / kappa)
     if isinstance(geometry, RampSurface3D):
-        return RampSurface3D(base=scale_ramp(geometry.base, kappa),
-                             s_grid=kappa * geometry.s_grid,
-                             r_grid=kappa * geometry.r_grid,
-                             vertices=kappa * geometry.vertices,
-                             vertex_normals=geometry.vertex_normals,
-                             ruling=geometry.ruling)
+        return replace(geometry, base=scale_ramp(geometry.base, kappa),
+                       s_grid=kappa * geometry.s_grid, r_grid=kappa * geometry.r_grid,
+                       vertices=kappa * geometry.vertices)
     raise ParameterError(f"cannot scale object of type {type(geometry).__name__}",
                          code="config")

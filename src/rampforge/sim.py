@@ -69,7 +69,7 @@ def simulate(spec: FrictionSpec, geometry, t_span: tuple[float, float],
     fps = _require_positive("fps", fps)
     t = _frame_times(t_span, fps)
     if isinstance(geometry, Ramp2D):
-        dimension, s_end = 2, geometry.curve.domain[1]
+        dimension, s_end = 2, geometry.domain[1]
         meta = {"branch": geometry.branch.value}
     else:
         from .ramp3d import SpaceCurve3D
@@ -94,14 +94,13 @@ def simulate(spec: FrictionSpec, geometry, t_span: tuple[float, float],
                                                       for name in FRAME_VECTORS])
     if t.size:
         s = spec.v * t
+        position = geometry.position(s)
         if dimension == 2:
             tangents, _normals, _lam, forces = _planar_balance(spec, geometry, t)
-            position = geometry.curve.position(s)
             velocity = spec.v * tangents
         else:
             from .ode import hermite
 
-            position = geometry.position(s)
             gamma, dgamma = hermite(geometry.s, geometry.gamma, geometry.dgamma, s)
             velocity = spec.v * gamma
             _normals, _lam, forces = _spatial_balance(

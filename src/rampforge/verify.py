@@ -106,10 +106,10 @@ def _spatial_balance(spec: FrictionSpec, tangent_field: TangentField, gamma: np.
 def _planar_balance(spec: FrictionSpec, ramp: Ramp2D, t: np.ndarray):
     """Tangents, normals, normal force and force columns at times ``t``."""
     s = spec.v * t
-    tangents = ramp.curve.tangent(s)
+    tangents = ramp.tangent(s)
     normals = ramp.normal(s)
     lam = np.asarray(normal_force_2d(spec, ramp.branch, t), dtype=float)
-    inertia = spec.m * (spec.v * spec.v * ramp.curve.second_derivative(s))
+    inertia = spec.m * (spec.v * spec.v * ramp.second_derivative(s))
     return tangents, normals, lam, _force_balance(spec, lam, normals, tangents, inertia)
 
 
@@ -253,7 +253,7 @@ def planar_reduction_check(spec: FrictionSpec, curve: SpaceCurve3D) -> dict:
 
 @dataclass(eq=False, repr=False)
 class Motion:
-    """Reparametrization ``t -> h(t)`` of a ramp curve: ``path(t)`` is ``(h, h', h'')``."""
+    """Reparametrization ``t -> h(t)`` of a ramp: ``path(t)`` is ``(h, h', h'')``."""
 
     path: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
@@ -300,7 +300,7 @@ def normal_sign_diagnostic(ramp: Ramp2D, force, mass: float, motion: Motion,
     friction ``mu``.  ``t_span`` must be finite with ``t0 < t1``.
 
     ``force`` is a constant vector or a callable mapping positions of shape
-    ``(n, 2)`` to forces of the same shape.  The ramp curve may carry any
+    ``(n, 2)`` to forces of the same shape.  The ramp may carry any
     regular parametrization here, not just arc length.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -310,13 +310,13 @@ def normal_sign_diagnostic(ramp: Ramp2D, force, mass: float, motion: Motion,
     t = np.linspace(t0, t1, n_samples)
     u, du, ddu = (np.asarray(c, dtype=float) for c in motion.path(t))
 
-    g1 = ramp.curve.tangent(u)
-    g2 = ramp.curve.second_derivative(u)
+    g1 = ramp.tangent(u)
+    g2 = ramp.second_derivative(u)
     normals = ramp.normal(u)
     beta_ddot = ddu[:, None] * g1 + (du * du)[:, None] * g2
 
     if callable(force):
-        f = np.asarray(force(ramp.curve.position(u)), dtype=float)
+        f = np.asarray(force(ramp.position(u)), dtype=float)
     else:
         f = np.broadcast_to(np.asarray(force, dtype=float), (n_samples, 2))
     need = mass * beta_ddot - f

@@ -21,7 +21,7 @@ from rampforge import (Branch, Verdict, alpha,
                        alpha_tangent, builtin_field, integrate_ramp3d,
                        integrate_theta, lower_ramp, make_ramp, make_spec,
                        Motion, normal_force_2d, normal_sign_diagnostic,
-                       PlanarCurve, Ramp2D, scale_ramp, spec_from_mu,
+                       Ramp2D, scale_ramp, spec_from_mu,
                        tangent_angle_orbit_position, theta_closed_form,
                        theta_closed_form_derivative, theta_ode_rhs, upper_ramp,
                        verify_2d, verify_3d, verify_scaling, Feasibility)
@@ -142,10 +142,8 @@ def test_c06_parabola_requires_pulling():
         return np.stack(np.broadcast_arrays(2.0 * t / scale, -1.0 / scale),
                         axis=-1)
 
-    parabola = Ramp2D(curve=PlanarCurve(position=position, tangent=tangent,
-                                        second_derivative=second,
-                                        domain=(-math.inf, math.inf)),
-                      normal=normal, branch=Branch.LOWER)
+    parabola = Ramp2D(position=position, tangent=tangent, second_derivative=second,
+                      normal=normal, domain=(-math.inf, math.inf), branch=Branch.LOWER)
     report = normal_sign_diagnostic(parabola, np.array([0.0, -spec.m * spec.g]),
                                     spec.m, Motion.constant_rate(1.0, -3.0),
                                     t_span=(0.0, 6.0))
@@ -192,7 +190,7 @@ def test_c08_upslope_reduces_to_planar_closed_form():
     assert deviation < 1e-6, f"deviation {deviation:.3e} m"
     # the same positions, written via the branch construction
     branch = upper_ramp(spec)
-    branch_embedded = branch.curve.position(curve.s)
+    branch_embedded = branch.position(curve.s)
     branch_embedded = np.stack(
         [branch_embedded[:, 0] - branch_embedded[0, 0], np.zeros_like(curve.s),
          branch_embedded[:, 1] - branch_embedded[0, 1]], axis=-1)

@@ -69,6 +69,15 @@ def test_invalid_parameter_exits_2(capsys):
                "--span", "-3")[0] == 2
 
 
+@pytest.mark.parametrize("degrees, expected", [("50", 2), ("45", 2), ("nan", 2), ("44.99", 0)])
+def test_delta_deg_out_of_range_names_the_degrees_typed(capsys, degrees, expected):
+    # radians(45.0) is exactly pi/4, which the open bound leaves out
+    code, _, err = run(capsys, "generate2d", "--delta-deg", degrees, "--v", "5")
+    assert code == expected
+    if expected == 2:
+        assert f"--delta-deg = {float(degrees)!r}" in err and "45 degrees" in err
+
+
 # " -inf", with a space, as argparse alone reads it as a value
 @pytest.mark.parametrize("span", ["0", "-1", "nan", "inf", " -inf"])
 def test_generate2d_bad_span_exits_2(capsys, span):
@@ -704,7 +713,7 @@ def test_records_generate_only_their_init():
                for obj in vars(module).values()
                if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
     assert {cls.__name__ for cls in records} == {
-        "FrictionSpec", "ThetaTrace", "PlanarCurve", "Ramp2D", "TangentField",
+        "FrictionSpec", "ThetaTrace", "Ramp2D", "TangentField",
         "SpaceCurve3D", "RampSurface3D", "MotionTrace", "ForceBalanceReport", "Motion",
         "FeasibilityReport", "ScalingVerification"}
     for cls in records:

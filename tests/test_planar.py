@@ -109,11 +109,11 @@ def test_normal_projection_identity(fig_spec):
 def test_branches_meet_at_apex(fig_spec):
     lo, up = lower_ramp(fig_spec), upper_ramp(fig_spec)
     apex = alpha_rotated(fig_spec, apex_param(fig_spec))
-    assert np.allclose(lo.curve.position(0.0), apex)
-    assert np.allclose(up.curve.position(0.0), apex)
+    assert np.allclose(lo.position(0.0), apex)
+    assert np.allclose(up.position(0.0), apex)
     # both leave the apex horizontally, in opposite directions
-    assert np.allclose(lo.curve.tangent(0.0), [-1.0, 0.0], atol=1e-12)
-    assert np.allclose(up.curve.tangent(0.0), [1.0, 0.0], atol=1e-12)
+    assert np.allclose(lo.tangent(0.0), [-1.0, 0.0], atol=1e-12)
+    assert np.allclose(up.tangent(0.0), [1.0, 0.0], atol=1e-12)
     # contact sides: block under the lower branch, on top of the upper one
     assert np.allclose(lo.normal(0.0), [0.0, -1.0], atol=1e-12)
     assert np.allclose(up.normal(0.0), [0.0, 1.0], atol=1e-12)
@@ -122,7 +122,7 @@ def test_branches_meet_at_apex(fig_spec):
 def test_branch_normals_are_unit_and_orthogonal(fig_spec):
     s = np.linspace(0.0, 10.0, 200)
     for ramp in (lower_ramp(fig_spec), upper_ramp(fig_spec)):
-        t = ramp.curve.tangent(s)
+        t = ramp.tangent(s)
         n = ramp.normal(s)
         assert np.allclose(np.linalg.norm(n, axis=-1), 1.0, atol=1e-12)
         assert np.max(np.abs(np.einsum("ij,ij->i", t, n))) < 1e-12
@@ -130,7 +130,7 @@ def test_branch_normals_are_unit_and_orthogonal(fig_spec):
 
 def test_upper_branch_flattens_to_incline(fig_spec):
     up = upper_ramp(fig_spec)
-    t = up.curve.tangent(40.0 / fig_spec.a)
+    t = up.tangent(40.0 / fig_spec.a)
     assert t[0] == pytest.approx(math.cos(fig_spec.delta), abs=1e-12)
     assert t[1] == pytest.approx(-math.sin(fig_spec.delta), abs=1e-12)
 
@@ -190,7 +190,7 @@ def test_orbit_from_apex_angle_matches_upper_branch(fig_spec):
     s = np.linspace(0.0, 6.0, 60)
     rel = tangent_angle_orbit_position(fig_spec, 0.0, s)
     up = upper_ramp(fig_spec)
-    expect = up.curve.position(s) - up.curve.position(0.0)
+    expect = up.position(s) - up.position(0.0)
     assert np.max(np.linalg.norm(rel - expect, axis=-1)) < 1e-12
 
 

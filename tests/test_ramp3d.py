@@ -18,7 +18,7 @@ from rampforge import (ContractViolationError, ParameterError,
                        SingularFieldError, TangentField, Verdict,
                        build_surface, builtin_field, cumulative_simpson,
                        e3_tangential, field_x, hemisphere_point,
-                       integrate_ramp3d, lambda_3d, lower_ramp,
+                       integrate_ramp3d, lambda_3d, lower_ramp, make_ramp,
                        planar_reduction_check, scale_ramp, simulate, spec_from_mu,
                        verify_3d, verify_scaling)
 from rampforge import ode, ramp3d
@@ -879,13 +879,28 @@ def test_scale_ramp_2d(fig_spec):
     ramp = lower_ramp(fig_spec)
     big = scale_ramp(ramp, 4.0)
     s = np.linspace(0.0, 3.0, 11)
-    assert np.allclose(big.curve.position(4.0 * s), 4.0 * ramp.curve.position(s),
+    assert np.allclose(big.position(4.0 * s), 4.0 * ramp.position(s),
                        atol=1e-12)
-    assert np.allclose(big.curve.tangent(4.0 * s), ramp.curve.tangent(s),
+    assert np.allclose(big.tangent(4.0 * s), ramp.tangent(s),
                        atol=1e-12)
-    assert np.allclose(big.curve.second_derivative(4.0 * s),
-                       ramp.curve.second_derivative(s) / 4.0, atol=1e-12)
+    assert np.allclose(big.second_derivative(4.0 * s),
+                       ramp.second_derivative(s) / 4.0, atol=1e-12)
     assert np.allclose(big.normal(4.0 * s), ramp.normal(s), atol=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [0.25, 4.0, 6.0])
+@pytest.mark.parametrize("branch", ["lower", "upper"])
+def test_scale_ramp_2d_is_pinned_bit_for_bit(fig_spec, branch, kappa):
+    # each evaluator of the dilated ramp is its operations in their order;
+    # a reordered one, kappa * f(s * (1 / kappa)) say, moves the last bit
+    ramp = make_ramp(fig_spec, branch)
+    big = scale_ramp(ramp, kappa)
+    s = np.linspace(0.0, 12.0, 97)
+    assert np.array_equal(big.position(s), kappa * ramp.position(s / kappa))
+    assert np.array_equal(big.tangent(s), ramp.tangent(s / kappa))
+    assert np.array_equal(big.normal(s), ramp.normal(s / kappa))
+    assert np.array_equal(big.second_derivative(s), ramp.second_derivative(s / kappa) / kappa)
+    assert big.domain == (0.0, math.inf) and big.branch is ramp.branch
 
 
 def test_scale_ramp_2d_matches_rebuilt_spec():
@@ -897,7 +912,7 @@ def test_scale_ramp_2d_matches_rebuilt_spec():
     scaled = scale_ramp(lower_ramp(spec), kappa)
     rebuilt = lower_ramp(equivalent)
     s = np.linspace(0.0, 12.0, 25)
-    assert np.allclose(scaled.curve.position(s), rebuilt.curve.position(s),
+    assert np.allclose(scaled.position(s), rebuilt.position(s),
                        atol=1e-9)
 
 
@@ -931,6 +946,8 @@ def test_scale_ramp_3d(fig_spec):
     big_surface = scale_ramp(surface, 3.0)
     assert np.allclose(big_surface.vertices, 3.0 * surface.vertices)
     assert np.allclose(big_surface.vertex_normals, surface.vertex_normals)
+    assert big_surface.vertex_normals is surface.vertex_normals
+    assert big_surface.ruling is surface.ruling
 
     with pytest.raises(ParameterError):
         scale_ramp(curve, 0.0)

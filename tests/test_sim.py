@@ -139,7 +139,7 @@ def test_fps_must_be_positive_and_finite(fig_spec, fps):
 def test_positions_follow_geometry(fig_spec):
     ramp = lower_ramp(fig_spec)
     trace = simulate(fig_spec, ramp, (0.0, 1.0), fps=10.0)
-    expect = ramp.curve.position(fig_spec.v * trace.frames["t"])
+    expect = ramp.position(fig_spec.v * trace.frames["t"])
     assert np.allclose(trace.frames["position"], expect, atol=1e-12)
 
 

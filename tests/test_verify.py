@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rampforge import (Branch, ContractViolationError, Feasibility, Motion,
-                       ParameterError, PlanarCurve, Ramp2D, SpaceCurve3D,
-                       TangentField, Verdict, build_surface, builtin_field, integrate_ramp3d,
+                       ParameterError, Ramp2D, SpaceCurve3D, TangentField, Verdict,
+                       build_surface, builtin_field, integrate_ramp3d,
                        lower_ramp, make_ramp, make_spec, normal_sign_diagnostic,
                        planar_reduction_check, scale_ramp, spec_from_mu,
                        upper_ramp, verify_2d, verify_3d, verify_scaling)
@@ -29,10 +29,9 @@ def unit_circle_ramp(inward: bool) -> Ramp2D:
     def second(t):
         return -position(t)
 
-    return Ramp2D(curve=PlanarCurve(position=position, tangent=tangent,
-                                    second_derivative=second,
-                                    domain=(-math.tau, math.tau)),
-                  normal=lambda t: sign * position(t), branch=Branch.LOWER)
+    return Ramp2D(position=position, tangent=tangent, second_derivative=second,
+                  normal=lambda t: sign * position(t), domain=(-math.tau, math.tau),
+                  branch=Branch.LOWER)
 
 
 def parabola_ramp() -> Ramp2D:
@@ -57,10 +56,8 @@ def parabola_ramp() -> Ramp2D:
         return np.stack(np.broadcast_arrays(2.0 * t / scale, -1.0 / scale),
                         axis=-1)
 
-    return Ramp2D(curve=PlanarCurve(position=position, tangent=tangent,
-                                    second_derivative=second,
-                                    domain=(-math.inf, math.inf)),
-                  normal=normal, branch=Branch.LOWER)
+    return Ramp2D(position=position, tangent=tangent, second_derivative=second,
+                  normal=normal, domain=(-math.inf, math.inf), branch=Branch.LOWER)
 
 
 def test_verify_2d_valid_on_both_branches(fig_spec):
@@ -83,12 +80,9 @@ def test_verify_2d_rejects_bad_spans(fig_spec):
 
 def test_verify_2d_rejects_non_arclength_curve(fig_spec):
     ramp = lower_ramp(fig_spec)
-    stretched = Ramp2D(
-        curve=PlanarCurve(position=ramp.curve.position,
-                          tangent=lambda s: 1.1 * ramp.curve.tangent(s),
-                          second_derivative=ramp.curve.second_derivative,
-                          domain=ramp.curve.domain),
-        normal=ramp.normal, branch=ramp.branch)
+    stretched = Ramp2D(position=ramp.position, tangent=lambda s: 1.1 * ramp.tangent(s),
+                       second_derivative=ramp.second_derivative, normal=ramp.normal,
+                       domain=ramp.domain, branch=ramp.branch)
     with pytest.raises(ContractViolationError):
         verify_2d(fig_spec, stretched)
 
@@ -105,14 +99,13 @@ def test_nan_is_never_valid(fig_spec):
     # NaN compares false with every bound, so each check must be phrased to
     # fail on it rather than pass
     ramp = lower_ramp(fig_spec)
-    curve = ramp.curve
-    nan_tangent = replace(curve, tangent=lambda s: math.nan * curve.tangent(s))
+    nan_tangent = replace(ramp, tangent=lambda s: math.nan * ramp.tangent(s))
     with pytest.raises(ContractViolationError):
-        verify_2d(fig_spec, replace(ramp, curve=nan_tangent))
+        verify_2d(fig_spec, nan_tangent)
 
     nan_inertia = replace(
-        curve, second_derivative=lambda s: math.nan * curve.second_derivative(s))
-    report = verify_2d(fig_spec, replace(ramp, curve=nan_inertia))
+        ramp, second_derivative=lambda s: math.nan * ramp.second_derivative(s))
+    report = verify_2d(fig_spec, nan_inertia)
     assert math.isnan(report.max_residual)
     assert report.verdict is Verdict.RESIDUAL_EXCEEDED
 
@@ -305,9 +298,9 @@ def test_normal_sign_diagnostic_reads_the_tangent_once():
 
     def tangent(t):
         calls[0] += 1
-        return ramp.curve.tangent(t)
+        return ramp.tangent(t)
 
-    counted = replace(ramp, curve=replace(ramp.curve, tangent=tangent))
+    counted = replace(ramp, tangent=tangent)
     normal_sign_diagnostic(counted, np.array([0.0, -9.81]), 1.0,
                            Motion.constant_rate(2.0, -1.5), t_span=(0.0, 1.0))
     assert calls[0] == 1
@@ -321,11 +314,11 @@ def straight_ramp(theta: float) -> Ramp2D:
     def constant(row):
         return lambda t: np.broadcast_to(row, np.shape(t) + (2,))
 
-    return Ramp2D(curve=PlanarCurve(
+    return Ramp2D(
         position=lambda t: np.multiply.outer(np.asarray(t, dtype=float), direction),
         tangent=constant(direction), second_derivative=constant(np.zeros(2)),
-        domain=(-math.inf, math.inf)),
-        normal=constant(np.array([math.sin(theta), math.cos(theta)])), branch=Branch.LOWER)
+        normal=constant(np.array([math.sin(theta), math.cos(theta)])),
+        domain=(-math.inf, math.inf), branch=Branch.LOWER)
 
 
 @pytest.mark.parametrize("theta, mu", [(0.3, 0.5), (0.1, 0.8), (1.0, 0.2),
@@ -360,8 +353,7 @@ def test_feasibility_tolerance_at_its_edge(eps, verdict):
 def test_unit_tangent_tolerance_at_its_edge(fig_spec, scale, raises):
     # a tangent off unit length by 10x less or 10x more than _UNIT_TANGENT_TOL
     ramp = upper_ramp(fig_spec)
-    scaled = replace(ramp, curve=replace(ramp.curve,
-                                         tangent=lambda s: scale * ramp.curve.tangent(s)))
+    scaled = replace(ramp, tangent=lambda s: scale * ramp.tangent(s))
     if raises:
         with pytest.raises(ContractViolationError, match="not unit length"):
             verify_2d(fig_spec, scaled)
@@ -377,6 +369,45 @@ def test_upslope_tolerance_at_its_edge(fig_spec, offset, applicable):
     upslope = builtin_field("upslope")
     near = TangentField("near upslope", lambda y: tuple(c + offset for c in upslope(y)))
     assert planar_reduction_check(fig_spec, replace(curve, field=near))["applicable"] is applicable
+
+
+@pytest.mark.parametrize("branch, slope, eps, verdict", [
+    ("upper", 3.95, 2.5e-10, Verdict.VALID), ("upper", 3.95, 2.5e-8, Verdict.RESIDUAL_EXCEEDED),
+    ("lower", 23.66, 4e-11, Verdict.VALID), ("lower", 23.66, 4e-9, Verdict.RESIDUAL_EXCEEDED)])
+def test_residual_2d_tolerance_at_its_edge(fig_spec, branch, slope, eps, verdict):
+    # the exact branch verified at mu (1 + eps) leaves a residual of slope * eps
+    # N, 10x inside or past TOL_RESIDUAL_2D
+    report = verify_2d(spec_from_mu(fig_spec.mu * (1.0 + eps), v=fig_spec.v),
+                       make_ramp(fig_spec, branch))
+    assert report.max_residual == pytest.approx(slope * eps, rel=1e-3)
+    assert report.verdict is verdict
+
+
+@pytest.mark.parametrize("eps, verdict", [(5e-9, Verdict.VALID),
+                                          (5e-7, Verdict.RESIDUAL_EXCEEDED)])
+def test_residual_3d_tolerance_at_its_edge(fig_spec, eps, verdict):
+    # a horizontal-field curve verified at mu (1 + eps) leaves a residual of
+    # 19.51 eps N, 10x inside or past TOL_RESIDUAL_3D
+    curve = integrate_ramp3d(fig_spec, builtin_field("horizontal"), [0.8, 0.0, -0.6],
+                             5.0 / fig_spec.a)
+    report = verify_3d(spec_from_mu(fig_spec.mu * (1.0 + eps), v=fig_spec.v), curve)
+    assert report.max_residual == pytest.approx(19.51 * eps, rel=1e-3)
+    assert report.verdict is verdict
+
+
+@pytest.mark.parametrize("pull, verdict", [(1e-11, Verdict.VALID),
+                                           (1e-9, Verdict.LAMBDA_NEGATIVE)])
+def test_lambda_tolerance_at_its_edge(fig_spec, pull, verdict):
+    # an upslope curve from the equator starts at lambda = 0; lifting its first
+    # direction by y3 makes the ramp pull with m g y3 / mu there, 10x inside
+    # or past TOL_LAMBDA, while every later row pushes
+    curve = integrate_ramp3d(fig_spec, builtin_field("upslope"), [1.0, 0.0, 0.0],
+                             5.0 / fig_spec.a)
+    gamma = curve.gamma.copy()
+    gamma[0, 2] = pull * fig_spec.mu / (fig_spec.m * fig_spec.g)
+    report = verify_3d(fig_spec, replace(curve, gamma=gamma))
+    assert report.lambda_min == pytest.approx(-pull, rel=1e-12)
+    assert report.verdict is verdict
 
 
 def test_verify_scaling_2d(fig_spec):
