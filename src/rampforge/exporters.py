@@ -2,21 +2,24 @@
 
 Numbers are serialized with ``repr`` (shortest round-trip, at most 17
 significant digits) except in SVG, where 6 significant digits are plenty for
-figures.  In JSON, NaN and the infinities are written as ``json`` writes them
-(``NaN``, ``Infinity``, ``-Infinity``); the JSON and JSONL writers render their
-text themselves, and tests pin it byte for byte to ``json.dumps`` with the
-same settings.  A float table (curve samples, frames, mesh points) is
-formatted once by :func:`_rows`, column by column: a column that repeats its
-values (a constant force, a residual at rounding level) pays one ``repr``
-per distinct value, any other one ``repr`` per float.  Every format of the
-table is built from those row texts: a job that writes one table as CSV and
-then as JSON or JSONL pays for the ``repr`` pass once.  The cache behind
-:func:`_rows` holds one table, keyed on its exact bytes.  Nothing here
-embeds timestamps or environment state, so repeated runs produce
-byte-identical files.  3D outputs are identical on any host, because the
-hemisphere flow is IEEE arithmetic in a fixed order.  Outputs built on
-transcendentals (the 2D ``theta_closed_form`` path) are identical only for
-the same numpy build, SIMD target and libm.
+figures.  Every JSON document is the text of :func:`dumps_json`, which is
+``json.dumps`` with two-space indents and sorted keys, so NaN and the
+infinities are written as ``json`` writes them (``NaN``, ``Infinity``,
+``-Infinity``).  Two float tables are built from their row texts instead:
+the ``samples`` block of the 2D curve JSON, spliced into the dumped text,
+and the JSONL frame lines; tests pin both byte for byte to ``json.dumps``.
+A float table (curve samples, frames, mesh points) is formatted once by
+:func:`_rows`, column by column: a column that repeats its values (a
+constant force, a residual at rounding level) pays one ``repr`` per distinct
+value, any other one ``repr`` per float.  Every format of the table is built
+from those row texts: a job that writes one table as CSV and then as JSON or
+JSONL pays for the ``repr`` pass once.  The cache behind :func:`_rows` holds
+one table, keyed on its exact bytes.  Nothing here embeds timestamps or
+environment state, so repeated runs produce byte-identical files.  3D
+outputs are identical on any host, because the hemisphere flow is IEEE
+arithmetic in a fixed order.  Outputs built on transcendentals (the 2D
+``theta_closed_form`` path) are identical only for the same numpy build,
+SIMD target and libm.
 """
 
 from __future__ import annotations
@@ -117,46 +120,13 @@ def _json(text: str) -> str:
     return text
 
 
-class _Table(tuple):
-    """The :func:`_rows` of a float table, which :func:`_render` writes as
-    the list of float lists the table's ``tolist()`` is."""
-
-
-def _render(value, indent: str) -> str:
-    """The text ``json.dumps(value, indent=2, sort_keys=True)`` writes for
-    ``value`` at the depth whose lines start with ``indent``."""
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # json sorts the keys as they are, then writes a non-str key as its JSON text
-        body = sep.join(json.dumps(k if isinstance(k, str) else json.dumps(k))
-                        + ": " + _render(v, inner) for k, v in sorted(value.items()))
-        return "{\n" + inner + body + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if isinstance(value, _Table):  # each row a list of floats, a level deeper
-            cell, start, end = sep + "  ", f"[\n{inner}  ", f"\n{inner}]"
-            body = _json(sep.join(start + row.replace(",", cell) + end for row in value))
-        elif set(map(type, value)) == {float}:  # exact floats, so repr is float's
-            body = _json(sep.join(map(repr, value)))
-        else:
-            body = sep.join(_render(v, inner) for v in value)
-        return "[\n" + inner + body + "\n" + indent + "]"
-    if isinstance(value, float):  # float's repr, also for a numpy float64
-        return _json(float.__repr__(value))
-    return json.dumps(value)
-
-
 def write_json(path: str | Path, payload: dict) -> None:
     Path(path).write_text(dumps_json(payload) + "\n", newline="\n")
 
 
 def dumps_json(payload: dict) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte."""
-    return _render(payload, "")
+    """The text of every JSON document: two-space indents, keys sorted."""
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _obj_points(tag: str, points: np.ndarray) -> list[str]:
@@ -172,15 +142,21 @@ def write_curve2d_csv(path: str | Path, samples: dict) -> None:
 
 def write_curve2d_json(path: str | Path, spec: FrictionSpec, samples: dict,
                        extra: dict | None = None) -> None:
+    """The spec, the column names and the sample table, each row a list of
+    ``CURVE2D_HEADER``'s floats; ``extra`` adds top-level keys."""
     keys = CURVE2D_HEADER.split(",")
-    payload = {
-        "spec": spec_to_dict(spec),
-        "columns": keys,
-        "samples": _Table(_rows(np.column_stack([samples[k] for k in keys]))),
-    }
-    if extra:
-        payload.update(extra)
-    write_json(path, payload)
+    extra = extra or {}
+    rows = () if "samples" in extra else _rows(np.column_stack([samples[k] for k in keys]))
+    text = dumps_json({"spec": spec_to_dict(spec), "columns": keys,
+                       "samples": None if rows else [], **extra})
+    if rows:
+        # the rows as dumps_json writes a top-level list of float lists, spliced
+        # in at the null; the table's text is held once, not copied
+        head, _, tail = text.partition('\n  "samples": null')
+        text = "".join([head, '\n  "samples": [\n    ', _json(",\n    ".join(
+            "[\n      " + row.replace(",", ",\n      ") + "\n    ]" for row in rows)),
+            "\n  ]", tail])
+    Path(path).write_text(text + "\n", newline="\n")
 
 
 def write_curve2d_svg(path: str | Path, x: np.ndarray, y: np.ndarray) -> None:

@@ -99,8 +99,8 @@ class ThetaTrace:
 def hermite(grid: np.ndarray, y: np.ndarray, dy: np.ndarray, t):
     """Cubic Hermite dense output of samples on a uniform grid.
 
-    ``y[i]`` is the value and ``dy[i]`` the slope at ``grid[i]``, as
-    :func:`integrate_fixed` returns them; a row may be a scalar or a vector.
+    ``y[i]`` is the value and ``dy[i]`` the slope at ``grid[i]``, such as a
+    space curve's ``gamma`` and ``dgamma``; a row may be a scalar or a vector.
     Returns ``(value, slope)`` at ``t``: the piecewise cubic that matches
     both at every node, and its derivative in ``t`` (Hairer, Norsett and
     Wanner, Solving ODEs I, section II.6).  Raises :class:`ParameterError`

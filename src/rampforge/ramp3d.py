@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ParameterError, SingularFieldError
 from .ode import DEFAULT_STEP_FACTOR, _compile, _grid, _rk4_run, _run, hermite
-from .params import FrictionSpec, _require_positive
+from .params import FrictionSpec, _bounded, _require_positive
 from .planar import Ramp2D, _scale_ramp2d
 
 log = logging.getLogger(__name__)
@@ -452,11 +452,13 @@ def build_surface(curve: SpaceCurve3D, r_extent: tuple[float, float] = (-0.5, 0.
     normal, so the sheet contains the trajectory (its ``r = 0`` row) and
     touches the block along it with normal ``N``.  Developability is not checked.
     A field value other than three real numbers raises :class:`ContractViolationError`,
-    and a strip on both sides of 0 less than 2 cells across :class:`ParameterError`.
+    and a strip on both sides of 0 less than 2 cells across :class:`ParameterError`,
+    as does a resolution whose vertex table numpy cannot index.
     """
     n_s, n_r = int(resolution[0]), int(resolution[1])
     if n_s < 1 or n_r < 1:
         raise ParameterError(f"resolution must be at least (1, 1), got {resolution!r}")
+    _bounded(3 * (n_s + 1) * (n_r + 1), f"resolution {resolution!r} leaves too many vertices")
     s_grid = np.linspace(0.0, curve.s_end, n_s + 1)
     r_grid = _ruling_grid(r_extent, n_r)
 

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, SingularFieldError
-from .params import FrictionSpec, _length_scale, make_spec
+from .params import FrictionSpec, _bounded, _length_scale, make_spec
 from .planar import (Ramp2D, _scale_ramp2d, default_span, normal_force_2d,
                      tangent_angle_orbit_position)
 
@@ -72,6 +72,7 @@ class ForceBalanceReport:
 def _require_samples(n_samples: int) -> None:
     if n_samples < 2:
         raise ParameterError(f"need at least 2 samples, got {n_samples}")
+    _bounded(n_samples - 1, f"too many samples, got {n_samples}")
 
 
 def _force_balance(spec: FrictionSpec, lam: np.ndarray, normals: np.ndarray,

@@ -78,6 +78,25 @@ def test_delta_deg_out_of_range_names_the_degrees_typed(capsys, degrees, expecte
         assert f"--delta-deg = {float(degrees)!r}" in err and "45 degrees" in err
 
 
+# counts of 10**19 or more, whose tables numpy cannot index in bytes: a count
+# it can index would try to allocate the memory
+_HUGE = str(10 ** 19)
+_FIELD = ["--field", "horizontal", "--y0", "0.8", "0", "-0.6", "--smax", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate2d", "--samples", _HUGE],
+    ["verify", "--branch", "upper", "--samples", _HUGE],
+    ["scale", "--branch", "upper", "--kappa", "2", "--samples", _HUGE],
+    ["generate3d", *_FIELD, "--mesh", f"{_HUGE}x4"],
+    ["generate3d", *_FIELD, "--mesh", f"4x{_HUGE}"]],
+    ids=["generate2d", "verify", "scale", "generate3d-rows", "generate3d-columns"])
+def test_count_numpy_cannot_index_exits_2(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv, "--mu", "0.5", "--v", "5", "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert "too many" in err
+
+
 # " -inf", with a space, as argparse alone reads it as a value
 @pytest.mark.parametrize("span", ["0", "-1", "nan", "inf", " -inf"])
 def test_generate2d_bad_span_exits_2(capsys, span):

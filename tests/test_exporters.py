@@ -309,7 +309,8 @@ def test_curve2d_json_is_json_dumps_byte_for_byte(tmp_path, fig_spec):
     data = sample_ramp(fig_spec, upper_ramp(fig_spec), np.linspace(0.0, 5.0, 200))
     path = tmp_path / "curve.json"
     keys = ["s", "x", "y", "tx", "ty", "nx", "ny", "lambda"]
-    for extra in (None, {"branch": "upper"}):
+    # an extra that sets samples replaces the table, as dict.update would
+    for extra in (None, {"branch": "upper"}, {"samples": None}, {"samples": [1.5]}):
         write_curve2d_json(path, fig_spec, data, extra=extra)
         expected = {"spec": spec_to_dict(fig_spec), "columns": keys,
                     "samples": np.column_stack([data[k] for k in keys]).tolist(),

@@ -295,7 +295,7 @@ def test_hermite_reproduces_a_cubic():
     value, slope = hermite(grid, p(grid), dp(grid), t)
     assert np.allclose(value, p(t), rtol=0.0, atol=1e-12)
     assert np.allclose(slope, dp(t), rtol=0.0, atol=1e-12)
-    # a scalar state, as integrate_fixed returns it for a 1-tuple
+    # scalar rows: a 1D table of values and one of slopes
     value, slope = hermite(grid, p(grid)[:, 0], dp(grid)[:, 0], t)
     assert np.allclose(value, p(t)[:, 0], rtol=0.0, atol=1e-12)
     assert np.allclose(slope, dp(t)[:, 0], rtol=0.0, atol=1e-12)

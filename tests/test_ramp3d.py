@@ -72,6 +72,20 @@ def test_field_start_check_at_its_edge(fig_spec, scale, ok):
             integrate_ramp3d(fig_spec, tf, [0.8, 0.0, -0.6], 0.1 / fig_spec.a)
 
 
+@pytest.mark.parametrize("distance, singular", [(1e-9, True), (1e-7, False)])
+def test_singular_tolerance_at_its_edge(fig_spec, distance, singular):
+    # a horizontal start 10x inside or 10x outside SINGULAR_TOL of the south
+    # pole, the field's singular set; the distances are literals, so the pair
+    # does not move with the constant
+    y0 = [distance, 0.0, -1.0]
+    if singular:
+        with pytest.raises(SingularFieldError, match="'horizontal' is singular"):
+            integrate_ramp3d(fig_spec, builtin_field("horizontal"), y0, 0.1 / fig_spec.a)
+    else:  # it integrates, though the run may stop early
+        curve = integrate_ramp3d(fig_spec, builtin_field("horizontal"), y0, 0.1 / fig_spec.a)
+        assert curve.gamma[0].tolist() == y0
+
+
 def test_e3_tangential_removes_radial_part():
     y = np.array([0.6, 0.0, -0.8])
     w = e3_tangential(y)

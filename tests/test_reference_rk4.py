@@ -138,7 +138,7 @@ def test_theta_matches_the_rhs_call_path(spec, start, step):
 
 @pytest.mark.parametrize("dim", [1, 2, 5])
 def test_fixed_matches_array_rk4_in_any_dimension(dim):
-    # y' = A y; only d = 1 and d = 3 have callers in the package
+    # y' = A y; integrate_fixed takes any d, and the package itself calls it for none
     rng = np.random.default_rng(dim)
     a = rng.normal(size=(dim, dim)) - np.eye(dim)
     y0 = rng.normal(size=dim)

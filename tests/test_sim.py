@@ -22,6 +22,15 @@ def test_frame_grid_2d(fig_spec):
     assert times[0] == 0.0
 
 
+@pytest.mark.parametrize("gap, frames", [(1e-12, 4), (1e-6, 3)])
+def test_frame_count_tolerance_at_its_edge(fig_spec, gap, frames):
+    # span * fps lands gap below k = 3: a gap at rounding level still counts
+    # frame k, a real one does not; _COUNT_EPS lies between the two
+    trace = simulate(fig_spec, lower_ramp(fig_spec), (0.0, 3.0 - gap), fps=1.0)
+    assert not trace.truncated
+    assert len(trace.frames) == frames
+
+
 def test_frames_carry_consistent_forces_2d(fig_spec):
     trace = simulate(fig_spec, upper_ramp(fig_spec), (0.0, 2.0), fps=12.0)
     frames = trace.frames
