@@ -29,8 +29,8 @@ import numpy as np
 
 from . import _SOURCE, exporters
 from .errors import ParameterError, RampError
-from .params import (FrictionSpec, _bounded, _require_friction_angle, _require_positive,
-                     make_spec, spec_from_mu, spec_to_dict)
+from .params import (FrictionSpec, _require_friction_angle, _require_positive,
+                     _require_samples, make_spec, spec_from_mu, spec_to_dict)
 from .planar import (Branch, Ramp2D, apex_param, asymptote_gap, default_span,
                      make_ramp, sample_ramp)
 
@@ -144,10 +144,7 @@ def cmd_generate2d(args: argparse.Namespace) -> int:
     ramp = make_ramp(spec, args.branch)
     span = _require_positive("--span", args.span if args.span is not None
                              else default_span(spec))
-    if args.samples < 2:
-        raise ParameterError(f"--samples must be at least 2, got {args.samples}")
-    _bounded(args.samples - 1, f"too many --samples, got {args.samples}")
-    s = np.linspace(0.0, span, args.samples)
+    s = np.linspace(0.0, span, _require_samples(args.samples))
     data = sample_ramp(spec, ramp, s)
 
     out = None

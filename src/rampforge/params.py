@@ -63,6 +63,15 @@ def _bounded(count: float, message: str) -> float:
     return count
 
 
+def _require_samples(n_samples: int) -> int:
+    """``n_samples``, if it is at least 2 and numpy can index in bytes a float64
+    array of that many values; else :class:`ParameterError`."""
+    if n_samples < 2:
+        raise ParameterError(f"need at least 2 samples, got {n_samples}")
+    _bounded(n_samples - 1, f"too many samples, got {n_samples}")
+    return n_samples
+
+
 def _length_scale(a: float) -> float:
     """``a``, if both ``a`` and ``1/a`` are positive and finite; else
     :class:`ParameterError`."""

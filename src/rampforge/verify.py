@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, SingularFieldError
-from .params import FrictionSpec, _bounded, _length_scale, make_spec
+from .params import FrictionSpec, _length_scale, _require_samples, make_spec
 from .planar import (Ramp2D, _scale_ramp2d, default_span, normal_force_2d,
                      tangent_angle_orbit_position)
 
@@ -67,12 +67,6 @@ class ForceBalanceReport:
     residual_norm: np.ndarray
     lambda_profile: np.ndarray
     meta: dict = field(default_factory=dict)
-
-
-def _require_samples(n_samples: int) -> None:
-    if n_samples < 2:
-        raise ParameterError(f"need at least 2 samples, got {n_samples}")
-    _bounded(n_samples - 1, f"too many samples, got {n_samples}")
 
 
 def _force_balance(spec: FrictionSpec, lam: np.ndarray, normals: np.ndarray,
@@ -190,10 +184,10 @@ def verify_3d(spec: FrictionSpec, curve: SpaceCurve3D,
     those nodes are read, never ``alpha`` or the curve between nodes, so
     neither a coarse step nor a wrong ``alpha`` changes the verdict.
     """
-    _require_samples(n_samples)
     if curve.s.shape[0] < 2:
         raise ParameterError("curve holds fewer than 2 samples")
-    count = min(n_samples, curve.s.shape[0])
+    # a count above the rows is clamped to them, however large, not refused
+    count = _require_samples(min(n_samples, curve.s.shape[0]))
     # count <= rows, so the grid's spacing is at least 1 and no two of its
     # points round to the same row: these are the rows np.unique would keep,
     # without the numpy.ma import np.unique makes on first use

@@ -97,6 +97,20 @@ def test_count_numpy_cannot_index_exits_2(capsys, tmp_path, argv):
     assert "too many" in err
 
 
+@pytest.mark.parametrize("command", [["verify"], ["scale", "--kappa", "2"]],
+                         ids=["verify", "scale"])
+def test_field_sample_count_above_the_rows_is_clamped(capsys, command):
+    # a --field check reads at most one sample per stored row, so no count
+    # above the rows is refused, one numpy cannot index included
+    outs = []
+    for samples in ("1000000", _HUGE):
+        code, out, _ = run(capsys, *command, "--mu", "0.5", "--v", "5", *_FIELD,
+                           "--samples", samples)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 # " -inf", with a space, as argparse alone reads it as a value
 @pytest.mark.parametrize("span", ["0", "-1", "nan", "inf", " -inf"])
 def test_generate2d_bad_span_exits_2(capsys, span):
