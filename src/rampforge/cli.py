@@ -6,10 +6,11 @@ flat JSON object of option values, each read as its flag; explicit flags
 override the file.  ``--field`` takes any name ``builtin_field`` gives.  A
 negative number in any form ``float`` reads is a value, never an option
 (``--y0 0.8 -1e-05 -0.6``, ``--r-extent -inf 1``, ``--out -1e5``).  Exit
-codes: 0 success, 2 validation failure, 3 I/O failure, 4 verification ran
-but did not pass.  Only the 3D commands log, since only the hemisphere flow
-does: set ``RAMPFORGE_LOG=DEBUG|INFO|WARNING|ERROR`` to control their logging
-(stderr; stdout carries only the JSON summaries).
+codes: 0 success, 2 validation failure (a request too large to allocate
+included), 3 I/O failure, 4 verification ran but did not pass.  Only the 3D
+commands log, since only the hemisphere flow does: set
+``RAMPFORGE_LOG=DEBUG|INFO|WARNING|ERROR`` to control their logging (stderr;
+stdout carries only the JSON summaries).
 """
 
 from __future__ import annotations
@@ -401,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_VALIDATION
         return args.func(args)
-    except RampError as exc:
+    except (RampError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -24,6 +24,7 @@ SIMD target and libm.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -211,37 +212,31 @@ def write_obj(path: str | Path, surface: RampSurface3D) -> None:
     _write_lines(path, lines)
 
 
+def _fields(record) -> dict:
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
 def report_to_dict(report: ForceBalanceReport, include_profiles: bool = True) -> dict:
-    payload = {
-        "verdict": report.verdict.value,
-        "max_residual": float(report.max_residual),
-        "max_normal_residual": float(report.max_normal_residual),
-        "max_tangential_residual": float(report.max_tangential_residual),
-        "lambda_min": float(report.lambda_min),
-        "tol_residual": float(report.tol_residual),
-        "tol_lambda": float(report.tol_lambda),
-        "meta": report.meta,
-    }
-    if include_profiles:
-        payload["t"] = report.t.tolist()
-        payload["residual_norm"] = report.residual_norm.tolist()
-        payload["lambda"] = report.lambda_profile.tolist()
+    """Every field of ``report``, the verdict as its value; the profiles
+    ``t``, ``residual_norm`` and ``lambda`` (``lambda_profile``) as lists
+    with ``include_profiles``, else left out."""
+    payload = _fields(report)
+    payload["verdict"] = report.verdict.value
+    payload["lambda"] = payload.pop("lambda_profile")
+    for key in ("t", "residual_norm", "lambda"):
+        profile = payload.pop(key)
+        if include_profiles:
+            payload[key] = profile.tolist()
     return payload
 
 
 def scaling_to_dict(result: ScalingVerification, include_profiles: bool = False) -> dict:
-    return {
-        "kappa": float(result.kappa),
-        "both_valid": result.both_valid,
-        "speed_reinterpretation": {
-            "spec": spec_to_dict(result.speed_spec),
-            "report": report_to_dict(result.speed_report, include_profiles),
-        },
-        "gravity_reinterpretation": {
-            "spec": spec_to_dict(result.gravity_spec),
-            "report": report_to_dict(result.gravity_report, include_profiles),
-        },
-    }
+    readings = (("speed", result.speed_spec, result.speed_report),
+                ("gravity", result.gravity_spec, result.gravity_report))
+    return {"kappa": result.kappa, "both_valid": result.both_valid,
+            **{f"{name}_reinterpretation": {"spec": spec_to_dict(spec),
+                                            "report": report_to_dict(report, include_profiles)}
+               for name, spec, report in readings}}
 
 
 def write_frames_jsonl(path: str | Path, trace: MotionTrace) -> None:
@@ -274,11 +269,5 @@ def write_frames_csv(path: str | Path, trace: MotionTrace) -> None:
 
 
 def trace_summary(trace: MotionTrace) -> dict:
-    return {
-        "frames": len(trace.frames),
-        "fps": float(trace.fps),
-        "dimension": trace.dimension,
-        "truncated": trace.truncated,
-        "warning": trace.warning,
-        "meta": trace.meta,
-    }
+    """Every field of ``trace``, with ``frames`` as the count of frames."""
+    return {**_fields(trace), "frames": len(trace.frames)}

@@ -36,7 +36,6 @@ class MotionTrace:
 
     frames: np.ndarray
     fps: float
-    spec: FrictionSpec
     dimension: int
     truncated: bool = False
     warning: str | None = None
@@ -108,5 +107,5 @@ def simulate(spec: FrictionSpec, geometry, t_span: tuple[float, float],
                 speed=np.linalg.norm(velocity, axis=-1, keepdims=True))
         for name, column in zip(frames.dtype.names, (t, position, velocity, *forces)):
             frames[name] = column
-    return MotionTrace(frames=frames, fps=fps, spec=spec, dimension=dimension,
+    return MotionTrace(frames=frames, fps=fps, dimension=dimension,
                        truncated=truncated, warning=warning, meta=meta)

@@ -97,6 +97,24 @@ def test_count_numpy_cannot_index_exits_2(capsys, tmp_path, argv):
     assert "too many" in err
 
 
+# counts numpy can index but no host can hold: each first table asks for more
+# than 2**47 bytes, more than a 64-bit address space maps, so the allocation
+# fails at once and touches no memory
+_UNHOLDABLE = str(10 ** 17)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate2d", "--samples", _UNHOLDABLE],
+    ["verify", "--branch", "upper", "--samples", _UNHOLDABLE],
+    ["scale", "--branch", "upper", "--kappa", "2", "--samples", _UNHOLDABLE],
+    ["simulate", "--branch", "lower", "--fps", "1e16"]],
+    ids=["generate2d", "verify", "scale", "simulate"])
+def test_count_no_host_can_hold_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--mu", "0.5", "--v", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "allocate" in err
+
+
 @pytest.mark.parametrize("command", [["verify"], ["scale", "--kappa", "2"]],
                          ids=["verify", "scale"])
 def test_field_sample_count_above_the_rows_is_clamped(capsys, command):

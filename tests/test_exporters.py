@@ -21,6 +21,7 @@ from rampforge.exporters import (dumps_json, report_to_dict,
                                  write_frames_jsonl, write_json, write_obj)
 from rampforge.params import spec_to_dict
 from rampforge.sim import FRAME_VECTORS, MotionTrace
+from rampforge.verify import ForceBalanceReport
 
 
 @pytest.fixture
@@ -194,6 +195,23 @@ def test_report_profiles_toggle(fig_spec):
     assert brief["verdict"] == "Valid"
 
 
+def test_report_to_dict_writes_every_field(fig_spec):
+    # a field added to the record reaches the payload with no change here
+    @dataclasses.dataclass(eq=False, repr=False)
+    class Extended(ForceBalanceReport):
+        worst_s: float = 1.25
+
+    report = verify_2d(fig_spec, lower_ramp(fig_spec), n_samples=8)
+    extended = Extended(**{f.name: getattr(report, f.name)
+                           for f in dataclasses.fields(report)})
+    for include_profiles in (False, True):
+        assert report_to_dict(extended, include_profiles) == {
+            **report_to_dict(report, include_profiles), "worst_s": 1.25}
+    assert set(report_to_dict(report, include_profiles=False)) == {
+        "verdict", "max_residual", "max_normal_residual", "max_tangential_residual",
+        "lambda_min", "tol_residual", "tol_lambda", "meta"}
+
+
 def test_scaling_to_dict_shape(fig_spec):
     result = verify_scaling(fig_spec, upper_ramp(fig_spec), 6.0, n_samples=32)
     payload = scaling_to_dict(result)
@@ -235,6 +253,7 @@ def test_frames_csv_2d_and_3d(tmp_path, fig_spec, small_curve):
 def test_trace_summary(fig_spec):
     trace = simulate(fig_spec, lower_ramp(fig_spec), (0.0, 0.5), fps=8.0)
     summary = trace_summary(trace)
+    assert set(summary) == {"frames", "fps", "dimension", "truncated", "warning", "meta"}
     assert summary["frames"] == 5
     assert summary["dimension"] == 2
     assert summary["truncated"] is False
@@ -329,7 +348,7 @@ _CURVE2D_KEYS = ["s", "x", "y", "tx", "ty", "nx", "ny", "lambda"]
 def _frame_trace(table: np.ndarray, dimension: int) -> MotionTrace:
     dtype = [("t", float)] + [(name, float, (dimension,)) for name in FRAME_VECTORS]
     return MotionTrace(unstructured_to_structured(table, np.dtype(dtype)), 30.0,
-                       spec_from_mu(0.5, v=5.0), dimension)
+                       dimension)
 
 
 def _text(workdir, write: tuple) -> str:

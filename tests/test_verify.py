@@ -12,6 +12,7 @@ from rampforge import (Branch, ContractViolationError, Feasibility, Motion,
                        lower_ramp, make_ramp, make_spec, normal_sign_diagnostic,
                        planar_reduction_check, scale_ramp, spec_from_mu,
                        upper_ramp, verify_2d, verify_3d, verify_scaling)
+from rampforge.verify import _planar_balance
 
 
 def unit_circle_ramp(inward: bool) -> Ramp2D:
@@ -408,6 +409,42 @@ def test_lambda_tolerance_at_its_edge(fig_spec, pull, verdict):
     report = verify_3d(fig_spec, replace(curve, gamma=gamma))
     assert report.lambda_min == pytest.approx(-pull, rel=1e-12)
     assert report.verdict is verdict
+
+
+def test_residual_components_match_an_independent_projection(fig_spec):
+    # the upper ramp judged with mu off by 10%: its residual's tangential and
+    # normal maxima, and each maximum and mean, differ by more than 1e-12
+    judged = spec_from_mu(1.1 * fig_spec.mu, v=fig_spec.v)
+    ramp = make_ramp(fig_spec, "upper")
+    report = verify_2d(judged, ramp)
+    residual = _planar_balance(judged, ramp, report.t)[-1][-1]
+    tangent = ramp.tangent(judged.v * report.t)
+    # along the unit tangent, and across it as the 2D cross product with it
+    along = np.abs(residual[:, 0] * tangent[:, 0] + residual[:, 1] * tangent[:, 1])
+    across = np.abs(residual[:, 0] * tangent[:, 1] - residual[:, 1] * tangent[:, 0])
+    assert report.max_tangential_residual == pytest.approx(along.max(), rel=1e-12)
+    assert report.max_normal_residual == pytest.approx(across.max(), rel=1e-12)
+    assert abs(along.max() - across.max()) > 1e-3
+    assert across.max() - across.mean() > 0.1 and along.max() - along.mean() > 0.05
+
+
+def test_planar_reduction_reports_the_largest_deviation(fig_spec):
+    # an upslope curve matches its planar closed form to ~3e-14; moving alpha
+    # by 1e-3 at one interior row makes that row's deviation the largest
+    curve = integrate_ramp3d(fig_spec, builtin_field("upslope"), [1.0, 0.0, 0.0], 2.28)
+    alpha = curve.alpha.copy()
+    alpha[alpha.shape[0] // 2, 0] += 1e-3
+    check = planar_reduction_check(fig_spec, replace(curve, alpha=alpha))
+    assert check["max_deviation"] == pytest.approx(1e-3, abs=1e-12)
+
+
+def test_max_gamma3_is_the_highest_direction(fig_spec):
+    # the horizontal field from (0.8, 0, -0.6) only descends: its highest
+    # direction is the first, and its lowest is near -0.99
+    curve = integrate_ramp3d(fig_spec, builtin_field("horizontal"), [0.8, 0.0, -0.6],
+                             5.0 / fig_spec.a)
+    assert verify_3d(fig_spec, curve).meta["max_gamma3"] == -0.6
+    assert curve.gamma[-1, 2] < -0.99
 
 
 def test_verify_scaling_2d(fig_spec):
