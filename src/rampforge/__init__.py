@@ -29,7 +29,7 @@ _SUBMODULES = {
                "builtin_field", "cumulative_simpson", "e3_tangential", "field_x",
                "hemisphere_point", "integrate_ramp3d", "lambda_3d", "scale_ramp"),
     "sim": ("MotionTrace", "simulate"),
-    "verify": ("Feasibility", "FeasibilityReport", "ForceBalanceReport", "Motion",
+    "verify": ("Feasibility", "FeasibilityReport", "ForceBalanceReport",
                "ScalingVerification", "Verdict", "normal_sign_diagnostic",
                "planar_reduction_check", "verify_2d", "verify_3d", "verify_scaling"),
 }

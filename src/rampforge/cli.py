@@ -214,14 +214,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import Verdict, verify_2d, verify_3d
 
     spec = _spec_from_args(args)
+    # refused before the --field curve is integrated; with both geometries
+    # or neither, _pick_geometry's error comes first
+    if args.t_span is not None and args.field is not None and args.branch is None:
+        raise ParameterError("--t-span applies only to --branch geometry, "
+                             "not to --field", code="config")
     geometry = _pick_geometry(spec, args)
     if isinstance(geometry, Ramp2D):
         t_span = tuple(args.t_span) if args.t_span else None
         report = verify_2d(spec, geometry, t_span=t_span, n_samples=args.samples)
     else:
-        if args.t_span is not None:
-            raise ParameterError("--t-span applies only to --branch geometry, "
-                                 "not to --field", code="config")
         report = verify_3d(spec, geometry, n_samples=args.samples)
     if args.out:
         exporters.write_json(Path(args.out), exporters.report_to_dict(report))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -247,29 +247,6 @@ def planar_reduction_check(spec: FrictionSpec, curve: SpaceCurve3D) -> dict:
 
 
 @dataclass(eq=False, repr=False)
-class Motion:
-    """Reparametrization ``t -> h(t)`` of a ramp: ``path(t)`` is ``(h, h', h'')``."""
-
-    path: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-    @staticmethod
-    def static(param: float) -> "Motion":
-        """Block parked at a fixed curve parameter."""
-        def path(t):
-            t = np.asarray(t, dtype=float)
-            return np.full_like(t, param), np.zeros_like(t), np.zeros_like(t)
-        return Motion(path)
-
-    @staticmethod
-    def constant_rate(rate: float, start: float = 0.0) -> "Motion":
-        """Curve parameter advancing linearly in time."""
-        def path(t):
-            t = np.asarray(t, dtype=float)
-            return start + rate * t, np.full_like(t, rate), np.zeros_like(t)
-        return Motion(path)
-
-
-@dataclass(eq=False, repr=False)
 class FeasibilityReport:
     """Sign profile of the normal force a prescribed motion would require."""
 
@@ -279,12 +256,11 @@ class FeasibilityReport:
     tol: float
     t: np.ndarray
     lambda_required: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
-def normal_sign_diagnostic(ramp: Ramp2D, force, mass: float, motion: Motion,
+def normal_sign_diagnostic(ramp: Ramp2D, force, mass: float, rate: float,
                            t_span: tuple[float, float], n_samples: int = 200,
-                           mu: float = 0.0) -> FeasibilityReport:
+                           mu: float = 0.0, start: float = 0.0) -> FeasibilityReport:
     """Recover the normal force a motion on a ramp would require and test its sign.
 
     Projecting ``m beta'' - F`` on the ramp normal isolates lambda without
@@ -294,30 +270,24 @@ def normal_sign_diagnostic(ramp: Ramp2D, force, mass: float, motion: Motion,
     error; it vanishes only if the motion is dynamically possible at
     friction ``mu``.  ``t_span`` must be finite with ``t0 < t1``.
 
-    ``force`` is a constant vector or a callable mapping positions of shape
-    ``(n, 2)`` to forces of the same shape.  The ramp may carry any
-    regular parametrization here, not just arc length.
+    The block's curve parameter is ``start + rate * t``: ``rate = 0`` parks
+    it at ``start``, and on an arc-length ramp ``rate = v`` is motion at
+    speed ``v``.  ``force`` is one constant 2-vector.  The ramp may carry
+    any regular parametrization here, not just arc length.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ParameterError(f"t_span must be finite with t0 < t1, got {t_span!r}")
     _require_samples(n_samples)
     t = np.linspace(t0, t1, n_samples)
-    u, du, ddu = (np.asarray(c, dtype=float) for c in motion.path(t))
+    u = start + rate * t
 
     g1 = ramp.tangent(u)
-    g2 = ramp.second_derivative(u)
     normals = ramp.normal(u)
-    beta_ddot = ddu[:, None] * g1 + (du * du)[:, None] * g2
-
-    if callable(force):
-        f = np.asarray(force(ramp.position(u)), dtype=float)
-    else:
-        f = np.broadcast_to(np.asarray(force, dtype=float), (n_samples, 2))
-    need = mass * beta_ddot - f
+    need = mass * ((rate * rate) * ramp.second_derivative(u)) - force
     lam = np.einsum("ij,ij->i", need, normals)
 
-    direction = np.sign(du)[:, None] * g1 / np.linalg.norm(g1, axis=-1, keepdims=True)
+    direction = np.sign(rate) * g1 / np.linalg.norm(g1, axis=-1, keepdims=True)
     consistency = np.abs(np.einsum("ij,ij->i", need, direction) + mu * lam)
 
     lambda_min = float(lam.min())
@@ -325,8 +295,7 @@ def normal_sign_diagnostic(ramp: Ramp2D, force, mass: float, motion: Motion,
                else Feasibility.INFEASIBLE)
     return FeasibilityReport(verdict=verdict, lambda_min=lambda_min,
                              friction_consistency_max=float(consistency.max()),
-                             tol=TOL_FEASIBILITY, t=t, lambda_required=lam,
-                             meta={"mu": mu, "branch": ramp.branch.value})
+                             tol=TOL_FEASIBILITY, t=t, lambda_required=lam)
 
 
 @dataclass(eq=False, repr=False)

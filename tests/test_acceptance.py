@@ -20,7 +20,7 @@ from rampforge import (Branch, Verdict, alpha,
                        alpha_rotated_second_derivative, alpha_rotated_tangent,
                        alpha_tangent, builtin_field, integrate_ramp3d,
                        integrate_theta, lower_ramp, make_ramp, make_spec,
-                       Motion, normal_force_2d, normal_sign_diagnostic,
+                       normal_force_2d, normal_sign_diagnostic,
                        Ramp2D, scale_ramp, spec_from_mu,
                        tangent_angle_orbit_position, theta_closed_form,
                        theta_closed_form_derivative, theta_ode_rhs, upper_ramp,
@@ -145,8 +145,7 @@ def test_c06_parabola_requires_pulling():
     parabola = Ramp2D(position=position, tangent=tangent, second_derivative=second,
                       normal=normal, domain=(-math.inf, math.inf), branch=Branch.LOWER)
     report = normal_sign_diagnostic(parabola, np.array([0.0, -spec.m * spec.g]),
-                                    spec.m, Motion.constant_rate(1.0, -3.0),
-                                    t_span=(0.0, 6.0))
+                                    spec.m, 1.0, t_span=(0.0, 6.0), start=-3.0)
     assert report.verdict is Feasibility.INFEASIBLE
     assert np.all(report.lambda_required < 0.0)
 

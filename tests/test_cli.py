@@ -441,11 +441,14 @@ Y0 = ["--y0", "0.8", "0", "-0.6"]
 
 @pytest.mark.parametrize("command, argv, option", [
     ("verify", ["--field", "horizontal", *Y0, "--t-span", "0", "0.1"], "--t-span"),
+    # refused before the curve is integrated: 1e9 / step rows would not fit
+    ("verify", ["--field", "horizontal", *Y0, "--smax", "1e9", "--t-span", "0", "0.1"],
+     "--t-span"),
     ("verify", ["--branch", "upper", *Y0], "--y0"),
     ("simulate", ["--branch", "lower", "--smax", "1"], "--smax"),
     ("scale", ["--branch", "upper", "--kappa", "6", "--step", "0.01"], "--step"),
-], ids=["verify field t-span", "verify branch y0", "simulate branch smax",
-        "scale branch step"])
+], ids=["verify field t-span", "verify field t-span long smax", "verify branch y0",
+        "simulate branch smax", "scale branch step"])
 def test_option_of_the_other_geometry_exits_2(tmp_path, capsys, command, argv, option):
     # an option the chosen geometry does not read is an error that names
     # it, given as a flag or as a config file's key
@@ -765,7 +768,7 @@ def test_records_generate_only_their_init():
                if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
     assert {cls.__name__ for cls in records} == {
         "FrictionSpec", "ThetaTrace", "Ramp2D", "TangentField",
-        "SpaceCurve3D", "RampSurface3D", "MotionTrace", "ForceBalanceReport", "Motion",
+        "SpaceCurve3D", "RampSurface3D", "MotionTrace", "ForceBalanceReport",
         "FeasibilityReport", "ScalingVerification"}
     for cls in records:
         generated = {"__eq__", "__repr__", "__setattr__", "__delattr__", "__hash__"}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rampforge import (Branch, ContractViolationError, Feasibility, Motion,
+from rampforge import (Branch, ContractViolationError, Feasibility,
                        ParameterError, Ramp2D, SpaceCurve3D, TangentField, Verdict,
                        build_surface, builtin_field, integrate_ramp3d,
                        lower_ramp, make_ramp, make_spec, normal_sign_diagnostic,
@@ -228,8 +228,7 @@ def test_parabola_motion_is_infeasible(fig_spec):
     # constant-rate sweep of the parabola graph with the normal pointing down
     ramp = parabola_ramp()
     report = normal_sign_diagnostic(ramp, np.array([0.0, -fig_spec.m * fig_spec.g]),
-                                    fig_spec.m, Motion.constant_rate(1.0, -2.0),
-                                    t_span=(0.0, 4.0))
+                                    fig_spec.m, 1.0, t_span=(0.0, 4.0), start=-2.0)
     assert report.verdict is Feasibility.INFEASIBLE
     assert np.all(report.lambda_required < 0.0)
 
@@ -238,8 +237,7 @@ def test_normal_sign_diagnostic_needs_two_samples(fig_spec):
     ramp = lower_ramp(fig_spec)
     for n_samples in (0, 1):
         with pytest.raises(ParameterError, match="at least 2 samples"):
-            normal_sign_diagnostic(ramp, np.array([0.0, -9.81]), 1.0,
-                                   Motion.constant_rate(1.0), (0.0, 1.0),
+            normal_sign_diagnostic(ramp, np.array([0.0, -9.81]), 1.0, 1.0, (0.0, 1.0),
                                    n_samples=n_samples)
 
 
@@ -248,21 +246,21 @@ def test_normal_sign_diagnostic_needs_two_samples(fig_spec):
 def test_normal_sign_diagnostic_rejects_a_bad_span(fig_spec, t_span):
     with pytest.raises(ParameterError):
         normal_sign_diagnostic(lower_ramp(fig_spec), np.array([0.0, -9.81]), 1.0,
-                               Motion.constant_rate(1.0), t_span)
+                               1.0, t_span)
 
 
 def test_static_block_in_circular_bowl():
     inward = unit_circle_ramp(inward=True)
-    parked = Motion.static(-math.pi / 2.0)  # lowest point of the circle
+    lowest = -math.pi / 2.0  # lowest point of the circle
     gravity = np.array([0.0, -9.81])
-    report = normal_sign_diagnostic(inward, gravity, 1.0, parked,
-                                    t_span=(0.0, 1.0))
+    report = normal_sign_diagnostic(inward, gravity, 1.0, 0.0, t_span=(0.0, 1.0),
+                                    start=lowest)
     assert report.verdict is Feasibility.FEASIBLE
     assert report.lambda_min == pytest.approx(9.81)
     # same geometry touched from the other side cannot hold the block
     outward = unit_circle_ramp(inward=False)
-    report = normal_sign_diagnostic(outward, gravity, 1.0, parked,
-                                    t_span=(0.0, 1.0))
+    report = normal_sign_diagnostic(outward, gravity, 1.0, 0.0, t_span=(0.0, 1.0),
+                                    start=lowest)
     assert report.verdict is Feasibility.INFEASIBLE
 
 
@@ -270,27 +268,14 @@ def test_circular_motion_needs_speed_dependent_normal():
     inward = unit_circle_ramp(inward=True)
     gravity = np.array([0.0, -9.81])
     # parked on the ceiling of the drum the wall cannot hold the block
-    report = normal_sign_diagnostic(inward, gravity, 1.0,
-                                    Motion.static(math.pi / 2.0),
-                                    t_span=(0.0, 1.0))
+    report = normal_sign_diagnostic(inward, gravity, 1.0, 0.0, t_span=(0.0, 1.0),
+                                    start=math.pi / 2.0)
     assert report.verdict is Feasibility.INFEASIBLE
     # spun fast enough the wall presses on it all the way around
-    spinning = Motion.constant_rate(6.0, 0.0)  # v^2/r = 36 > g
-    report = normal_sign_diagnostic(inward, gravity, 1.0, spinning,
-                                    t_span=(0.0, 2.0))
+    # v^2/r = 36 > g
+    report = normal_sign_diagnostic(inward, gravity, 1.0, 6.0, t_span=(0.0, 2.0))
     assert report.verdict is Feasibility.FEASIBLE
     assert report.lambda_min >= 36.0 - 9.81 - 1e-9
-
-
-def test_force_callable_and_constant_agree():
-    ramp = parabola_ramp()
-    motion = Motion.constant_rate(0.5, -1.0)
-    constant = normal_sign_diagnostic(ramp, np.array([0.0, -9.81]), 1.0,
-                                      motion, t_span=(0.0, 2.0))
-    via_callable = normal_sign_diagnostic(
-        ramp, lambda pos: np.broadcast_to([0.0, -9.81], pos.shape), 1.0,
-        motion, t_span=(0.0, 2.0))
-    assert np.allclose(constant.lambda_required, via_callable.lambda_required)
 
 
 def test_normal_sign_diagnostic_reads_the_tangent_once():
@@ -302,8 +287,8 @@ def test_normal_sign_diagnostic_reads_the_tangent_once():
         return ramp.tangent(t)
 
     counted = replace(ramp, tangent=tangent)
-    normal_sign_diagnostic(counted, np.array([0.0, -9.81]), 1.0,
-                           Motion.constant_rate(2.0, -1.5), t_span=(0.0, 1.0))
+    normal_sign_diagnostic(counted, np.array([0.0, -9.81]), 1.0, 2.0, t_span=(0.0, 1.0),
+                           start=-1.5)
     assert calls[0] == 1
 
 
@@ -322,20 +307,25 @@ def straight_ramp(theta: float) -> Ramp2D:
         domain=(-math.inf, math.inf), branch=Branch.LOWER)
 
 
-@pytest.mark.parametrize("theta, mu", [(0.3, 0.5), (0.1, 0.8), (1.0, 0.2),
-                                       (math.atan(0.5), 0.5)])
-def test_normal_sign_diagnostic_on_the_straight_ramp(theta, mu):
-    # at constant speed down a line the ramp carries the normal part of the
-    # weight, and friction mu * lambda is out of balance with the weight's
-    # slope component by m g |mu cos(theta) - sin(theta)|, zero at tan(theta) = mu
-    m, g, v = 2.0, 9.81, 3.0
+# down the line, and back up it (the ids ending in -backwards)
+@pytest.mark.parametrize("theta, mu, rate", [
+    pytest.param(theta, mu, rate, id=f"{theta}-{mu}" + ("" if rate > 0.0 else "-backwards"))
+    for rate in (3.0, -3.0)
+    for theta, mu in [(0.3, 0.5), (0.1, 0.8), (1.0, 0.2), (math.atan(0.5), 0.5)]])
+def test_normal_sign_diagnostic_on_the_straight_ramp(theta, mu, rate):
+    # at constant speed along a line the ramp carries the normal part of the
+    # weight, and friction mu * lambda, against the motion, is out of balance
+    # with the weight's slope component by m g |mu cos(theta) - sign(rate) sin(theta)|:
+    # zero going down at tan(theta) = mu, 2 m g sin(theta) going back up
+    m, g = 2.0, 9.81
     report = normal_sign_diagnostic(straight_ramp(theta), np.array([0.0, -m * g]), m,
-                                    Motion.constant_rate(v), t_span=(0.0, 2.0), mu=mu)
+                                    rate, t_span=(0.0, 2.0), mu=mu)
     assert report.verdict is Feasibility.FEASIBLE
     assert report.lambda_min == pytest.approx(m * g * math.cos(theta), rel=1e-15, abs=0.0)
     assert np.allclose(report.lambda_required, m * g * math.cos(theta), rtol=1e-15, atol=0.0)
     assert report.friction_consistency_max == pytest.approx(
-        m * g * abs(mu * math.cos(theta) - math.sin(theta)), rel=1e-14, abs=1e-14)
+        m * g * abs(mu * math.cos(theta) - math.copysign(math.sin(theta), rate)),
+        rel=1e-14, abs=1e-14)
 
 
 @pytest.mark.parametrize("eps, verdict", [(1e-10, Feasibility.FEASIBLE),
@@ -345,7 +335,7 @@ def test_feasibility_tolerance_at_its_edge(eps, verdict):
     # force eps: the floor would have to pull with eps, 10x inside or past
     # TOL_FEASIBILITY
     report = normal_sign_diagnostic(straight_ramp(0.0), np.array([0.0, eps]), 1.0,
-                                    Motion.static(0.0), t_span=(0.0, 1.0))
+                                    0.0, t_span=(0.0, 1.0), start=0.0)
     assert report.lambda_min == -eps
     assert report.verdict is verdict
 
